@@ -1,21 +1,6 @@
-from setuptools import Extension, setup
+# All package metadata is in pyproject.toml.  This file only keeps
+# `python3 setup.py build_ext --inplace`, the build step of perfbench/run.py,
+# working; there is no extension to build.
+from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "homcount.kernels._fastkernels",
-                ["src/homcount/kernels/_fastkernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": 3},
-    )
-except ImportError:
-    # No Cython: install runs pure-Python only, the package falls back at import.
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

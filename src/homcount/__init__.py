@@ -4,9 +4,7 @@ and compactions between small graphs with loops.
 The package keeps every count exact: brute-force kernels enumerate
 assignments with integer arithmetic, inversion layers work over the
 integers or rationals, and the closed-form counters for the tractable
-target families are plain integer formulas.  A compiled kernel is used
-when available and applicable; a pure Python twin gives identical
-results everywhere else.
+target families are plain integer formulas.
 """
 
 from .canonical import (
@@ -73,7 +71,7 @@ from .inversion import (
     vesurj_via_inversion,
     vsurj_via_inversion,
 )
-from .kernels import available_backends, backend_name, select_backend, use_backend
+from .kernels import backend_name
 
 __version__ = "0.1.0"
 
@@ -127,10 +125,7 @@ __all__ = [
     "induced_subgraph",
     "quotient",
     "connected_components",
-    "available_backends",
     "backend_name",
-    "select_backend",
-    "use_backend",
     "GraphParseError",
     "SizeLimitError",
     "BudgetExceededError",

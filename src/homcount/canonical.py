@@ -24,32 +24,12 @@ from .graphs import Graph, adjacency_masks
 ENUMERATE_MAX_VERTICES = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GraphKey:
     """Canonical identifier of an isomorphism class, totally ordered."""
 
     size: int
     data: bytes
-
-    def __lt__(self, other):
-        if not isinstance(other, GraphKey):
-            return NotImplemented
-        return (self.size, self.data) < (other.size, other.data)
-
-    def __le__(self, other):
-        if not isinstance(other, GraphKey):
-            return NotImplemented
-        return (self.size, self.data) <= (other.size, other.data)
-
-    def __gt__(self, other):
-        if not isinstance(other, GraphKey):
-            return NotImplemented
-        return (self.size, self.data) > (other.size, other.data)
-
-    def __ge__(self, other):
-        if not isinstance(other, GraphKey):
-            return NotImplemented
-        return (self.size, self.data) >= (other.size, other.data)
 
     def hex(self) -> str:
         return self.data.hex()
@@ -122,7 +102,7 @@ def _classes_on(n: int) -> list[tuple[GraphKey, Graph]]:
     perms = list(permutations(range(n)))
     seen = bytearray(1 << m)
     out = []
-    encode = kernels.pure.encode_with_perm
+    encode = kernels.encode_with_perm
     for code in range(1 << m):
         if seen[code]:
             continue

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InternalCheckError
 from .graphs import (
@@ -28,9 +27,8 @@ from .graphs import (
     _adjacency_lists,
     connected_components,
     delete_nonloop_edge,
-    induced_subgraph,
 )
-from .inversion import dsub_inverse_column
+from .inversion import dsub_inverse_column, signed_induced_subgraphs
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
@@ -198,15 +196,14 @@ def vsurj_polytime(g: Graph, h: Graph) -> int:
     in_f, _ = classify_F(h)
     if not in_f:
         raise ValueError("target is not in F")
+    if g.n < h.n:
+        return 0
     total = 0
-    for r in range(h.n + 1):
-        sign = -1 if (h.n - r) % 2 else 1
-        for s in combinations(range(h.n), r):
-            sub = induced_subgraph(h, s)
-            ok, sub_shapes = classify_F(sub)
-            if not ok:
-                raise InternalCheckError("F is not closed under vertex deletion")
-            total += sign * hom_polytime(g, sub, sub_shapes)
+    for sign, sub in signed_induced_subgraphs(h):
+        ok, sub_shapes = classify_F(sub)
+        if not ok:
+            raise InternalCheckError("F is not closed under vertex deletion")
+        total += sign * hom_polytime(g, sub, sub_shapes)
     return total
 
 
@@ -216,6 +213,8 @@ def vesurj_polytime(g: Graph, h: Graph) -> int:
     in_c, _ = classify_C(h)
     if not in_c:
         raise ValueError("target is not in C")
+    if g.n < h.n or len(g.edges) < len(h.edges):
+        return 0
     total = 0
     for _, rep, coeff in dsub_inverse_column(h).items():
         ok, rep_shapes = classify_F(rep)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .canonical import GraphKey, canonical_form, canonical_key
 from .counting import hom_count, vesurj_count, vsurj_count
@@ -38,11 +37,10 @@ from .graphs import (
     Graph,
     delete_nonloop_edge,
     disjoint_union,
-    induced_subgraph,
     quotient,
     to_text,
 )
-from .inversion import CoeffVector, dsub_inverse_column
+from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
 
 QUOTIENT_MAX_VERTICES = 8
 SYSTEM_MAX_SIZE = 64
@@ -156,12 +154,9 @@ def alpha_for_vsurj(h: Graph) -> CoeffVector:
     combination of plain homomorphism counters: each subset of h's vertices
     contributes its induced class, signed by the number of deleted
     vertices.  The entry at h itself is 1."""
-    pairs = []
-    for r in range(h.n + 1):
-        sign = -1 if (h.n - r) % 2 else 1
-        for s in combinations(range(h.n), r):
-            pairs.append((induced_subgraph(h, s), sign))
-    return CoeffVector.from_pairs(pairs)
+    return CoeffVector.from_pairs(
+        (sub, sign) for sign, sub in signed_induced_subgraphs(h)
+    )
 
 
 def alpha_for_vesurj(h: Graph) -> CoeffVector:

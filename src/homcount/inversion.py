@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .canonical import (
     GraphKey,
@@ -111,6 +112,23 @@ def ind_count(f: Graph, h: Graph) -> int:
     )
 
 
+def signed_induced_subgraphs(h: Graph):
+    """Yield (sign, h[S]) for every vertex subset S of h, the sign being -1
+    raised to the number of deleted vertices: the coefficients that turn
+    homomorphism counts into vertex-surjective ones."""
+    for r in range(h.n + 1):
+        sign = -1 if (h.n - r) % 2 else 1
+        for s in combinations(range(h.n), r):
+            yield sign, induced_subgraph(h, s)
+
+
+@lru_cache(maxsize=None)
+def _deletion_pair_bound(n: int) -> int:
+    """Labeled deletion pairs of the complete graph on n vertices: an upper
+    bound on _deletion_pair_total for every graph on n vertices."""
+    return sum(comb(n, r) << comb(r, 2) for r in range(n + 1))
+
+
 def _deletion_pair_total(h: Graph) -> int:
     total = 0
     for r in range(h.n + 1):
@@ -126,10 +144,6 @@ def _downset_of(key: GraphKey) -> tuple[tuple[GraphKey, Graph, int], ...]:
     """Isomorphism classes of deletion subgraphs with multiplicities, in
     matrix order.  Cached per class; multiplicities are label-independent."""
     h = graph_from_key(key)
-    if _deletion_pair_total(h) > DSUB_PAIR_LIMIT:
-        raise SizeLimitError(
-            f"deletion-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} pairs"
-        )
     acc: dict[GraphKey, list] = {}
     for r in range(h.n + 1):
         for s in combinations(range(h.n), r):
@@ -147,7 +161,20 @@ def _downset_of(key: GraphKey) -> tuple[tuple[GraphKey, Graph, int], ...]:
 
 
 def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
-    """All classes f with dsub(f, h) > 0, with those counts, in matrix order."""
+    """All classes f with dsub(f, h) > 0, with those counts, in matrix order.
+
+    The pair limit is checked before h is canonicalized, which is itself
+    exponential in h's vertex count.  The exact total is computed only when
+    the bound for h's vertex count exceeds the limit (never up to 6
+    vertices), so cached lookups stay cheap.
+    """
+    if (
+        _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
+        and _deletion_pair_total(h) > DSUB_PAIR_LIMIT
+    ):
+        raise SizeLimitError(
+            f"deletion-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} pairs"
+        )
     return _downset_of(canonical_key(h))
 
 
@@ -192,12 +219,7 @@ def dsub_inverse_column(h: Graph) -> CoeffVector:
 def vsurj_via_inversion(g: Graph, h: Graph) -> int:
     """Vertex-surjective count as the signed sum of homomorphism counts into
     the induced subgraphs of h (sign by the number of deleted vertices)."""
-    total = 0
-    for r in range(h.n + 1):
-        sign = -1 if (h.n - r) % 2 else 1
-        for s in combinations(range(h.n), r):
-            total += sign * hom_count(g, induced_subgraph(h, s))
-    return total
+    return sum(sign * hom_count(g, sub) for sign, sub in signed_induced_subgraphs(h))
 
 
 def vesurj_via_inversion(g: Graph, h: Graph) -> int:

@@ -1,10 +1,8 @@
-"""Pure-Python counting and canonicalization kernels.
+"""Counting and canonicalization kernels.
 
-Reference implementations of the hot loops.  The compiled extension in
-_fastkernels mirrors these function for function; the dispatcher in
-homcount.kernels picks between them, so both must agree exactly.  Inputs
-are primitive sequences and bitmasks, counts are plain integers with no
-overflow concerns.
+The hot loops of the package, in pure Python.  Inputs are primitive
+sequences and bitmasks, counts are plain integers with no overflow
+concerns.
 """
 
 from itertools import permutations
@@ -12,6 +10,11 @@ from itertools import permutations
 MODE_HOM = 0
 MODE_VSURJ = 1
 MODE_VESURJ = 2
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "pure"
 
 
 def count_maps(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homcount import cli
+from homcount import cli, kernels
 from homcount.errors import InternalCheckError
 
 DATA = Path(__file__).parent / "data"
@@ -154,3 +154,30 @@ def test_count_plain_path_note_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == "2\n"
     assert captured.err == "path: polytime\n"
+
+
+def _star_file(tmp_path, leaves):
+    path = tmp_path / f"star{leaves}.graph"
+    edges = "".join(f"edge 0 {v}\n" for v in range(1, leaves + 1))
+    path.write_text(f"vertices {leaves + 1}\n{edges}")
+    return str(path)
+
+
+def _refuse_canonicalization(n, loop_flags, adj):
+    raise InternalCheckError(f"canonicalized a {n}-vertex graph")
+
+
+def test_surjective_count_into_larger_target_is_zero(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
+    star12 = _star_file(tmp_path, 12)
+    for kind in ("vsurj", "vesurj"):
+        assert cli.main(["count", "--kind", kind, "--g", f"{G}/p3.graph",
+                         "--h", star12, "--format", "plain"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+
+def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp_path,
+                                                                capsys):
+    monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
+    assert cli.main(["inverse-column", "--h", _star_file(tmp_path, 13)]) == 4
+    assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
