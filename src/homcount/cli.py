@@ -26,13 +26,19 @@ from .families import (
     classification_json,
     classify_C,
     classify_F,
+    find_hard_edge,
     hom_polytime,
     vesurj_polytime,
     vsurj_polytime,
 )
 from .graphs import Graph, load_graph, parse_graph, to_text
 from .interpolation import homomorphic_images, lovasz_matrix, reduction_demo
-from .inversion import dsub_downset, dsub_inverse_column, verify_expansions
+from .inversion import (
+    dsub_downset,
+    dsub_inverse_column,
+    signed_induced_subgraphs,
+    verify_expansions,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,21 +160,14 @@ def _run_verify(n_max: int) -> dict:
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
-            from itertools import combinations
-
-            from .graphs import induced_subgraph
-
-            for r in range(h.n + 1):
-                for s in combinations(range(h.n), r):
-                    if not classify_F(induced_subgraph(h, s))[0]:
-                        fam.append({"h": to_text(h), "check": "F induced-closed"})
+            for _, sub in signed_induced_subgraphs(h):
+                if not classify_F(sub)[0]:
+                    fam.append({"h": to_text(h), "check": "F induced-closed"})
         if in_c:
             for _, rep, _ in dsub_downset(h):
                 if not classify_C(rep)[0]:
                     fam.append({"h": to_text(h), "check": "C deletion-closed"})
         if in_f and not in_c:
-            from .families import find_hard_edge
-
             try:
                 find_hard_edge(h)
             except InternalCheckError:

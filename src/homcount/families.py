@@ -28,7 +28,7 @@ from .graphs import (
     connected_components,
     delete_nonloop_edge,
 )
-from .inversion import dsub_inverse_column, signed_induced_subgraphs
+from .inversion import _check_pair_limit, signed_deletion_subgraphs, signed_induced_subgraphs
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
@@ -190,6 +190,17 @@ def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
     return result
 
 
+def _signed_hom_sum(g: Graph, terms) -> int:
+    """Sum of sign * hom_polytime(g, sub) over (sign, sub) terms in F."""
+    total = 0
+    for sign, sub in terms:
+        ok, sub_shapes = classify_F(sub)
+        if not ok:
+            raise InternalCheckError("a signed subgraph of a target in F left F")
+        total += sign * hom_polytime(g, sub, sub_shapes)
+    return total
+
+
 def vsurj_polytime(g: Graph, h: Graph) -> int:
     """Vertex-surjective count for targets in F, via the signed sum of
     closed-form homomorphism counts over induced subgraphs of h."""
@@ -198,30 +209,19 @@ def vsurj_polytime(g: Graph, h: Graph) -> int:
         raise ValueError("target is not in F")
     if g.n < h.n:
         return 0
-    total = 0
-    for sign, sub in signed_induced_subgraphs(h):
-        ok, sub_shapes = classify_F(sub)
-        if not ok:
-            raise InternalCheckError("F is not closed under vertex deletion")
-        total += sign * hom_polytime(g, sub, sub_shapes)
-    return total
+    return _signed_hom_sum(g, signed_induced_subgraphs(h))
 
 
 def vesurj_polytime(g: Graph, h: Graph) -> int:
-    """Compaction count for targets in C, via the inverse-column-weighted
-    sum of closed-form homomorphism counts over deletion subgraphs of h."""
+    """Compaction count for targets in C, via the inclusion-exclusion sum of
+    closed-form homomorphism counts over signed deletion subgraphs of h."""
     in_c, _ = classify_C(h)
     if not in_c:
         raise ValueError("target is not in C")
     if g.n < h.n or len(g.edges) < len(h.edges):
         return 0
-    total = 0
-    for _, rep, coeff in dsub_inverse_column(h).items():
-        ok, rep_shapes = classify_F(rep)
-        if not ok:
-            raise InternalCheckError("C is not closed under deletion subgraphs")
-        total += coeff * hom_polytime(g, rep, rep_shapes)
-    return total
+    _check_pair_limit(h)
+    return _signed_hom_sum(g, signed_deletion_subgraphs(h))
 
 
 def classification_json(h: Graph) -> dict:

@@ -33,6 +33,7 @@ from .errors import (
     SizeLimitError,
 )
 from .exactsolve import determinant, solve_linear_system
+from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
     delete_nonloop_edge,
@@ -251,8 +252,6 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     In vesurj mode, when h is in F but not in C, the hard-edge deletion is
     recovered as a second target.
     """
-    from .families import classify_C, classify_F, find_hard_edge
-
     if mode == "vsurj":
         alpha = alpha_for_vsurj(h)
     elif mode == "vesurj":

@@ -7,12 +7,12 @@ Two triangular matrices indexed by isomorphism classes in matrix order:
               deletion subgraph keeps a vertex subset V', all loops inside
               V', and any subset of the non-loop edges inside V'.
 
-Both have ones on the diagonal and vanish unless size(f) <= size(h), so
-columns of the inverse of dsub come out of integer back-substitution.
-Those columns convert plain homomorphism counts into compaction counts;
-the signed subset sum over induced subgraphs converts them into
-vertex-surjective counts.  verify_expansions replays the two expansions
-that make this work and reports any violation.
+Both have ones on the diagonal and vanish unless size(f) <= size(h).  The
+column of the inverse of dsub at h, an inclusion-exclusion over the vertices
+and non-loop edges a compaction onto h must cover, converts homomorphism
+counts into compaction counts; the signed subset sum over induced subgraphs
+converts them into vertex-surjective counts.  verify_expansions replays the
+two expansions that make this work and reports any violation.
 """
 
 from __future__ import annotations
@@ -122,6 +122,23 @@ def signed_induced_subgraphs(h: Graph):
             yield sign, induced_subgraph(h, s)
 
 
+def signed_deletion_subgraphs(h: Graph):
+    """Yield (sign, h - A - B) for every set A of vertices on no non-loop
+    edge and every set B of non-loop edges, the sign being (-1)^(|A|+|B|):
+    inclusion-exclusion over what a compaction must cover.  Deleting a
+    vertex with an edge on it cancels in pairs (with and without that edge
+    in B), so such A are skipped."""
+    on_edge = {v for e in h.edges for v in e}
+    bare = [v for v in range(h.n) if v not in on_edge]
+    edges = sorted(h.edges)
+    for b in range(len(edges) + 1):
+        for gone_edges in combinations(edges, b):
+            hb = Graph(h.n, h.loops, h.edges.difference(gone_edges))
+            for a in range(len(bare) + 1):
+                for gone in combinations(bare, a):
+                    yield (-1) ** (a + b), induced_subgraph(hb, set(range(h.n)) - set(gone))
+
+
 @lru_cache(maxsize=None)
 def _deletion_pair_bound(n: int) -> int:
     """Labeled deletion pairs of the complete graph on n vertices: an upper
@@ -160,14 +177,11 @@ def _downset_of(key: GraphKey) -> tuple[tuple[GraphKey, Graph, int], ...]:
     return tuple((k, acc[k][0], acc[k][1]) for k in sorted(acc))
 
 
-def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
-    """All classes f with dsub(f, h) > 0, with those counts, in matrix order.
-
-    The pair limit is checked before h is canonicalized, which is itself
-    exponential in h's vertex count.  The exact total is computed only when
-    the bound for h's vertex count exceeds the limit (never up to 6
-    vertices), so cached lookups stay cheap.
-    """
+def _check_pair_limit(h: Graph) -> None:
+    """Refuse h above DSUB_PAIR_LIMIT labeled deletion pairs.  Call it before
+    canonicalizing h, which is itself exponential in h's vertex count.  The
+    exact total is computed only when the bound for h's vertex count exceeds
+    the limit (never up to 6 vertices), so cached lookups stay cheap."""
     if (
         _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
         and _deletion_pair_total(h) > DSUB_PAIR_LIMIT
@@ -175,6 +189,11 @@ def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
         raise SizeLimitError(
             f"deletion-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} pairs"
         )
+
+
+def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
+    """All classes f with dsub(f, h) > 0, with those counts, in matrix order."""
+    _check_pair_limit(h)
     return _downset_of(canonical_key(h))
 
 
@@ -190,30 +209,10 @@ def dsub_count(f: Graph, h: Graph) -> int:
 
 
 def dsub_inverse_column(h: Graph) -> CoeffVector:
-    """Column of the inverse of the dsub matrix at h.
-
-    Solved by back-substitution down the triangular system: the entry at h
-    is 1, and each smaller class f gets minus the dsub-weighted sum of the
-    already-known entries strictly above it.  All entries are integers.
-    """
-    down = dsub_downset(h)
-    order = sorted(down, key=lambda t: t[0], reverse=True)
-    coeff: dict[GraphKey, int] = {order[0][0]: 1}
-    reps = {key: rep for key, rep, _ in down}
-    for i in range(1, len(order)):
-        key_f = order[i][0]
-        s = 0
-        for j in range(i):
-            key_g = order[j][0]
-            c = coeff.get(key_g, 0)
-            if c == 0:
-                continue
-            for kk, _, mult in _downset_of(key_g):
-                if kk == key_f:
-                    s += mult * c
-                    break
-        coeff[key_f] = -s
-    return CoeffVector({k: (reps[k], c) for k, c in coeff.items()})
+    """Column of the inverse of the dsub matrix at h: the signed deletion
+    subgraphs of h, aggregated by isomorphism class."""
+    _check_pair_limit(h)
+    return CoeffVector.from_pairs((sub, sign) for sign, sub in signed_deletion_subgraphs(h))
 
 
 def vsurj_via_inversion(g: Graph, h: Graph) -> int:
@@ -257,10 +256,7 @@ def verify_expansions(n_max: int) -> dict:
         for _, h in classes:
             pairs += 1
             hom_gh = hom_count(g, h)
-            total = 0
-            for r in range(h.n + 1):
-                for s in combinations(range(h.n), r):
-                    total += vsurj_count(g, induced_subgraph(h, s))
+            total = sum(vsurj_count(g, sub) for _, sub in signed_induced_subgraphs(h))
             if total != hom_gh:
                 record("hom = sum of vsurj over induced subgraphs", g, h, hom_gh, total)
             total = sum(

@@ -176,6 +176,13 @@ def test_surjective_count_into_larger_target_is_zero(monkeypatch, tmp_path, caps
         assert capsys.readouterr().out == "0\n"
 
 
+def test_closed_form_vesurj_does_not_canonicalize(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
+    assert cli.main(["count", "--kind", "vesurj", "--g", _star_file(tmp_path, 7),
+                     "--h", _star_file(tmp_path, 6), "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "15120\n"
+
+
 def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp_path,
                                                                 capsys):
     monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)

@@ -1,7 +1,10 @@
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import homcount
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.counting import hom_count, vesurj_count, vsurj_count
 from homcount.errors import OracleMismatchError, SizeLimitError
@@ -169,7 +172,10 @@ def test_recover_flags_inconsistent_oracle(named):
         recover_hom(system, LyingOracle(), named["p3"], canonical_key(named["k2"]))
 
 
-def test_external_command_oracle_runs_cli(named, tmp_path):
+def test_external_command_oracle_runs_cli(named, tmp_path, monkeypatch):
+    # The child process imports the package from wherever this one did.
+    paths = [str(Path(homcount.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
     h_path = tmp_path / "k2.graph"
     h_path.write_text(to_text(named["k2"]))
     oracle = ExternalCommandOracle(

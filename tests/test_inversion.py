@@ -5,6 +5,7 @@ from homcount.errors import SizeLimitError
 from homcount.graphs import (
     Graph,
     complete_graph,
+    cycle_graph,
     delete_nonloop_edge,
     disjoint_union,
     path_graph,
@@ -141,8 +142,16 @@ def test_inverse_column_frozen_values(named):
 
 
 def test_inverse_column_matches_naive_solver(named):
+    c4 = cycle_graph(4)
+    extra = (
+        complete_graph(4),
+        named["k22"],
+        Graph(4, loops=range(4), edges=c4.edges),
+        Graph(4, loops={0}, edges=c4.edges),
+        Graph(4, loops={0}, edges={(0, 1), (0, 2), (0, 3)}),
+    )
     for h in (named["k1"], named["l1"], named["k2"], named["r2"], named["p3"],
-              named["star3"]):
+              named["star3"], *extra):
         got = dsub_inverse_column(h)
         want = naive_inverse_column(h)
         assert len(got) == len(want)
