@@ -5,69 +5,15 @@ its endpoints stay distinct and on a loop when they collapse, and so that
 loops land on loops.  vsurj_count restricts to maps whose image covers
 every target vertex; vesurj_count additionally requires every non-loop
 target edge to be the image of some source edge (loops need not be
-covered).  All four counters run the same backtracking kernel with
-adjacency pruning; the surjectivity filters apply to completed maps only.
+covered).  The three map counters run one backtracking kernel that prunes
+by adjacency; the surjectivity filters apply to completed maps only.
+aut_count runs its own kernel over permutations.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from . import kernels
-from .graphs import Graph, adjacency_masks, loops_mask, _adjacency_lists
-
-
-def _assignment_order(g: Graph) -> list[int]:
-    """Vertices in BFS order per component so each one (after the first of
-    its component) has an already-placed neighbor to prune against."""
-    adj = _adjacency_lists(g)
-    order = []
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        dq = deque([start])
-        while dq:
-            v = dq.popleft()
-            order.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    dq.append(w)
-    return order
-
-
-def _prepare_source(g: Graph):
-    order = _assignment_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    g_loop = [1 if v in g.loops else 0 for v in order]
-    prev = [[] for _ in range(g.n)]
-    edge_u = []
-    edge_v = []
-    for u, v in sorted(g.edges):
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        prev[b].append(a)
-        edge_u.append(a)
-        edge_v.append(b)
-    off = [0]
-    flat = []
-    for row in prev:
-        row.sort()
-        flat.extend(row)
-        off.append(len(flat))
-    return g_loop, off, flat, edge_u, edge_v
-
-
-def _prepare_target(h: Graph):
-    es = sorted(h.edges)
-    edge_id = [-1] * (h.n * h.n)
-    for i, (u, v) in enumerate(es):
-        edge_id[u * h.n + v] = i
-        edge_id[v * h.n + u] = i
-    return loops_mask(h), adjacency_masks(h), edge_id, len(es)
+from .graphs import Graph
 
 
 def _count(g: Graph, h: Graph, mode: int) -> int:
@@ -79,12 +25,7 @@ def _count(g: Graph, h: Graph, mode: int) -> int:
         return 0
     if mode == kernels.MODE_VESURJ and len(g.edges) < len(h.edges):
         return 0
-    g_loop, off, flat, edge_u, edge_v = _prepare_source(g)
-    h_loops, h_adj, edge_id, n_h_edges = _prepare_target(h)
-    return kernels.count_maps(
-        g.n, g_loop, off, flat, edge_u, edge_v,
-        h.n, h_loops, h_adj, edge_id, n_h_edges, mode,
-    )
+    return kernels.count_maps(g, h, mode)
 
 
 def hom_count(g: Graph, h: Graph) -> int:
@@ -108,4 +49,4 @@ def aut_count(h: Graph) -> int:
     non-edges exactly."""
     if h.n == 0:
         return 1
-    return kernels.count_autos(h.n, loops_mask(h), adjacency_masks(h))
+    return kernels.count_autos(h)

@@ -21,18 +21,22 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SizeLimitError
 from .graphs import (
     Graph,
     _adjacency_lists,
     connected_components,
     delete_nonloop_edge,
 )
-from .inversion import _check_pair_limit, signed_deletion_subgraphs, signed_induced_subgraphs
+from .inversion import signed_deletion_subgraphs, signed_induced_subgraphs
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
 UNRECOGNIZED = "unrecognized"
+
+# Most terms a closed-form surjective sum may have; each term is one
+# closed-form homomorphism count into a subgraph of the target.
+CLOSED_FORM_TERM_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,26 +150,19 @@ def find_hard_edge(h: Graph) -> tuple[int, int]:
     raise InternalCheckError("no hard edge found for a target in F minus C")
 
 
-def _hom_into_shape(gc: Graph, shape: ComponentShape) -> int:
-    """Closed-form homomorphism count from one connected source component
-    into one target component of known shape."""
-    if shape.kind == REFLEXIVE_CLIQUE:
-        return shape.k**gc.n
-    if shape.kind != BICLIQUE:
-        raise ValueError("target component shape is unrecognized")
-    if gc.loops:
-        return 0
-    parts = _bipartition_sizes(gc)
-    if parts is None:
-        return 0
-    x, y = parts
-    a, b = shape.a, shape.b
-    return a**x * b**y + a**y * b**x
+def _source_components(g: Graph) -> list[tuple[int, tuple[int, int] | None]]:
+    """Per connected component of g, its vertex count and its 2-coloring
+    part sizes (None when a loop or an odd cycle rules one out): all the
+    closed forms need of the source, computed once per count."""
+    return [
+        (gc.n, None if gc.loops else _bipartition_sizes(gc))
+        for gc in connected_components(g)
+    ]
 
 
-def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
-    """Homomorphism count via closed forms; shapes must describe h's
-    components as returned by classify_F.
+def _hom_closed_form(comps, shapes: list[ComponentShape]) -> int:
+    """Homomorphism count from a source given by _source_components into a
+    target whose components have the given recognized shapes.
 
     A connected source component lands inside a single target component, so
     the count is the product over source components of the sum over target
@@ -173,6 +170,24 @@ def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
     unconstrained (k^|V|); maps into a biclique follow the source's
     2-coloring, one term per orientation.
     """
+    result = 1
+    for n, parts in comps:
+        total = 0
+        for s in shapes:
+            if s.kind == REFLEXIVE_CLIQUE:
+                total += s.k**n
+            elif parts is not None:
+                x, y = parts
+                total += s.a**x * s.b**y + s.a**y * s.b**x
+        if total == 0:
+            return 0
+        result *= total
+    return result
+
+
+def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
+    """Homomorphism count via closed forms; shapes must describe h's
+    components as returned by classify_F."""
     comps_h = connected_components(h)
     if len(shapes) != len(comps_h):
         raise ValueError("shape list does not match the target's components")
@@ -181,46 +196,55 @@ def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
     for c, s in zip(comps_h, shapes):
         if component_shape(c) != s:
             raise ValueError("shape list does not match the target's components")
-    result = 1
-    for gc in connected_components(g):
-        total = sum(_hom_into_shape(gc, s) for s in shapes)
-        if total == 0:
-            return 0
-        result *= total
-    return result
+    return _hom_closed_form(_source_components(g), shapes)
+
+
+def _check_term_count(terms: int) -> None:
+    """Refuse a closed-form sum of more than CLOSED_FORM_TERM_LIMIT terms;
+    call it before the first term."""
+    if terms > CLOSED_FORM_TERM_LIMIT:
+        raise SizeLimitError(
+            f"the closed-form sum would have {terms} terms, "
+            f"over the limit of {CLOSED_FORM_TERM_LIMIT}"
+        )
 
 
 def _signed_hom_sum(g: Graph, terms) -> int:
-    """Sum of sign * hom_polytime(g, sub) over (sign, sub) terms in F."""
+    """Sum of sign * hom(g, sub) over (sign, sub) terms in F, coloring the
+    source once for all of them."""
+    comps = _source_components(g)
     total = 0
     for sign, sub in terms:
         ok, sub_shapes = classify_F(sub)
         if not ok:
             raise InternalCheckError("a signed subgraph of a target in F left F")
-        total += sign * hom_polytime(g, sub, sub_shapes)
+        total += sign * _hom_closed_form(comps, sub_shapes)
     return total
 
 
 def vsurj_polytime(g: Graph, h: Graph) -> int:
     """Vertex-surjective count for targets in F, via the signed sum of
-    closed-form homomorphism counts over induced subgraphs of h."""
+    closed-form homomorphism counts over the 2^|V(h)| induced subgraphs of h."""
     in_f, _ = classify_F(h)
     if not in_f:
         raise ValueError("target is not in F")
     if g.n < h.n:
         return 0
+    _check_term_count(1 << h.n)
     return _signed_hom_sum(g, signed_induced_subgraphs(h))
 
 
 def vesurj_polytime(g: Graph, h: Graph) -> int:
     """Compaction count for targets in C, via the inclusion-exclusion sum of
-    closed-form homomorphism counts over signed deletion subgraphs of h."""
+    closed-form homomorphism counts over signed deletion subgraphs of h: one
+    term per set of non-loop edges and set of vertices on no such edge."""
     in_c, _ = classify_C(h)
     if not in_c:
         raise ValueError("target is not in C")
     if g.n < h.n or len(g.edges) < len(h.edges):
         return 0
-    _check_pair_limit(h)
+    bare = h.n - len({v for e in h.edges for v in e})
+    _check_term_count(1 << (len(h.edges) + bare))
     return _signed_hom_sum(g, signed_deletion_subgraphs(h))
 
 

@@ -1,11 +1,17 @@
 """Counting and canonicalization kernels.
 
-The hot loops of the package, in pure Python.  Inputs are primitive
-sequences and bitmasks, counts are plain integers with no overflow
-concerns.
+The hot loops of the package, in pure Python.  The counting kernels take
+Graph objects and place one source vertex at a time in breadth-first
+order.  The candidate images of a vertex form one bitmask: the AND of the
+target neighbourhoods of its placed neighbours' images, so the search
+never visits a map that breaks an edge (count_autos also ANDs in the
+non-neighbourhoods of its placed non-neighbours' images).  Counts are
+plain integers with no overflow concerns.
 """
 
 from itertools import permutations
+
+from .graphs import adjacency_masks, loops_mask
 
 MODE_HOM = 0
 MODE_VSURJ = 1
@@ -17,126 +23,125 @@ def backend_name() -> str:
     return "pure"
 
 
-def count_maps(
-    n_g,
-    g_loop,
-    g_prev_off,
-    g_prev_flat,
-    g_edge_u,
-    g_edge_v,
-    n_h,
-    h_loops,
-    h_adj,
-    h_edge_id,
-    n_h_edges,
-    mode,
-):
-    """Count vertex maps from a prepared source graph into a prepared target.
+def _plan(g):
+    """Search plan for g: its vertices in BFS order per component, so each
+    one after the first of its component has a placed neighbour to prune
+    against, and for each position the earlier positions adjacent to it."""
+    adj = adjacency_masks(g)
+    order = []
+    seen = 0
+    for start in range(g.n):
+        if (seen >> start) & 1:
+            continue
+        seen |= 1 << start
+        order.append(start)
+        i = len(order) - 1
+        while i < len(order):
+            fresh = adj[order[i]] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                order.append(low.bit_length() - 1)
+                fresh ^= low
+            i += 1
+    prev = [[j for j in range(i) if (adj[v] >> order[j]) & 1] for i, v in enumerate(order)]
+    return order, prev
 
-    The source comes as an assignment order: g_loop[v] flags a loop on the
-    v-th assigned vertex, g_prev_flat[g_prev_off[v]:g_prev_off[v+1]] lists
-    its already-assigned neighbors.  The target is a loop bitmask plus one
-    adjacency bitmask per vertex; h_edge_id maps position a*n_h+b to the
-    index of non-loop edge {a, b}.  mode selects plain homomorphisms,
-    vertex-surjective ones, or vertex-surjective ones covering every
-    non-loop target edge.  Surjectivity is checked on completed maps only.
-    Callers guarantee n_g >= 1 and n_h >= 1.
+
+def count_maps(g, h, mode):
+    """Count homomorphisms from g to h: all of them, the vertex-surjective
+    ones, or the vertex-surjective ones covering every non-loop edge of h,
+    as mode selects.  Surjectivity is checked on completed maps only.
+    Callers guarantee g.n >= 1 and h.n >= 1.
     """
-    img = [0] * n_g
-    choice = [-1] * n_g
-    full_v = (1 << n_h) - 1
-    full_e = (1 << n_h_edges) - 1
-    n_g_edges = len(g_edge_u)
+    order, prev = _plan(g)
+    h_adj = adjacency_masks(h)
+    h_loops = loops_mask(h)
+    full = (1 << h.n) - 1
+    # nbr[c]: where a neighbour of a vertex mapped to c may go.
+    nbr = [m | (1 << c) if (h_loops >> c) & 1 else m for c, m in enumerate(h_adj)]
+    base = [h_loops if v in g.loops else full for v in order]
+    last = g.n - 1
+    if mode == MODE_HOM and last == 0:
+        return base[0].bit_count()
+    img = [0] * g.n
+    rest = [0] * g.n
+    rest[0] = base[0]
     count = 0
     v = 0
     while v >= 0:
-        c = choice[v] + 1
-        placed = False
-        while c < n_h:
-            ok = not g_loop[v] or (h_loops >> c) & 1
-            if ok:
-                for k in range(g_prev_off[v], g_prev_off[v + 1]):
-                    d = img[g_prev_flat[k]]
-                    if d == c:
-                        if not (h_loops >> c) & 1:
-                            ok = False
-                            break
-                    elif not (h_adj[c] >> d) & 1:
-                        ok = False
-                        break
-            if ok:
-                placed = True
-                break
-            c += 1
-        if not placed:
-            choice[v] = -1
+        m = rest[v]
+        if not m:
             v -= 1
             continue
-        choice[v] = c
-        img[v] = c
-        if v + 1 == n_g:
-            if mode == MODE_HOM:
-                count += 1
+        low = m & -m
+        rest[v] = m ^ low
+        img[v] = low.bit_length() - 1
+        if v < last:
+            w = v + 1
+            m = base[w]
+            for u in prev[w]:
+                m &= nbr[img[u]]
+            if w < last or mode != MODE_HOM:
+                v = w
+                rest[v] = m
             else:
-                vm = 0
-                for x in img:
-                    vm |= 1 << x
-                if vm == full_v:
-                    if mode == MODE_VSURJ:
-                        count += 1
-                    else:
-                        em = 0
-                        for k in range(n_g_edges):
-                            a = img[g_edge_u[k]]
-                            b = img[g_edge_v[k]]
-                            if a != b:
-                                em |= 1 << h_edge_id[a * n_h + b]
-                        if em == full_e:
-                            count += 1
-        else:
-            v += 1
+                count += m.bit_count()
+            continue
+        seen = 0
+        for c in img:
+            seen |= 1 << c
+        if seen != full:
+            continue
+        if mode == MODE_VESURJ:
+            covered = [0] * h.n
+            for w, ups in enumerate(prev):
+                c = img[w]
+                for u in ups:
+                    d = img[u]
+                    if d != c:
+                        covered[c] |= 1 << d
+                        covered[d] |= 1 << c
+            if covered != h_adj:
+                continue
+        count += 1
     return count
 
 
-def count_autos(n, loops, adj):
-    """Count permutations preserving loops, edges, and non-edges exactly.
-
-    Callers guarantee n >= 1.
-    """
-    img = [0] * n
-    choice = [-1] * n
-    used = 0
+def count_autos(h):
+    """Count permutations of h preserving loops, edges, and non-edges
+    exactly.  Callers guarantee h.n >= 1."""
+    order, prev = _plan(h)
+    adj = adjacency_masks(h)
+    h_loops = loops_mask(h)
+    full = (1 << h.n) - 1
+    base = [h_loops if v in h.loops else full & ~h_loops for v in order]
+    far = [[j for j in range(i) if j not in ups] for i, ups in enumerate(prev)]
+    last = h.n - 1
+    img = [0] * h.n
+    rest = [0] * h.n
+    rest[0] = base[0]
     count = 0
     v = 0
     while v >= 0:
-        if choice[v] >= 0:
-            used &= ~(1 << img[v])
-        c = choice[v] + 1
-        placed = False
-        while c < n:
-            if not (used >> c) & 1 and ((loops >> v) & 1) == ((loops >> c) & 1):
-                ok = True
-                av = adj[v]
-                ac = adj[c]
-                for u in range(v):
-                    if ((av >> u) & 1) != ((ac >> img[u]) & 1):
-                        ok = False
-                        break
-                if ok:
-                    placed = True
-                    break
-            c += 1
-        if not placed:
-            choice[v] = -1
+        m = rest[v]
+        if not m:
             v -= 1
             continue
-        choice[v] = c
-        img[v] = c
-        used |= 1 << c
-        if v + 1 == n:
+        low = m & -m
+        rest[v] = m ^ low
+        img[v] = low.bit_length() - 1
+        if v == last:
             count += 1
-        else:
-            v += 1
+            continue
+        v += 1
+        m = base[v]
+        for u in prev[v]:
+            m &= adj[img[u]]
+        for u in far[v]:
+            c = img[u]
+            m &= ~(adj[c] | 1 << c)
+        rest[v] = m
     return count
 
 

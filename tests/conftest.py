@@ -21,8 +21,9 @@ from homcount.graphs import (
 )
 
 
-def random_graph(rng: random.Random, n_max: int, loops_allowed: bool = True) -> Graph:
-    n = rng.randint(0, n_max)
+def random_graph(rng: random.Random, n_max: int, loops_allowed: bool = True,
+                 n_min: int = 0) -> Graph:
+    n = rng.randint(n_min, n_max)
     loops = frozenset(v for v in range(n) if loops_allowed and rng.random() < 0.3)
     edges = frozenset(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homcount import cli, kernels
+from homcount import cli, families, kernels
 from homcount.errors import InternalCheckError
 
 DATA = Path(__file__).parent / "data"
@@ -156,11 +156,19 @@ def test_count_plain_path_note_goes_to_stderr(capsys):
     assert captured.err == "path: polytime\n"
 
 
-def _star_file(tmp_path, leaves):
-    path = tmp_path / f"star{leaves}.graph"
-    edges = "".join(f"edge 0 {v}\n" for v in range(1, leaves + 1))
-    path.write_text(f"vertices {leaves + 1}\n{edges}")
+def _graph_file(tmp_path, name, n, edges):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(f"vertices {n}\n" + "".join(f"edge {u} {v}\n" for u, v in edges))
     return str(path)
+
+
+def _star_file(tmp_path, leaves):
+    return _graph_file(tmp_path, f"star{leaves}", leaves + 1,
+                       [(0, v) for v in range(1, leaves + 1)])
+
+
+def _path_file(tmp_path, n):
+    return _graph_file(tmp_path, f"p{n}", n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _refuse_canonicalization(n, loop_flags, adj):
@@ -188,3 +196,26 @@ def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp
     monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
     assert cli.main(["inverse-column", "--h", _star_file(tmp_path, 13)]) == 4
     assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
+
+
+def _refuse_hom_polytime(g, h, shapes):
+    raise InternalCheckError("a closed-form sum went through hom_polytime")
+
+
+def test_closed_form_term_limit_runs_before_any_term(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(families, "hom_polytime", _refuse_hom_polytime)
+    p20 = _path_file(tmp_path, 20)
+    c20 = _graph_file(tmp_path, "c20", 20, [(i, (i + 1) % 20) for i in range(20)])
+    isolated20 = _graph_file(tmp_path, "isolated20", 20, [])
+    k1010 = _graph_file(tmp_path, "k1010", 20, [(i, 10 + j) for i in range(10) for j in range(10)])
+    assert cli.main(["count", "--kind", "vesurj", "--g", p20, "--h", isolated20]) == 4
+    assert cli.main(["count", "--kind", "vsurj", "--g", c20, "--h", k1010]) == 4
+    err = capsys.readouterr().err
+    assert err.count("the closed-form sum would have 1048576 terms") == 2
+
+
+def test_closed_form_vesurj_serves_star13(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(families, "hom_polytime", _refuse_hom_polytime)
+    assert cli.main(["count", "--kind", "vesurj", "--g", _path_file(tmp_path, 20),
+                     "--h", _star_file(tmp_path, 13), "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "0\n"

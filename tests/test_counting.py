@@ -52,15 +52,18 @@ def test_matches_naive_on_all_small_class_pairs():
             assert hom_count(g, h) == naive_hom(g, h), (g, h)
             assert vsurj_count(g, h) == naive_vsurj(g, h), (g, h)
             assert vesurj_count(g, h) == naive_vesurj(g, h), (g, h)
-    for h in classes:
+    for _, h in enumerate_graphs(5):
         assert aut_count(h) == naive_aut(h), h
 
 
 def test_matches_naive_on_random_pairs():
     rng = random.Random(11)
-    for _ in range(80):
-        g = random_graph(rng, 4)
-        h = random_graph(rng, 3)
+    pairs = [(random_graph(rng, 4), random_graph(rng, 3)) for _ in range(80)]
+    # Larger sources, so a vertex's candidates are cut by several placed neighbours.
+    rng = random.Random(17)
+    pairs += [(random_graph(rng, 7, n_min=5), random_graph(rng, 4, n_min=3))
+              for _ in range(60)]
+    for g, h in pairs:
         assert hom_count(g, h) == naive_hom(g, h), (g, h)
         assert vsurj_count(g, h) == naive_vsurj(g, h), (g, h)
         assert vesurj_count(g, h) == naive_vesurj(g, h), (g, h)
