@@ -45,6 +45,8 @@ from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraph
 
 QUOTIENT_MAX_VERTICES = 8
 SYSTEM_MAX_SIZE = 64
+# Seconds one external oracle query may take before it counts as failed.
+ORACLE_TIMEOUT_S = 60.0
 
 
 def _set_partitions(n: int):
@@ -184,7 +186,8 @@ class CountingOracle:
 
 class ExternalCommandOracle:
     """Oracle that runs a command per query: the graph goes to its standard
-    input in text format, the reply is one line holding a decimal count."""
+    input in text format, the reply is one line holding a decimal count.  A
+    query that runs longer than ORACLE_TIMEOUT_S seconds is killed."""
 
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
@@ -192,12 +195,16 @@ class ExternalCommandOracle:
 
     def eval(self, g: Graph) -> int:
         self.calls += 1
-        proc = subprocess.run(
-            self.argv,
-            input=to_text(g),
-            capture_output=True,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                self.argv,
+                input=to_text(g),
+                capture_output=True,
+                text=True,
+                timeout=ORACLE_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            raise RuntimeError(f"oracle command timed out after {ORACLE_TIMEOUT_S:g} s")
         if proc.returncode != 0:
             raise RuntimeError(
                 f"oracle command failed with status {proc.returncode}: {proc.stderr.strip()}"

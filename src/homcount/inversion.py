@@ -11,8 +11,16 @@ Both have ones on the diagonal and vanish unless size(f) <= size(h).  The
 column of the inverse of dsub at h, an inclusion-exclusion over the vertices
 and non-loop edges a compaction onto h must cover, converts homomorphism
 counts into compaction counts; the signed subset sum over induced subgraphs
-converts them into vertex-surjective counts.  verify_expansions replays the
-two expansions that make this work and reports any violation.
+converts them into vertex-surjective counts.
+
+verify_expansions replays the two expansions that make this work, and their
+inverses, as identities between matrices over the classes up to a size:
+hom = vsurj . ind^T, hom = vesurj . dsub^T, and the signed and inverse
+columns back.  It computes the hom, vsurj and vesurj tables once over the
+canonical representatives and each target's columns once, then checks every
+identity entry as an integer dot product, reporting any violation.  There
+the counters run on canonical representatives only; counting on other
+labelings is checked against naive counters by the test suite.
 """
 
 from __future__ import annotations
@@ -236,8 +244,37 @@ def verify_expansions(n_max: int) -> dict:
     dsub-weighted sum of compaction counts; and both inversion routes agree
     with the brute-force counters.  Returns a report dict; the violations
     list is expected to stay empty.
+
+    The pairs are entries of class tables: each counter runs once per
+    ordered pair of canonical representatives, and each target's induced,
+    signed induced, downset and inverse columns are built once and mapped to
+    class indices, so every check is a dot product of a table row with a
+    column.
     """
     classes = enumerate_graphs(n_max)
+    index = {key: i for i, (key, _) in enumerate(classes)}
+    reps = [rep for _, rep in classes]
+    hom = [[hom_count(g, h) for h in reps] for g in reps]
+    vsurj = [[vsurj_count(g, h) for h in reps] for g in reps]
+    vesurj = [[vesurj_count(g, h) for h in reps] for g in reps]
+
+    def on_classes(entries):
+        return [(index[key], c) for key, _, c in entries]
+
+    signed, ind, down, inv = [], [], [], []
+    for h in reps:
+        terms = ((sub, sign) for sign, sub in signed_induced_subgraphs(h))
+        col = on_classes(CoeffVector.from_pairs(terms).items())
+        signed.append(col)
+        # The sign depends only on how many vertices were deleted, so every
+        # induced copy of one class carries the same sign.
+        ind.append([(f, abs(c)) for f, c in col])
+        down.append(on_classes(dsub_downset(h)))
+        inv.append(on_classes(dsub_inverse_column(h).items()))
+
+    def dot(row, column):
+        return sum(c * row[f] for f, c in column)
+
     violations = []
 
     def record(name, g, h, left, right):
@@ -252,24 +289,22 @@ def verify_expansions(n_max: int) -> dict:
         )
 
     pairs = 0
-    for _, g in classes:
-        for _, h in classes:
+    for i, g in enumerate(reps):
+        for j, h in enumerate(reps):
             pairs += 1
-            hom_gh = hom_count(g, h)
-            total = sum(vsurj_count(g, sub) for _, sub in signed_induced_subgraphs(h))
+            hom_gh = hom[i][j]
+            total = dot(vsurj[i], ind[j])
             if total != hom_gh:
                 record("hom = sum of vsurj over induced subgraphs", g, h, hom_gh, total)
-            total = sum(
-                mult * vesurj_count(g, rep) for _, rep, mult in dsub_downset(h)
-            )
+            total = dot(vesurj[i], down[j])
             if total != hom_gh:
                 record("hom = dsub-weighted sum of vesurj", g, h, hom_gh, total)
-            vs = vsurj_count(g, h)
-            vsi = vsurj_via_inversion(g, h)
+            vs = vsurj[i][j]
+            vsi = dot(hom[i], signed[j])
             if vs != vsi:
                 record("vsurj = signed hom sum", g, h, vs, vsi)
-            ve = vesurj_count(g, h)
-            vei = vesurj_via_inversion(g, h)
+            ve = vesurj[i][j]
+            vei = dot(hom[i], inv[j])
             if ve != vei:
                 record("vesurj = inverse-column hom sum", g, h, ve, vei)
     return {

@@ -148,6 +148,18 @@ def test_verify_exit_5_on_violation(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("FAIL\n")
 
 
+def test_verify_n4_end_to_end(capsys):
+    assert cli.main(["verify", "--n-max", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["violations"] == 0
+    expansions = report["sections"]["expansions"]
+    assert (expansions["classes"], expansions["pairs"], expansions["checks"]) == (
+        119, 14161, 56644)
+    for name in ("diagonal", "families", "interpolation"):
+        assert report["sections"][name]["classes"] == 119
+
+
 def test_count_plain_path_note_goes_to_stderr(capsys):
     cli.main(["count", "--kind", "hom", "--g", f"{G}/p3.graph",
               "--h", f"{G}/k2.graph", "--format", "plain"])

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import homcount
+from homcount import interpolation
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.counting import hom_count, vesurj_count, vsurj_count
 from homcount.errors import OracleMismatchError, SizeLimitError
@@ -207,6 +208,13 @@ def test_external_command_oracle_rejects_garbage():
     failing = ExternalCommandOracle([sys.executable, "-c", "raise SystemExit(3)"])
     with pytest.raises(RuntimeError):
         failing.eval(Graph(1))
+
+
+def test_external_command_oracle_times_out(monkeypatch):
+    monkeypatch.setattr(interpolation, "ORACLE_TIMEOUT_S", 0.2)
+    sleeper = ExternalCommandOracle([sys.executable, "-c", "import time; time.sleep(60)"])
+    with pytest.raises(RuntimeError, match="timed out after 0.2 s"):
+        sleeper.eval(Graph(1))
 
 
 def test_reduction_demo_vsurj(named):

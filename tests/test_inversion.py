@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from homcount import inversion
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.errors import SizeLimitError
 from homcount.graphs import (
@@ -10,6 +13,7 @@ from homcount.graphs import (
     disjoint_union,
     path_graph,
     reflexive_clique,
+    to_text,
 )
 from homcount.inversion import (
     CoeffVector,
@@ -26,9 +30,12 @@ from .oracles import (
     naive_classes,
     naive_deletion_pairs,
     naive_dsub,
+    naive_hom,
     naive_ind,
     naive_inverse_column,
     naive_isomorphic,
+    naive_vesurj,
+    naive_vsurj,
 )
 
 
@@ -218,3 +225,69 @@ def test_verify_expansions_small_sweep():
     assert report["classes"] == 9
     assert report["pairs"] == 81
     assert report["checks"] == 4 * 81
+
+
+HOM_BY_VSURJ = "hom = sum of vsurj over induced subgraphs"
+HOM_BY_VESURJ = "hom = dsub-weighted sum of vesurj"
+VSURJ_BY_HOM = "vsurj = signed hom sum"
+VESURJ_BY_HOM = "vesurj = inverse-column hom sum"
+
+# For a counter off by one at (g, h): the identities that read it at that
+# pair, with the shift it puts on their (left, right) sides there.
+FAULT_SHIFTS = {
+    "hom_count": {HOM_BY_VSURJ: (1, 0), HOM_BY_VESURJ: (1, 0),
+                  VSURJ_BY_HOM: (0, 1), VESURJ_BY_HOM: (0, 1)},
+    "vsurj_count": {HOM_BY_VSURJ: (0, 1), VSURJ_BY_HOM: (1, 0)},
+    "vesurj_count": {HOM_BY_VESURJ: (0, 1), VESURJ_BY_HOM: (1, 0)},
+}
+
+
+@pytest.mark.parametrize("counter", sorted(FAULT_SHIFTS))
+def test_verify_expansions_reports_a_faulty_counter(monkeypatch, counter):
+    g, h = Graph(2), complete_graph(2)
+    faulty_pair = (canonical_key(g), canonical_key(h))
+    real = getattr(inversion, counter)
+
+    def off_by_one(a, b):
+        return real(a, b) + ((canonical_key(a), canonical_key(b)) == faulty_pair)
+
+    monkeypatch.setattr(inversion, counter, off_by_one)
+    violations = verify_expansions(2)["violations"]
+
+    hom, vs, ve = naive_hom(g, h), naive_vsurj(g, h), naive_vesurj(g, h)
+    assert (hom, vs, ve) == (4, 2, 0)
+    base = {HOM_BY_VSURJ: hom, HOM_BY_VESURJ: hom, VSURJ_BY_HOM: vs, VESURJ_BY_HOM: ve}
+    want = {
+        name: (str(base[name] + dl), str(base[name] + dr))
+        for name, (dl, dr) in FAULT_SHIFTS[counter].items()
+    }
+    at_pair = {
+        v["identity"]: (v["left"], v["right"])
+        for v in violations
+        if v["h"] == to_text(h)
+    }
+    assert at_pair == want
+    assert {v["g"] for v in violations} == {to_text(g)}
+    assert {v["identity"] for v in violations} == set(want)
+
+
+def test_verify_expansions_counts_each_class_pair_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(inversion, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(inversion, name, wrapper)
+
+    counters = ("hom_count", "vsurj_count", "vesurj_count")
+    for name in (*counters, "dsub_downset", "dsub_inverse_column"):
+        counted(name)
+    n = verify_expansions(3)["classes"]
+    assert n == 29
+    assert sum(calls[name] for name in counters) <= 3 * n * n
+    assert calls["dsub_downset"] <= n
+    assert calls["dsub_inverse_column"] <= n
