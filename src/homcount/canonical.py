@@ -22,6 +22,8 @@ from .errors import SizeLimitError
 from .graphs import Graph, adjacency_masks
 
 ENUMERATE_MAX_VERTICES = 6
+# Entries kept by canonical_form's cache; each holds two small Graphs.
+CANONICAL_CACHE_SIZE = 1 << 12
 
 
 @dataclass(frozen=True, order=True)
@@ -65,13 +67,28 @@ def _decode(n: int, enc: int) -> Graph:
     return Graph(n, loops, edges)
 
 
-@lru_cache(maxsize=None)
+def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
+    rep = _decode(n, enc)
+    return GraphKey(rep.size, _pack(n, enc)), rep
+
+
+@lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
     """Key plus the canonically relabeled representative of g's class."""
     loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-    enc = kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))
-    key = GraphKey(g.size, _pack(g.n, enc))
-    return key, _decode(g.n, enc)
+    return _form(g.n, kernels.min_encoding(g.n, loop_flags, adjacency_masks(g)))
+
+
+def canonical_classes(labeled) -> list[tuple[GraphKey, Graph]]:
+    """Distinct isomorphism classes, in matrix order, of labeled graphs
+    given as (n, loop mask, adjacency masks).  Each distinct input is
+    canonicalized once, without the canonical_form cache, and a Graph is
+    built only for each class's representative."""
+    encodings = set()
+    for n, loops, adj in set(labeled):
+        loop_flags = [(loops >> v) & 1 for v in range(n)]
+        encodings.add((n, kernels.min_encoding(n, loop_flags, adj)))
+    return sorted(_form(n, enc) for n, enc in encodings)
 
 
 def canonical_key(g: Graph) -> GraphKey:
@@ -115,8 +132,7 @@ def _classes_on(n: int) -> list[tuple[GraphKey, Graph]]:
             seen[e] = 1
             if e < best:
                 best = e
-        rep = _decode(n, best)
-        out.append((GraphKey(rep.size, _pack(n, best)), rep))
+        out.append(_form(n, best))
     return out
 
 

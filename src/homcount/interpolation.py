@@ -24,7 +24,7 @@ from __future__ import annotations
 import subprocess
 from dataclasses import dataclass, field
 
-from .canonical import GraphKey, canonical_form, canonical_key
+from .canonical import GraphKey, canonical_classes, canonical_form, canonical_key
 from .counting import hom_count, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
@@ -36,9 +36,9 @@ from .exactsolve import determinant, solve_linear_system
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
+    adjacency_masks,
     delete_nonloop_edge,
     disjoint_union,
-    quotient,
     to_text,
 )
 from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
@@ -49,40 +49,47 @@ SYSTEM_MAX_SIZE = 64
 ORACLE_TIMEOUT_S = 60.0
 
 
-def _set_partitions(n: int):
-    """All partitions of 0..n-1; blocks ordered by first member."""
-    blocks: list[list[int]] = []
-
-    def rec(v):
-        if v == n:
-            yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
 def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
     """Isomorphism classes of quotients of h, in matrix order.
 
     These are exactly the homomorphic images: any homomorphism factors as a
     quotient by its fibers followed by an embedding of the image.
+
+    Set partitions are grown one vertex at a time with the quotient kept in
+    bitmask form, blocks indexed by their first member.  When vertex v
+    joins block b, only v's lower-numbered neighbours are visited: one in b
+    loops b, one in another block c joins b and c.  Each leaf is then
+    exactly quotient(h, partition) as (block count, loop mask, adjacency
+    masks); the distinct ones are canonicalized once each.
     """
     if h.n > QUOTIENT_MAX_VERTICES:
         raise SizeLimitError(
             f"quotient enumeration is limited to {QUOTIENT_MAX_VERTICES} vertices"
         )
-    acc: dict[GraphKey, Graph] = {}
-    for partition in _set_partitions(h.n):
-        key, rep = canonical_form(quotient(h, partition))
-        acc.setdefault(key, rep)
-    return sorted(acc.items())
+    adj = adjacency_masks(h)
+    lower = [[u for u in range(v) if (adj[v] >> u) & 1] for v in range(h.n)]
+    block = [0] * h.n
+    quotients = []
+
+    def grow(v, k, loops, q_adj):
+        if v == h.n:
+            quotients.append((k, loops, q_adj))
+            return
+        for b in range(k + 1):
+            block[v] = b
+            q_loops = loops | (1 << b if v in h.loops else 0)
+            row = list(q_adj) + [0] if b == k else list(q_adj)
+            for u in lower[v]:
+                c = block[u]
+                if c == b:
+                    q_loops |= 1 << b
+                else:
+                    row[b] |= 1 << c
+                    row[c] |= 1 << b
+            grow(v + 1, max(k, b + 1), q_loops, tuple(row))
+
+    grow(0, 0, 0, ())
+    return canonical_classes(quotients)
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:

@@ -7,9 +7,13 @@ target neighbourhoods of its placed neighbours' images, so the search
 never visits a map that breaks an edge (count_autos also ANDs in the
 non-neighbourhoods of its placed non-neighbours' images).  Counts are
 plain integers with no overflow concerns.
-"""
 
-from itertools import permutations
+min_encoding computes the canonical key's encoding by a row-by-row search
+over an ordered partition of the unplaced vertices, refined by adjacency
+to each placed vertex (after McKay and Piperno): only the candidates whose
+row is least are expanded, one vertex of each set of twins is tried, and a
+branch whose rows exceed the best order's is dropped.
+"""
 
 from .graphs import adjacency_masks, loops_mask
 
@@ -161,18 +165,70 @@ def encode_with_perm(n, loop_flags, adj, perm):
 def min_encoding(n, loop_flags, adj):
     """Lexicographically smallest encoding over all vertex orders.
 
-    Orders placing a looped vertex before a loopless one can never win
-    (the loop bits are the most significant), so only orders listing the
-    loopless block first are searched.
+    The loop bits are the most significant, so every least order lists the
+    loopless vertices first.  The search fixes one position at a time and
+    keeps the unplaced vertices in an ordered partition of cells (bit masks)
+    that starts as [loopless | looped].  Position i takes a vertex v from
+    the first cell; row i of the encoding is least when each cell lists v's
+    non-neighbours before its neighbours, so the row depends on v alone, and
+    only the candidates with the least row are kept.  Placing v splits every
+    cell into non-neighbours, then neighbours.  Of a set of twins (same
+    neighbourhood apart from each other) only one is tried: swapping two
+    twins is an automorphism fixing the placed prefix and every cell.  A
+    branch whose rows so far exceed those of the best order found is
+    dropped.
     """
     if n == 0:
         return 0
-    loopless = [v for v in range(n) if not loop_flags[v]]
-    looped = [v for v in range(n) if loop_flags[v]]
+    loopless = 0
+    for v in range(n):
+        if not loop_flags[v]:
+            loopless |= 1 << v
+    looped = ((1 << n) - 1) & ~loopless
+    # Bits of the encoding after row i; rows are n-1-i bits long.
+    after = [(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)]
     best = None
-    for head in permutations(loopless):
-        for tail in permutations(looped):
-            enc = encode_with_perm(n, loop_flags, adj, head + tail)
-            if best is None or enc < best:
-                best = enc
-    return best
+
+    def place(i, cells, prefix):
+        nonlocal best
+        if i == n - 1:
+            if best is None or prefix < best:
+                best = prefix
+            return
+        head, tail = cells[0], cells[1:]
+        low = None
+        tried = []
+        keep = []
+        m = head
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            a = adj[v]
+            if any(not (adj[u] ^ a) & ~(bit | 1 << u) for u in tried):
+                continue
+            tried.append(v)
+            row = 0
+            for c in [head ^ bit] + tail:
+                b = (c & a).bit_count()
+                row = (row << c.bit_count()) | ((1 << b) - 1)
+            if low is None or row < low:
+                low = row
+                keep = [v]
+            elif row == low:
+                keep.append(v)
+        prefix = (prefix << (n - 1 - i)) | low
+        for v in keep:
+            if best is not None and prefix > best >> after[i]:
+                return
+            a = adj[v]
+            split = []
+            for c in [head ^ (1 << v)] + tail:
+                if c & ~a:
+                    split.append(c & ~a)
+                if c & a:
+                    split.append(c & a)
+            place(i + 1, split, prefix)
+
+    place(0, [c for c in (loopless, looped) if c], 0)
+    return (((1 << looped.bit_count()) - 1) << (n * (n - 1) // 2)) | best

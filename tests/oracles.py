@@ -1,9 +1,10 @@
 """Naive reference counters used only by the tests.
 
 Everything here works on plain Graph objects through the most literal
-definition available: enumerate all vertex maps, all permutations, or all
-deletion pairs, and filter.  No sharing of logic with the package beyond
-the Graph container itself, so agreement between the two is meaningful.
+definition available: enumerate all vertex maps, all permutations, all set
+partitions, or all deletion pairs, and filter.  No sharing of logic with
+the package beyond the Graph container itself, so agreement between the
+two is meaningful.
 """
 
 import itertools
@@ -83,6 +84,50 @@ def naive_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def naive_min_encoding(g: Graph) -> int:
+    """Least encoding over all vertex orders p: the loop bits of p[0..n-1],
+    then whether p[i] ~ p[j] for i < j in row-major order, read as a binary
+    number with the first bit most significant."""
+    loop = [int(v in g.loops) for v in range(g.n)]
+    adj = [[int((min(u, v), max(u, v)) in g.edges) for v in range(g.n)] for u in range(g.n)]
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    best = min(
+        [loop[v] for v in p] + [adj[p[i]][p[j]] for i, j in pairs]
+        for p in itertools.permutations(range(g.n))
+    )
+    return int("".join(map(str, best)) or "0", 2)
+
+
+def naive_set_partitions(n: int):
+    """Every partition of 0..n-1 into nonempty blocks, each exactly once."""
+    if n == 0:
+        yield []
+        return
+    for rest in naive_set_partitions(n - 1):
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] | {n - 1}] + rest[i + 1:]
+        yield rest + [{n - 1}]
+
+
+def naive_quotient(h: Graph, partition) -> Graph:
+    """One vertex per block; a block is looped when it holds a looped vertex
+    or both ends of an edge, and two blocks are adjacent when an edge joins
+    them."""
+    blocks = [set(b) for b in partition]
+    loops = [
+        i for i, b in enumerate(blocks)
+        if b & h.loops or any(u in b and v in b for u, v in h.edges)
+    ]
+    edges = [
+        (i, j)
+        for i in range(len(blocks))
+        for j in range(i + 1, len(blocks))
+        if any((u in blocks[i] and v in blocks[j]) or (u in blocks[j] and v in blocks[i])
+               for u, v in h.edges)
+    ]
+    return Graph(len(blocks), loops, edges)
 
 
 def naive_deletion_pairs(h: Graph):

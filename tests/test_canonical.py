@@ -5,6 +5,7 @@ import pytest
 
 from homcount import kernels
 from homcount.canonical import (
+    CANONICAL_CACHE_SIZE,
     GraphKey,
     are_isomorphic,
     canonical_form,
@@ -13,9 +14,15 @@ from homcount.canonical import (
     graph_from_key,
 )
 from homcount.errors import SizeLimitError
-from homcount.graphs import Graph, relabel
+from homcount.graphs import Graph, biclique, complete_graph, cycle_graph, relabel
 
-from .oracles import naive_all_graphs, naive_classes, naive_isomorphic
+from .conftest import random_graph
+from .oracles import (
+    naive_all_graphs,
+    naive_classes,
+    naive_isomorphic,
+    naive_min_encoding,
+)
 
 
 def test_key_matches_naive_iso_exhaustively_small():
@@ -49,6 +56,15 @@ def test_key_invariant_under_relabeling():
         assert canonical_key(g) == canonical_key(relabel(g, perm))
 
 
+def _masks(g):
+    loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return g.n, loop_flags, adj
+
+
 def test_loopless_first_search_matches_min_over_all_permutations():
     rng = random.Random(42)
     cases = list(naive_all_graphs(3))
@@ -60,16 +76,70 @@ def test_loopless_first_search_matches_min_over_all_permutations():
         )
         cases.append(Graph(n, loops, edges))
     for g in cases:
-        loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-        adj = [0] * g.n
-        for u, v in g.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        _, loop_flags, adj = _masks(g)
         over_all = min(
             kernels.encode_with_perm(g.n, loop_flags, adj, list(p))
             for p in permutations(range(g.n))
         ) if g.n else 0
         assert kernels.min_encoding(g.n, loop_flags, adj) == over_all
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _random_regular(rng, n, d, n_loops):
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == n * d // 2:
+            return Graph(n, rng.sample(range(n), n_loops), edges)
+
+
+def test_min_encoding_matches_naive_oracle():
+    rng = random.Random(44)
+    cases = [_shuffled(rng, rep) for _, rep in enumerate_graphs(5)]
+    cases += [random_graph(rng, 7, n_min=6) for _ in range(30)]
+    cases += [_random_regular(rng, 8, 3, 3) for _ in range(3)]
+    for g in cases:
+        assert kernels.min_encoding(*_masks(g)) == naive_min_encoding(g), g
+
+
+def _union(graphs):
+    n, loops, edges = 0, [], []
+    for g in graphs:
+        loops += [v + n for v in g.loops]
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, loops, edges)
+
+
+def test_key_invariant_on_symmetric_graphs():
+    rng = random.Random(45)
+    cube = Graph(16, edges=[(u, u ^ b) for u in range(16) for b in (1, 2, 4, 8) if u < u ^ b])
+    petersen = Graph(10, edges=[(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    half_looped = Graph(8, range(4), biclique(4, 4).edges)
+    for g in (cycle_graph(12), cube, petersen, _union([complete_graph(3)] * 6), half_looped):
+        key, rep = canonical_form(g)
+        assert canonical_form(rep)[1] == rep
+        for _ in range(5):
+            assert canonical_key(_shuffled(rng, g)) == key
+
+
+def test_canonical_form_cache_is_bounded():
+    bound = CANONICAL_CACHE_SIZE
+    canonical_form.cache_clear()
+    for i, g in enumerate(naive_all_graphs(5)):
+        if i > bound + 100:
+            break
+        canonical_form(g)
+        assert canonical_form.cache_info().currsize <= bound
+    assert canonical_form.cache_info().currsize == bound
 
 
 def test_canonical_form_returns_isomorphic_representative():

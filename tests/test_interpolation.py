@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -32,7 +33,13 @@ from homcount.interpolation import (
     reduction_demo,
 )
 
-from .oracles import naive_classes, naive_isomorphic
+from .conftest import random_graph
+from .oracles import (
+    naive_classes,
+    naive_isomorphic,
+    naive_quotient,
+    naive_set_partitions,
+)
 
 
 def test_images_of_single_edge(named):
@@ -55,14 +62,34 @@ def test_images_of_triangle(named):
 
 
 def test_images_match_naive_quotients(named):
-    from homcount.graphs import quotient
-    from homcount.interpolation import _set_partitions
+    rng = random.Random(71)
+    graphs = [named["p3"], named["k22"], named["r2"]]
+    graphs += [random_graph(rng, 6, n_min=5) for _ in range(20)]
+    for g in graphs:
+        quotients = [naive_quotient(g, p) for p in naive_set_partitions(g.n)]
+        want = [rep for rep, _ in naive_classes(quotients)]
+        got = [rep for _, rep in homomorphic_images(g)]
+        assert len(got) == len(want)
+        for rep in got:
+            assert any(naive_isomorphic(rep, w) for w in want)
+        for w in want:
+            assert any(naive_isomorphic(rep, w) for rep in got)
 
-    for g in (named["p3"], named["k22"], named["r2"]):
-        quotients = [quotient(g, p) for p in _set_partitions(g.n)]
-        want = {canonical_key(rep) for rep, _ in naive_classes(quotients)}
-        got = {key for key, _ in homomorphic_images(g)}
-        assert got == want
+
+def test_images_build_one_graph_per_class(monkeypatch):
+    # The 3-cube with two looped vertices: 4,140 set partitions.
+    h = Graph(8, loops=[0, 7], edges=[(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                                      if u < u ^ b])
+    built = []
+    post_init = Graph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    members = homomorphic_images(h)
+    assert len(built) == len(members)
 
 
 def test_images_are_sorted_and_guarded(named):
