@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from .canonical import enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
@@ -264,8 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use.  Parsing keeps no state
+    between calls: each returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

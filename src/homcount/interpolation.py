@@ -15,16 +15,27 @@ and contains the support of alpha gives the linear system
 
 whose matrix hom(F, H) over S x S is invertible.  Solving it exactly and
 dividing the entry at a target by alpha(target) recovers hom(G, target)
-from oracle access to f alone.  reduction_demo wires this up end to end
-against the in-process counters.
+from oracle access to f alone.  The system depends only on the counter and
+the target's isomorphism class, so reduction_demo, which wires this up end
+to end against the in-process counters, builds it once per class and
+keeps the row of the inverse matrix at each target: a recovery is then
+one query set plus one dot product per target.
 """
 
 from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
-from .canonical import GraphKey, canonical_classes, canonical_form, canonical_key
+from .canonical import (
+    GraphKey,
+    canonical_classes,
+    canonical_form,
+    canonical_key,
+    graph_from_key,
+)
 from .counting import hom_count, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
@@ -32,7 +43,7 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .exactsolve import determinant, solve_linear_system
+from .exactsolve import _as_int, determinant, solve_linear_system
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
@@ -45,6 +56,8 @@ from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraph
 
 QUOTIENT_MAX_VERTICES = 8
 SYSTEM_MAX_SIZE = 64
+# Systems kept by reduction_demo's cache, one per (mode, target class).
+SYSTEM_CACHE_SIZE = 64
 # Seconds one external oracle query may take before it counts as failed.
 ORACLE_TIMEOUT_S = 60.0
 
@@ -118,6 +131,7 @@ class LovaszSystem:
     det: int
     alpha: CoeffVector | None = None
     _index: dict = field(default_factory=dict, repr=False)
+    _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {key: i for i, (key, _) in enumerate(self.members)}
@@ -126,6 +140,32 @@ class LovaszSystem:
         if key not in self._index:
             raise ValueError("graph is not a member of the system")
         return self._index[key]
+
+    def _inverse_row(self, idx: int) -> list[Fraction]:
+        """Row idx of the inverse matrix, solved once from the transposed
+        system against the unit vector e_idx and then kept."""
+        row = self._inverse_rows.get(idx)
+        if row is None:
+            n = len(self.members)
+            transposed = [list(col) for col in zip(*self.matrix)]
+            row = solve_linear_system(transposed, [int(j == idx) for j in range(n)])
+            self._inverse_rows[idx] = row
+        return row
+
+
+def _system_over(ordered) -> LovaszSystem:
+    """Matrix, checked nonzero determinant and system over members already
+    known to be distinct, closed and in matrix order."""
+    if len(ordered) > SYSTEM_MAX_SIZE:
+        raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
+    matrix = [
+        [hom_count(f, h) for _, h in ordered]
+        for _, f in ordered
+    ]
+    det = determinant(matrix)
+    if det == 0:
+        raise SingularSystemError("homomorphism matrix of a closed set is singular")
+    return LovaszSystem(list(ordered), matrix, det)
 
 
 def lovasz_matrix(members) -> LovaszSystem:
@@ -142,21 +182,13 @@ def lovasz_matrix(members) -> LovaszSystem:
         if key in norm:
             raise ValueError("duplicate isomorphism class in the input set")
         norm[key] = rep
-    ordered = sorted(norm.items())
-    if len(ordered) > SYSTEM_MAX_SIZE:
+    if len(norm) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    for _, rep in ordered:
+    for rep in norm.values():
         for key, _ in homomorphic_images(rep):
             if key not in norm:
                 raise ValueError("input set is not closed under homomorphic images")
-    matrix = [
-        [hom_count(f, h) for _, h in ordered]
-        for _, f in ordered
-    ]
-    det = determinant(matrix)
-    if det == 0:
-        raise SingularSystemError("homomorphism matrix of a closed set is singular")
-    return LovaszSystem(list(ordered), matrix, det)
+    return _system_over(sorted(norm.items()))
 
 
 def alpha_for_vsurj(h: Graph) -> CoeffVector:
@@ -224,8 +256,11 @@ class ExternalCommandOracle:
 
 
 def build_system(alpha: CoeffVector) -> LovaszSystem:
-    """Closed set spanning the support of alpha, with matrix and alpha attached."""
-    system = lovasz_matrix(closed_set(rep for _, rep, _ in alpha.items()))
+    """Closed set spanning the support of alpha, with matrix and alpha attached.
+
+    closed_set verifies closure, so the matrix is built over its members
+    without computing their images a second time."""
+    system = _system_over(closed_set(rep for _, rep, _ in alpha.items()))
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:
         raise InternalCheckError("closure lost part of the coefficient support")
@@ -233,29 +268,57 @@ def build_system(alpha: CoeffVector) -> LovaszSystem:
     return system
 
 
-def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int:
-    """Recover hom(g, target) using exactly one oracle query per member.
+def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
+    """hom(g, target) for each target key, from one oracle query per member.
 
-    Queries f(g + F) for every member F, solves the homomorphism-matrix
-    system exactly, and divides the entry at the target by alpha(target).
-    A non-integer or negative outcome means the oracle does not match the
-    declared coefficients.
+    Queries f(g + F) once for every member F, whatever the number of
+    targets.  Entry t of the solution of the system is the dot product of
+    the inverse matrix's row at t with the answers; dividing it by
+    alpha(t) gives hom(g, t).  A non-integer or negative outcome means the
+    oracle does not match the declared coefficients.
     """
     if system.alpha is None:
         raise ValueError("system carries no coefficients")
-    a_t = system.alpha[target]
-    if a_t == 0:
-        raise ValueError("target lies outside the coefficient support")
-    idx = system.index_of(target)
-    rhs = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
-    beta = solve_linear_system(system.matrix, rhs)
-    value = beta[idx] / a_t
-    if value.denominator != 1 or value < 0:
-        raise OracleMismatchError(
-            "recovered value is not a nonnegative integer; "
-            "oracle and coefficients disagree"
-        )
-    return int(value)
+    targets = []
+    for key in keys:
+        a_t = system.alpha[key]
+        if a_t == 0:
+            raise ValueError("target lies outside the coefficient support")
+        targets.append((system._inverse_row(system.index_of(key)), a_t))
+    rhs = [_as_int(oracle.eval(disjoint_union(g, rep))) for _, rep in system.members]
+    values = []
+    for row, a_t in targets:
+        value = sum(r * b for r, b in zip(row, rhs)) / a_t
+        if value.denominator != 1 or value < 0:
+            raise OracleMismatchError(
+                "recovered value is not a nonnegative integer; "
+                "oracle and coefficients disagree"
+            )
+        values.append(int(value))
+    return values
+
+
+def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int:
+    """Recover hom(g, target) using exactly one oracle query per member.
+
+    Queries f(g + F) for every member F and takes the dot product of the
+    answers with the inverse matrix's row at the target, which the system
+    solves exactly on first use and keeps, so later recoveries against the
+    same system make no elimination.  The entry is divided by
+    alpha(target).  A non-integer or negative outcome means the oracle does
+    not match the declared coefficients.
+    """
+    return _recover(system, oracle, g, [target])[0]
+
+
+_ALPHA = {"vsurj": alpha_for_vsurj, "vesurj": alpha_for_vesurj}
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _reduction_system(mode: str, key: GraphKey) -> tuple[CoeffVector, LovaszSystem]:
+    """Coefficients and checked system for a mode and a target class."""
+    alpha = _ALPHA[mode](graph_from_key(key))
+    return alpha, build_system(alpha)
 
 
 def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
@@ -264,19 +327,21 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     recover plain homomorphism counts, reported next to ground truth.
 
     In vesurj mode, when h is in F but not in C, the hard-edge deletion is
-    recovered as a second target.
+    recovered as a second target.  All targets share one query set: the
+    oracle is asked once per member of the closed set per call, whatever
+    the number of targets.  The coefficients and the factored system
+    depend only on the mode and h's isomorphism class, so they are built
+    once per process and kept (up to SYSTEM_CACHE_SIZE of them); h, g and
+    the hard edge are taken from the inputs on every call.
     """
-    if mode == "vsurj":
-        alpha = alpha_for_vsurj(h)
-    elif mode == "vesurj":
-        alpha = alpha_for_vesurj(h)
-    else:
+    if mode not in _ALPHA:
         raise ValueError("mode must be 'vsurj' or 'vesurj'")
     if oracle is None:
         oracle = CountingOracle(mode, h)
-    system = build_system(alpha)
+    h_key = canonical_key(h)
+    alpha, system = _reduction_system(mode, h_key)
 
-    targets = [canonical_key(h)]
+    targets = [h_key]
     hard = None
     if mode == "vesurj":
         in_f, _ = classify_F(h)
@@ -286,23 +351,24 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
             targets.append(canonical_key(delete_nonloop_edge(h, hard)))
 
     calls_before = getattr(oracle, "calls", None)
-    target_reports = []
-    for key in targets:
-        rep = dict(system.members)[key]
-        recovered = recover_hom(system, oracle, g, key)
-        truth = hom_count(g, rep)
-        target_reports.append(
-            {
-                "key": key.hex(),
-                "graph": to_text(rep),
-                "recovered": str(recovered),
-                "ground_truth": str(truth),
-                "match": recovered == truth,
-            }
-        )
+    recovered = _recover(system, oracle, g, targets)
     queries = None
     if calls_before is not None:
         queries = oracle.calls - calls_before
+
+    reps = dict(system.members)
+    target_reports = []
+    for key, value in zip(targets, recovered):
+        truth = hom_count(g, reps[key])
+        target_reports.append(
+            {
+                "key": key.hex(),
+                "graph": to_text(reps[key]),
+                "recovered": str(value),
+                "ground_truth": str(truth),
+                "match": value == truth,
+            }
+        )
 
     return {
         "mode": mode,

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from pathlib import Path
@@ -102,6 +103,61 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["count", "--kind", "hom", "--g", "-", "--h", "-"]) == 2
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["images", "--h", f"{G}/k2.graph"]) == 0
+    assert cli.main(["frobnicate"]) == 2
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    bad_calls = [
+        ["count", "--kind", "aut", "--g", f"{G}/p3.graph", "--h", f"{G}/k2.graph"],
+        ["count", "--kind", "hom", "--h", f"{G}/k2.graph"],
+    ]
+    fresh = []
+    for argv in bad_calls:
+        cli._parser.cache_clear()
+        assert cli.main(argv) == 2
+        fresh.append(capsys.readouterr().err)
+    assert all(fresh)
+
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert cli.main(["count", "--kind", "hom", "--g", f"{G}/p3.graph",
+                     "--h", f"{G}/k2.graph", "--force-bruteforce",
+                     "--budget", "99", "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    for argv, err in zip(bad_calls, fresh):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == err
+    assert cli.main(["count", "--kind", "hom", "--g", f"{G}/p3.graph",
+                     "--h", f"{G}/k2.graph"]) == 0
+    assert cli.main(["images", "--h", f"{G}/k2.graph"]) == 0
+    capsys.readouterr()
+    first, *_, plain_count, images = parsed
+    assert (first.force_bruteforce, first.budget, first.format) == (True, 99, "plain")
+    assert (plain_count.force_bruteforce, plain_count.budget, plain_count.format) == (
+        False, cli.DEFAULT_BUDGET, "json")
+    assert vars(images).keys() == {"command", "h", "format", "func"}
 
 
 def test_help_exits_0(capsys):

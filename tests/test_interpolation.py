@@ -1,6 +1,8 @@
+import functools
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ from homcount import interpolation
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.counting import hom_count, vesurj_count, vsurj_count
 from homcount.errors import OracleMismatchError, SizeLimitError
+from homcount.exactsolve import solve_linear_system
+from homcount.families import find_hard_edge
 from homcount.graphs import (
     Graph,
     biclique,
@@ -109,6 +113,22 @@ def test_closed_set_is_closed_under_images():
                 assert key in keys, (h, rep)
 
 
+def test_build_system_computes_images_once_per_member(monkeypatch, named):
+    calls = []
+    images = interpolation.homomorphic_images
+
+    def counting(h):
+        calls.append(h)
+        return images(h)
+
+    monkeypatch.setattr(interpolation, "homomorphic_images", counting)
+    for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"]),
+                  alpha_for_vesurj(named["r3"])):
+        calls.clear()
+        system = build_system(alpha)
+        assert len(calls) <= len(alpha) + len(system.members)
+
+
 def test_lovasz_matrix_small_example(named):
     members = closed_set([named["k1"], named["l1"], named["k2"]])
     system = lovasz_matrix(members)
@@ -175,6 +195,33 @@ def test_recover_hom_from_vesurj_oracle_hits_edge_deleted_target(named):
     assert recover_hom(system, oracle, named["p3"], canonical_key(named["k22"])) == 16
     p4_key = canonical_key(delete_nonloop_edge(named["k22"], (0, 2)))
     assert recover_hom(system, oracle, named["p3"], p4_key) == 10
+
+
+def test_factored_recovery_matches_full_solve(monkeypatch, named):
+    solves = []
+    solve = interpolation.solve_linear_system
+
+    def counting(rows, rhs):
+        solves.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(interpolation, "solve_linear_system", counting)
+    for mode, h in (("vsurj", named["k3"]), ("vsurj", named["star3"]),
+                    ("vesurj", named["k22"]), ("vesurj", named["r2"])):
+        alpha = alpha_for_vsurj(h) if mode == "vsurj" else alpha_for_vesurj(h)
+        system = build_system(alpha)
+        for g in (named["p3"], named["c5"]):
+            oracle = CountingOracle(mode, h)
+            rhs = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
+            beta = solve(system.matrix, rhs)
+            for key, rep, coeff in alpha.items():
+                got = recover_hom(system, oracle, g, key)
+                assert Fraction(got) == beta[system.index_of(key)] / coeff
+                assert got == hom_count(g, rep)
+        solves.clear()
+        for key in alpha.support():
+            recover_hom(system, CountingOracle(mode, h), named["p4"], key)
+        assert solves == []
 
 
 def test_recover_rejects_target_outside_support(named):
@@ -264,3 +311,65 @@ def test_reduction_demo_vesurj_adds_hard_edge_target(named):
 def test_reduction_demo_rejects_bad_mode(named):
     with pytest.raises(ValueError):
         reduction_demo(named["k2"], "hom", named["p3"])
+
+
+def test_reduction_demo_reuses_system_across_labelings(monkeypatch, named):
+    interpolation._reduction_system.cache_clear()
+    first = reduction_demo(named["k22"], "vesurj", named["p3"])
+    builds = []
+    build = interpolation.build_system
+
+    def counting(alpha):
+        builds.append(alpha)
+        return build(alpha)
+
+    monkeypatch.setattr(interpolation, "build_system", counting)
+    # K2,2 drawn as the cycle 0-1-2-3: its smallest edge is (0, 1), not (0, 2).
+    relabeled = Graph(4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    second = reduction_demo(relabeled, "vesurj", named["p3"])
+    assert builds == []
+    assert second["h"] == to_text(relabeled)
+    assert second["hard_edge"] == list(find_hard_edge(relabeled)) == [0, 1]
+    assert first["hard_edge"] == [0, 2]
+    for field in ("h", "hard_edge"):
+        del first[field], second[field]
+    assert second == first
+
+
+def test_reduction_demo_queries_once_per_member_for_two_targets(named):
+    report = reduction_demo(named["k22"], "vesurj", named["p3"])
+    assert len(report["targets"]) == 2
+    assert report["oracle_queries"] == len(report["closed_set"])
+
+
+def test_warm_system_still_flags_inconsistent_oracle(named):
+    for mode, h in (("vsurj", named["k2"]), ("vesurj", named["k22"])):
+        reduction_demo(h, mode, named["p3"])
+        counter = vsurj_count if mode == "vsurj" else vesurj_count
+
+        class LyingOracle:
+            calls = 0
+
+            def eval(self, g):
+                self.calls += 1
+                return counter(g, h) + self.calls
+
+        with pytest.raises(OracleMismatchError):
+            reduction_demo(h, mode, named["p3"], oracle=LyingOracle())
+
+
+def test_system_cache_is_bounded(monkeypatch, named):
+    real = interpolation._reduction_system
+    assert real.cache_info().maxsize == interpolation.SYSTEM_CACHE_SIZE
+    # lru_cache reads its bound once, so a smaller one needs a new cache.
+    bound = 3
+    monkeypatch.setattr(interpolation, "_reduction_system",
+                        functools.lru_cache(maxsize=bound)(real.__wrapped__))
+    cached = interpolation._reduction_system
+    targets = [named[name] for name in ("k1", "l1", "k2", "p3", "k3")]
+    for h in targets:
+        for mode in ("vsurj", "vesurj"):
+            reduction_demo(h, mode, named["p3"])
+            assert cached.cache_info().currsize <= bound
+    assert cached.cache_info().currsize == bound
+    assert cached.cache_info().misses == 2 * len(targets)
