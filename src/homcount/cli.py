@@ -40,6 +40,7 @@ from .inversion import (
     signed_induced_subgraphs,
     verify_expansions,
 )
+from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +49,7 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_BUDGET = 10**9
+_MODES = {"hom": MODE_HOM, "vsurj": MODE_VSURJ, "vesurj": MODE_VESURJ}
 
 
 def _emit_json(obj) -> None:
@@ -65,11 +67,13 @@ def _read_graph(spec: str) -> Graph:
 
 
 def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
-    nodes = math.factorial(h.n) if kind == "aut" else h.n**g.n
-    if nodes > budget:
+    if kind == "aut":
+        work, what = math.factorial(h.n), "permutations"
+    else:
+        work, what = state_bound(g, h, _MODES[kind]), "dynamic-program states"
+    if work > budget:
         raise BudgetExceededError(
-            f"brute force would explore up to {nodes} assignments, "
-            f"over the budget of {budget}"
+            f"brute force would build up to {work} {what}, over the budget of {budget}"
         )
 
 
@@ -232,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-bruteforce", action="store_true",
                    help="skip the closed-form path even when the target allows it")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="assignment-node budget for brute force")
+                   help="brute-force budget: the most dynamic-program states the "
+                   "counting kernel may build (permutations for --kind aut)")
     add_format(p)
     p.set_defaults(func=_cmd_count)
 

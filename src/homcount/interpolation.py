@@ -108,15 +108,22 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
     """Union of the homomorphic images of the given graphs, deduplicated and
     sorted in matrix order.  Closure is verified, not assumed: images of
-    members must add nothing."""
+    members must add nothing.  A given graph's own class is the one image
+    with as many vertices, and its images are already merged, so each
+    member's images are computed once."""
     acc: dict[GraphKey, Graph] = {}
+    merged = set()
     for g in graphs:
         for key, rep in homomorphic_images(g):
             acc.setdefault(key, rep)
+            if rep.n == g.n:
+                merged.add(key)
     members = sorted(acc.items())
-    for _, rep in members:
-        for key, _ in homomorphic_images(rep):
-            if key not in acc:
+    for key, rep in members:
+        if key in merged:
+            continue
+        for image, _ in homomorphic_images(rep):
+            if image not in acc:
                 raise InternalCheckError("image closure failed to close")
     return members
 

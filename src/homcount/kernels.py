@@ -1,12 +1,23 @@
 """Counting and canonicalization kernels.
 
-The hot loops of the package, in pure Python.  The counting kernels take
+The hot loops of the package, in pure Python.  Both counting kernels take
 Graph objects and place one source vertex at a time in breadth-first
-order.  The candidate images of a vertex form one bitmask: the AND of the
-target neighbourhoods of its placed neighbours' images, so the search
-never visits a map that breaks an edge (count_autos also ANDs in the
-non-neighbourhoods of its placed non-neighbours' images).  Counts are
-plain integers with no overflow concerns.
+order, so each vertex after the first of its component has a placed
+neighbour.  The candidate images of a vertex form one bitmask: the AND of
+the target neighbourhoods of its placed neighbours' images, so no partial
+map ever breaks an edge.  Counts are plain integers with no overflow
+concerns.
+
+count_maps is a forward dynamic program over that order (after
+Díaz, Serna and Thilikos, TCS 2002).  After each position, a state is the
+images of the frontier, the placed vertices that still have an unplaced
+neighbour, mapped to the number of partial maps with those images; the
+surjective modes add the mask of target vertices covered so far, and
+vesurj the mask of target non-loop edges covered so far, so they count
+surjective maps directly, not as signed sums of hom counts.  A state that
+can no longer cover what is left of the target is dropped.  The work is
+bounded by state_bound, which the CLI budget charges.  count_autos
+enumerates permutations by backtracking, since they must be injective.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
@@ -15,11 +26,16 @@ row is least are expanded, one vertex of each set of twins is tried, and a
 branch whose rows exceed the best order's is dropped.
 """
 
+from functools import lru_cache
+
 from .graphs import adjacency_masks, loops_mask
 
 MODE_HOM = 0
 MODE_VSURJ = 1
 MODE_VESURJ = 2
+
+# Sources and targets whose count_maps tables are kept, in each cache.
+KERNEL_CACHE_SIZE = 1 << 12
 
 
 def backend_name() -> str:
@@ -52,64 +68,130 @@ def _plan(g):
     return order, prev
 
 
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _schedule(g):
+    """count_maps' steps for source g, one per position of _plan's order:
+    (looped, slots, kept, push, left, edges_left).  slots index the
+    frontier before the step at the placed neighbours, kept the frontier
+    entries that stay; push says whether the new vertex joins the frontier
+    (at its end); left counts the vertices and edges_left the non-loop
+    edges still to place after the step."""
+    order, prev = _plan(g)
+    last = list(range(g.n))
+    for w, ups in enumerate(prev):
+        for u in ups:
+            last[u] = w
+    frontier = []
+    steps = []
+    edges_left = len(g.edges)
+    for w, v in enumerate(order):
+        edges_left -= len(prev[w])
+        slots = tuple(frontier.index(u) for u in prev[w])
+        kept = tuple(i for i, u in enumerate(frontier) if last[u] > w)
+        push = last[w] > w
+        frontier = [frontier[i] for i in kept] + ([w] if push else [])
+        steps.append((v in g.loops, slots, kept, push, g.n - 1 - w, edges_left))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _tables(h):
+    """count_maps' tables for target h: nbr[c], where a neighbour of a
+    vertex mapped to c may go; pairs[c][d], the bit of non-loop edge cd
+    (0 when c and d are not adjacent); the loop mask."""
+    h_loops = loops_mask(h)
+    nbr = tuple(m | (1 << c) if (h_loops >> c) & 1 else m
+                for c, m in enumerate(adjacency_masks(h)))
+    pairs = [[0] * h.n for _ in range(h.n)]
+    for i, (c, d) in enumerate(sorted(h.edges)):
+        pairs[c][d] = pairs[d][c] = 1 << i
+    return nbr, tuple(map(tuple, pairs)), h_loops
+
+
+def state_bound(g, h, mode):
+    """Bound on the states count_maps(g, h, mode) builds, summed over its
+    steps, from g's schedule alone: after position w at most
+    min(n^(w+1), n^f * c) for n = |V(h)| and f the frontier's size, where
+    c = 1 for hom, 2^n for vsurj and 2^(n + |E(h)|) for vesurj."""
+    n = h.n
+    c = (1, 1 << n, 1 << (n + len(h.edges)))[mode]
+    return sum(min(n ** (w + 1), n ** (len(kept) + push) * c)
+               for w, (_, _, kept, push, _, _) in enumerate(_schedule(g)))
+
+
 def count_maps(g, h, mode):
     """Count homomorphisms from g to h: all of them, the vertex-surjective
     ones, or the vertex-surjective ones covering every non-loop edge of h,
-    as mode selects.  Surjectivity is checked on completed maps only.
-    Callers guarantee g.n >= 1 and h.n >= 1.
-    """
-    order, prev = _plan(g)
-    h_adj = adjacency_masks(h)
-    h_loops = loops_mask(h)
-    full = (1 << h.n) - 1
-    # nbr[c]: where a neighbour of a vertex mapped to c may go.
-    nbr = [m | (1 << c) if (h_loops >> c) & 1 else m for c, m in enumerate(h_adj)]
-    base = [h_loops if v in g.loops else full for v in order]
-    last = g.n - 1
-    if mode == MODE_HOM and last == 0:
-        return base[0].bit_count()
-    img = [0] * g.n
-    rest = [0] * g.n
-    rest[0] = base[0]
-    count = 0
-    v = 0
-    while v >= 0:
-        m = rest[v]
-        if not m:
-            v -= 1
-            continue
-        low = m & -m
-        rest[v] = m ^ low
-        img[v] = low.bit_length() - 1
-        if v < last:
-            w = v + 1
-            m = base[w]
-            for u in prev[w]:
-                m &= nbr[img[u]]
-            if w < last or mode != MODE_HOM:
-                v = w
-                rest[v] = m
-            else:
-                count += m.bit_count()
-            continue
-        seen = 0
-        for c in img:
-            seen |= 1 << c
-        if seen != full:
-            continue
-        if mode == MODE_VESURJ:
-            covered = [0] * h.n
-            for w, ups in enumerate(prev):
-                c = img[w]
-                for u in ups:
-                    d = img[u]
-                    if d != c:
-                        covered[c] |= 1 << d
-                        covered[d] |= 1 << c
-            if covered != h_adj:
+    as mode selects.  Any sizes, empty graphs included."""
+    n = h.n
+    h_edges = len(h.edges)
+    if mode != MODE_HOM and (n > g.n or (mode == MODE_VESURJ and h_edges > len(g.edges))):
+        return 0
+    steps = _schedule(g)
+    if not steps:
+        return 1
+    nbr, pairs, h_loops = _tables(h)
+    full = (1 << n) - 1
+    # (frontier images, covered vertices, covered edges) -> partial maps
+    states = {((), 0, 0): 1}
+    for looped, slots, kept, push, left, edges_left in steps[:-1]:
+        base = h_loops if looped else full
+        nxt = {}
+        get = nxt.get
+        for (imgs, cov, ecov), mult in states.items():
+            m = base
+            for s in slots:
+                m &= nbr[imgs[s]]
+            if not m:
                 continue
-        count += 1
-    return count
+            stem = tuple([imgs[s] for s in kept])
+            if mode == MODE_HOM and not push:
+                key = (stem, 0, 0)
+                nxt[key] = get(key, 0) + mult * m.bit_count()
+                continue
+            while m:
+                low = m & -m
+                m ^= low
+                c = low.bit_length() - 1
+                cv = cov
+                ev = ecov
+                if mode != MODE_HOM:
+                    cv |= low
+                    if n - cv.bit_count() > left:
+                        continue
+                    if mode == MODE_VESURJ:
+                        row = pairs[c]
+                        for s in slots:
+                            ev |= row[imgs[s]]
+                        if h_edges - ev.bit_count() > edges_left:
+                            continue
+                key = (stem + (c,) if push else stem, cv, ev)
+                nxt[key] = get(key, 0) + mult
+        states = nxt
+    looped, slots = steps[-1][:2]
+    base = h_loops if looped else full
+    every_edge = (1 << h_edges) - 1
+    total = 0
+    for (imgs, cov, ecov), mult in states.items():
+        m = base
+        for s in slots:
+            m &= nbr[imgs[s]]
+        if mode != MODE_HOM and cov != full:
+            # Pruning leaves one target vertex uncovered: the last image.
+            m &= full ^ cov
+        if mode != MODE_VESURJ:
+            total += mult * m.bit_count()
+            continue
+        while m:
+            low = m & -m
+            m ^= low
+            row = pairs[low.bit_length() - 1]
+            ev = ecov
+            for s in slots:
+                ev |= row[imgs[s]]
+            if ev == every_edge:
+                total += mult
+    return total
 
 
 def count_autos(h):

@@ -185,6 +185,26 @@ def test_precondition_errors_exit_4(capsys, tmp_path):
     assert "precondition violated" in err
 
 
+def test_budget_charges_kernel_states_not_all_maps(capsys, tmp_path):
+    k4 = tmp_path / "k4.graph"
+    k4.write_text("vertices 4\n" + "".join(f"edge {i} {j}\n" for i in range(4)
+                                           for j in range(i + 1, 4)))
+    for n, count in ((16, 43046724), (30, 205891132094652)):
+        cycle = tmp_path / f"c{n}.graph"
+        cycle.write_text(f"vertices {n}\n" + "".join(f"edge {i} {(i + 1) % n}\n"
+                                                     for i in range(n)))
+        assert cli.main(["count", "--kind", "hom", "--g", str(cycle), "--h", str(k4),
+                         "--format", "plain"]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+    # C5 into K3 builds 31 states.
+    assert cli.main(["count", "--kind", "hom", "--g", f"{G}/c5.graph", "--h", f"{G}/k3.graph",
+                     "--force-bruteforce", "--budget", "31", "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "30\n"
+    assert cli.main(["count", "--kind", "hom", "--g", f"{G}/c5.graph", "--h", f"{G}/k3.graph",
+                     "--force-bruteforce", "--budget", "30"]) == 4
+    assert "31 dynamic-program states" in capsys.readouterr().err
+
+
 def test_internal_errors_exit_5(monkeypatch, capsys):
     def boom(h):
         raise InternalCheckError("wired to fail")

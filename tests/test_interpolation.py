@@ -129,6 +129,26 @@ def test_build_system_computes_images_once_per_member(monkeypatch, named):
         assert len(calls) <= len(alpha) + len(system.members)
 
 
+def test_closed_set_computes_images_once_per_member(monkeypatch, named):
+    calls = []
+    images = interpolation.homomorphic_images
+
+    def counting(h):
+        calls.append(h)
+        return images(h)
+
+    monkeypatch.setattr(interpolation, "homomorphic_images", counting)
+    for graphs in ([named["c5"]], [named["k1"], named["l1"], named["k2"]],
+                   [named["k22"], named["star3"], named["r2"]]):
+        calls.clear()
+        members = closed_set(graphs)
+        assert len(calls) == len(members), graphs
+    for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"])):
+        calls.clear()
+        system = build_system(alpha)
+        assert len(calls) == len(system.members)
+
+
 def test_lovasz_matrix_small_example(named):
     members = closed_set([named["k1"], named["l1"], named["k2"]])
     system = lovasz_matrix(members)

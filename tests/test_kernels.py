@@ -1,7 +1,12 @@
+import random
+
 import homcount
 from homcount import kernels
 from homcount.counting import hom_count
-from homcount.graphs import Graph, complete_graph, cycle_graph
+from homcount.graphs import Graph, biclique, complete_graph, cycle_graph, path_graph
+from homcount.inversion import verify_expansions
+
+from .oracles import naive_hom, naive_vesurj, naive_vsurj
 
 
 def test_backend_name_is_pure():
@@ -24,3 +29,95 @@ def test_kernels_take_graphs():
     assert kernels.count_maps(c5, k3, kernels.MODE_VSURJ) == 30
     assert kernels.count_maps(c5, k3, kernels.MODE_VESURJ) == 30
     assert kernels.count_autos(c5) == 10
+
+
+def _agrees_with_oracles(g, h):
+    for mode, naive in ((kernels.MODE_HOM, naive_hom), (kernels.MODE_VSURJ, naive_vsurj),
+                        (kernels.MODE_VESURJ, naive_vesurj)):
+        assert kernels.count_maps(g, h, mode) == naive(g, h), (g, h, mode)
+
+
+def _random_looped(rng, n, p_edge, p_loop):
+    return Graph(n, [v for v in range(n) if rng.random() < p_loop],
+                 [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge])
+
+
+def test_modes_match_oracles_on_random_looped_pairs():
+    rng = random.Random(23)
+    for _ in range(40):
+        g = _random_looped(rng, rng.randint(1, 9), rng.uniform(0.15, 0.5), 0.2)
+        # At most 4^7 or 3^9 maps for the oracles to enumerate.
+        h = _random_looped(rng, rng.randint(1, 4 if g.n <= 7 else 3), 0.6, 0.4)
+        _agrees_with_oracles(g, h)
+
+
+def _grid(k):
+    return Graph(k * k, (), [(k * i + j, k * i + j + 1) for i in range(k) for j in range(k - 1)]
+                 + [(k * i + j, k * i + k + j) for i in range(k - 1) for j in range(k)])
+
+
+def _petersen():
+    return Graph(10, (), [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)])
+
+
+def test_modes_match_oracles_on_wide_frontier_sources():
+    looped_p3 = Graph(3, {0, 2}, {(0, 1), (1, 2)})
+    for g in (_petersen(), biclique(3, 3), _grid(3)):
+        for h in (complete_graph(3), looped_p3, complete_graph(2)):
+            _agrees_with_oracles(g, h)
+    assert hom_count(_petersen(), complete_graph(3)) == 120
+
+
+def test_edge_cases_match_oracles():
+    single = [Graph(1), Graph(1, {0})]
+    targets = [
+        Graph(1), Graph(1, {0}), Graph(2), Graph(2, {1}),  # no edges for vesurj to cover
+        complete_graph(3),  # no looped vertex for a looped source vertex
+        Graph(4, {3}, {(0, 1), (1, 2)}),  # an isolated looped vertex
+        Graph(4, (), {(0, 1)}),  # two isolated vertices
+    ]
+    sources = single + [
+        Graph(3, {0}, {(0, 1), (1, 2)}),
+        Graph(4, {1, 3}, {(0, 1), (2, 3)}),
+        Graph(5, (), {(0, 1), (1, 2)}),
+        Graph(5, {4}, {(0, 1), (1, 2), (2, 0)}),
+    ]
+    for g in sources:
+        for h in targets:
+            _agrees_with_oracles(g, h)
+    assert kernels.count_maps(Graph(1, {0}), complete_graph(3), kernels.MODE_HOM) == 0
+    assert kernels.count_maps(Graph(0), Graph(0), kernels.MODE_VESURJ) == 1
+    assert kernels.count_maps(Graph(0), Graph(1), kernels.MODE_VSURJ) == 0
+    assert kernels.count_maps(Graph(2), Graph(0), kernels.MODE_HOM) == 0
+
+
+def test_long_cycles_into_cliques_match_the_chromatic_polynomial():
+    for n in (16, 30):
+        for k in (3, 4):
+            assert hom_count(cycle_graph(n), complete_graph(k)) == (k - 1) ** n + (-1) ** n * (k - 1)
+
+
+def test_state_bound_sums_frontier_bounds():
+    k2, k3 = complete_graph(2), complete_graph(3)
+    # P3 in BFS order keeps one vertex on its frontier: 2 + 2 + 1 states.
+    assert kernels.state_bound(path_graph(3), k2, kernels.MODE_HOM) == 5
+    # C5 keeps frontiers of 1, 2, 2, 2, 0 vertices: 3 + 9 + 9 + 9 + 1.
+    assert kernels.state_bound(cycle_graph(5), k3, kernels.MODE_HOM) == 31
+    # The cover masks multiply the frontier term but never pass n^(w+1).
+    assert kernels.state_bound(cycle_graph(5), k3, kernels.MODE_VSURJ) == 3 + 9 + 27 + 72 + 8
+    assert kernels.state_bound(cycle_graph(5), k3, kernels.MODE_VESURJ) == 3 + 9 + 27 + 81 + 64
+    assert kernels.state_bound(Graph(0), k3, kernels.MODE_HOM) == 0
+    assert kernels.state_bound(cycle_graph(30), complete_graph(4), kernels.MODE_HOM) < 2000
+
+
+def test_kernel_caches_are_bounded():
+    for cache in (kernels._schedule, kernels._tables):
+        assert cache.cache_info().maxsize == kernels.KERNEL_CACHE_SIZE
+
+
+def test_verify_builds_one_schedule_per_source_class():
+    kernels._schedule.cache_clear()
+    report = verify_expansions(3)
+    assert report["classes"] == 29
+    assert kernels._schedule.cache_info().misses == 29
