@@ -53,42 +53,52 @@ def _unpack(data: bytes) -> tuple[int, int]:
     return n, enc
 
 
-def _decode(n: int, enc: int) -> Graph:
-    m = n + n * (n - 1) // 2
-    bits = [(enc >> (m - 1 - i)) & 1 for i in range(m)]
-    loops = [v for v in range(n) if bits[v]]
-    edges = []
-    k = n
+def _masks(n: int, enc: int) -> tuple[int, list[int]]:
+    """Loop mask and adjacency masks of the graph an encoding describes."""
+    k = n + n * (n - 1) // 2
+    loops = 0
+    for v in range(n):
+        k -= 1
+        loops |= ((enc >> k) & 1) << v
+    adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, loops, edges)
+            k -= 1
+            if (enc >> k) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return loops, adj
+
+
+def _decode(n: int, enc: int) -> Graph:
+    loops, adj = _masks(n, enc)
+    return Graph(
+        n,
+        [v for v in range(n) if (loops >> v) & 1],
+        [(i, j) for i in range(n) for j in range(i + 1, n) if (adj[i] >> j) & 1],
+    )
+
+
+def _key(n: int, enc: int) -> GraphKey:
+    """Key of the class whose least encoding on n vertices is enc; the
+    encoding holds one bit per loop and per edge."""
+    return GraphKey(n + enc.bit_count(), _pack(n, enc))
 
 
 def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
-    rep = _decode(n, enc)
-    return GraphKey(rep.size, _pack(n, enc)), rep
+    return _key(n, enc), _decode(n, enc)
+
+
+def _encoding(g: Graph) -> int:
+    """Least encoding of g over all vertex orders, which its key packs."""
+    loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
+    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
     """Key plus the canonically relabeled representative of g's class."""
-    loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-    return _form(g.n, kernels.min_encoding(g.n, loop_flags, adjacency_masks(g)))
-
-
-def canonical_classes(labeled) -> list[tuple[GraphKey, Graph]]:
-    """Distinct isomorphism classes, in matrix order, of labeled graphs
-    given as (n, loop mask, adjacency masks).  Each distinct input is
-    canonicalized once, without the canonical_form cache, and a Graph is
-    built only for each class's representative."""
-    encodings = set()
-    for n, loops, adj in set(labeled):
-        loop_flags = [(loops >> v) & 1 for v in range(n)]
-        encodings.add((n, kernels.min_encoding(n, loop_flags, adj)))
-    return sorted(_form(n, enc) for n, enc in encodings)
+    return _form(g.n, _encoding(g))
 
 
 def canonical_key(g: Graph) -> GraphKey:

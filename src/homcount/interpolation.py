@@ -20,6 +20,11 @@ the target's isomorphism class, so reduction_demo, which wires this up end
 to end against the in-process counters, builds it once per class and
 keeps the row of the inverse matrix at each target: a recovery is then
 one query set plus one dot product per target.
+
+Closed sets are unions of homomorphic images, which likewise depend only
+on the input's class.  homomorphic_images keeps each class's images, as
+least encodings, in a cache bounded by IMAGES_CACHE_SIZE, so closed_set,
+lovasz_matrix and verify walk the set partitions of each class once.
 """
 
 from __future__ import annotations
@@ -29,9 +34,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import kernels
 from .canonical import (
     GraphKey,
-    canonical_classes,
+    _encoding,
+    _form,
+    _key,
+    _masks,
     canonical_form,
     canonical_key,
     graph_from_key,
@@ -47,7 +56,6 @@ from .exactsolve import _as_int, determinant, solve_linear_system
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
-    adjacency_masks,
     delete_nonloop_edge,
     disjoint_union,
     to_text,
@@ -55,6 +63,9 @@ from .graphs import (
 from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
 
 QUOTIENT_MAX_VERTICES = 8
+# Classes whose homomorphic images are kept, as least encodings (plain
+# ints, about 120 bytes per image: 35 KB for an 8-vertex class with 290).
+IMAGES_CACHE_SIZE = 128
 SYSTEM_MAX_SIZE = 64
 # Systems kept by reduction_demo's cache, one per (mode, target class).
 SYSTEM_CACHE_SIZE = 64
@@ -66,43 +77,59 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
     """Isomorphism classes of quotients of h, in matrix order.
 
     These are exactly the homomorphic images: any homomorphism factors as a
-    quotient by its fibers followed by an embedding of the image.
-
-    Set partitions are grown one vertex at a time with the quotient kept in
-    bitmask form, blocks indexed by their first member.  When vertex v
-    joins block b, only v's lower-numbered neighbours are visited: one in b
-    loops b, one in another block c joins b and c.  Each leaf is then
-    exactly quotient(h, partition) as (block count, loop mask, adjacency
-    masks); the distinct ones are canonicalized once each.
+    quotient by its fibers followed by an embedding of the image.  The
+    answer depends only on h's class, so it is kept per class, keyed by h's
+    least encoding, as the images' least encodings in a cache of
+    IMAGES_CACHE_SIZE classes.  A repeated class costs one min_encoding
+    plus one Graph per image; each call returns a new list.
     """
     if h.n > QUOTIENT_MAX_VERTICES:
         raise SizeLimitError(
             f"quotient enumeration is limited to {QUOTIENT_MAX_VERTICES} vertices"
         )
-    adj = adjacency_masks(h)
-    lower = [[u for u in range(v) if (adj[v] >> u) & 1] for v in range(h.n)]
-    block = [0] * h.n
-    quotients = []
+    return [_form(k, e) for k, e in _image_encodings(h.n, _encoding(h))]
 
-    def grow(v, k, loops, q_adj):
-        if v == h.n:
-            quotients.append((k, loops, q_adj))
-            return
+
+@lru_cache(maxsize=IMAGES_CACHE_SIZE)
+def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int], ...]:
+    """(block count, least encoding) of each class of quotients of the
+    graph with least encoding enc on n vertices, in matrix order.
+
+    Set partitions are grown one vertex at a time, depth first on an
+    explicit stack, with the quotient kept in bitmask form and blocks
+    indexed by their first member.  When vertex v joins block b, only v's
+    lower-numbered neighbours are visited: one in b loops b, one in another
+    block c joins b and c.  Each leaf is then exactly the quotient by the
+    partition as (block count, loop mask, adjacency masks); the distinct
+    ones are canonicalized once each.
+    """
+    h_loops, adj = _masks(n, enc)
+    lower = [[u for u in range(v) if (adj[v] >> u) & 1] for v in range(n)]
+    quotients = set()
+    # (next vertex, block of each placed vertex, loop mask, adjacency masks)
+    stack = [(0, (), 0, ())]
+    while stack:
+        v, blocks, loops, q_adj = stack.pop()
+        if v == n:
+            quotients.add((len(q_adj), loops, q_adj))
+            continue
+        k = len(q_adj)
         for b in range(k + 1):
-            block[v] = b
-            q_loops = loops | (1 << b if v in h.loops else 0)
+            q_loops = loops | (((h_loops >> v) & 1) << b)
             row = list(q_adj) + [0] if b == k else list(q_adj)
             for u in lower[v]:
-                c = block[u]
+                c = blocks[u]
                 if c == b:
                     q_loops |= 1 << b
                 else:
                     row[b] |= 1 << c
                     row[c] |= 1 << b
-            grow(v + 1, max(k, b + 1), q_loops, tuple(row))
-
-    grow(0, 0, 0, ())
-    return canonical_classes(quotients)
+            stack.append((v + 1, blocks + (b,), q_loops, tuple(row)))
+    encodings = {
+        (k, kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj))
+        for k, loops, q_adj in quotients
+    }
+    return tuple(sorted(encodings, key=lambda ke: _key(*ke)))
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:

@@ -267,16 +267,18 @@ def min_encoding(n, loop_flags, adj):
         if not loop_flags[v]:
             loopless |= 1 << v
     looped = ((1 << n) - 1) & ~loopless
-    # Bits of the encoding after row i; rows are n-1-i bits long.
-    after = [(n - 1 - i) * (n - 2 - i) // 2 for i in range(n)]
+    # Bits of the encoding from row i on; rows are n-1-i bits long.
+    rest = [(n - i) * (n - 1 - i) // 2 for i in range(n)]
     best = None
-
-    def place(i, cells, prefix):
-        nonlocal best
+    # Depth first on an explicit stack: (position, cells, rows so far).
+    stack = [(0, [c for c in (loopless, looped) if c], 0)]
+    while stack:
+        i, cells, prefix = stack.pop()
+        if best is not None and prefix > best >> rest[i]:
+            continue
         if i == n - 1:
-            if best is None or prefix < best:
-                best = prefix
-            return
+            best = prefix
+            continue
         head, tail = cells[0], cells[1:]
         low = None
         tried = []
@@ -300,9 +302,10 @@ def min_encoding(n, loop_flags, adj):
             elif row == low:
                 keep.append(v)
         prefix = (prefix << (n - 1 - i)) | low
-        for v in keep:
-            if best is not None and prefix > best >> after[i]:
-                return
+        # The children's own test, made once before their cells are split.
+        if best is not None and prefix > best >> rest[i + 1]:
+            continue
+        for v in reversed(keep):
             a = adj[v]
             split = []
             for c in [head ^ (1 << v)] + tail:
@@ -310,7 +313,5 @@ def min_encoding(n, loop_flags, adj):
                     split.append(c & ~a)
                 if c & a:
                     split.append(c & a)
-            place(i + 1, split, prefix)
-
-    place(0, [c for c in (loopless, looped) if c], 0)
+            stack.append((i + 1, split, prefix))
     return (((1 << looped.bit_count()) - 1) << (n * (n - 1) // 2)) | best

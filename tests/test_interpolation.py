@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import random
 import sys
@@ -8,23 +9,27 @@ from pathlib import Path
 import pytest
 
 import homcount
-from homcount import interpolation
+from homcount import interpolation, kernels
 from homcount.canonical import canonical_key, enumerate_graphs
+from homcount.cli import _run_verify
 from homcount.counting import hom_count, vesurj_count, vsurj_count
 from homcount.errors import OracleMismatchError, SizeLimitError
 from homcount.exactsolve import solve_linear_system
 from homcount.families import find_hard_edge
 from homcount.graphs import (
     Graph,
+    adjacency_masks,
     biclique,
     complete_graph,
     cycle_graph,
     delete_nonloop_edge,
     disjoint_union,
     path_graph,
+    relabel,
     to_text,
 )
 from homcount.interpolation import (
+    IMAGES_CACHE_SIZE,
     CountingOracle,
     ExternalCommandOracle,
     alpha_for_vesurj,
@@ -80,10 +85,14 @@ def test_images_match_naive_quotients(named):
             assert any(naive_isomorphic(rep, w) for rep in got)
 
 
+def _looped_cube():
+    """The 3-cube with two looped vertices: 4,140 set partitions."""
+    return Graph(8, loops=[0, 7], edges=[(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                                         if u < u ^ b])
+
+
 def test_images_build_one_graph_per_class(monkeypatch):
-    # The 3-cube with two looped vertices: 4,140 set partitions.
-    h = Graph(8, loops=[0, 7], edges=[(u, u ^ b) for u in range(8) for b in (1, 2, 4)
-                                      if u < u ^ b])
+    h = _looped_cube()
     built = []
     post_init = Graph.__post_init__
 
@@ -96,12 +105,82 @@ def test_images_build_one_graph_per_class(monkeypatch):
     assert len(built) == len(members)
 
 
-def test_images_are_sorted_and_guarded(named):
-    members = homomorphic_images(named["c5"])
-    keys = [key for key, _ in members]
-    assert keys == sorted(keys)
+def test_images_are_sorted_and_guarded(monkeypatch, named):
+    for h in (named["c5"], _looped_cube()):
+        keys = [key for key, _ in homomorphic_images(h)]
+        assert keys == sorted(keys)
+
+    def refuse(*args):
+        raise AssertionError("keyed a graph the size guard refuses")
+
+    # The guard runs before h is keyed.
+    monkeypatch.setattr(kernels, "min_encoding", refuse)
     with pytest.raises(SizeLimitError):
         homomorphic_images(Graph(9))
+
+
+def test_images_cache_is_bounded():
+    cache = interpolation._image_encodings
+    assert cache.cache_info().maxsize == IMAGES_CACHE_SIZE
+    cache.cache_clear()
+    rng = random.Random(83)
+    for _ in range(IMAGES_CACHE_SIZE + 60):
+        homomorphic_images(random_graph(rng, 6, n_min=5))
+        assert cache.cache_info().currsize <= IMAGES_CACHE_SIZE
+    assert cache.cache_info().misses > IMAGES_CACHE_SIZE
+
+
+def test_images_of_relabeled_graph_are_a_cache_hit(monkeypatch):
+    rng = random.Random(89)
+    g = random_graph(rng, 7, n_min=7)
+    cache = interpolation._image_encodings
+    cache.cache_clear()
+    want = homomorphic_images(g)
+    misses = cache.cache_info().misses
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    calls = []
+    encode = kernels.min_encoding
+
+    def counting(*args):
+        calls.append(args[0])
+        return encode(*args)
+
+    monkeypatch.setattr(kernels, "min_encoding", counting)
+    assert homomorphic_images(relabel(g, perm)) == want
+    assert cache.cache_info().misses == misses
+    assert calls == [g.n]
+
+
+def test_verify_keys_images_once_per_class():
+    interpolation._image_encodings.cache_clear()
+    report = _run_verify(3)
+    assert report["ok"]
+    classes = report["sections"]["interpolation"]["classes"]
+    assert classes == len(enumerate_graphs(3)) == 29
+    assert interpolation._image_encodings.cache_info().misses == classes
+
+
+def test_mutating_returned_images_leaves_later_calls_alone(named):
+    first = homomorphic_images(named["c5"])
+    want = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert homomorphic_images(named["c5"]) == want
+
+
+def test_images_and_keys_leave_no_reference_cycles():
+    c12 = cycle_graph(12)
+    gc.collect()
+    gc.disable()
+    try:
+        interpolation._image_encodings.cache_clear()
+        homomorphic_images(_looped_cube())
+        assert gc.collect() == 0
+        kernels.min_encoding(c12.n, [0] * c12.n, adjacency_masks(c12))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closed_set_is_closed_under_images():
