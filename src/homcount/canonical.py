@@ -92,7 +92,7 @@ def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
 def _encoding(g: Graph) -> int:
     """Least encoding of g over all vertex orders, which its key packs."""
     loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))
+    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))[0]
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)

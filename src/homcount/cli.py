@@ -68,7 +68,7 @@ def _read_graph(spec: str) -> Graph:
 
 def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
     if kind == "aut":
-        work, what = math.factorial(h.n), "permutations"
+        work, what = math.factorial(h.n), "vertex orders (n!)"
     else:
         work, what = state_bound(g, h, _MODES[kind]), "dynamic-program states"
     if work > budget:
@@ -80,25 +80,22 @@ def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
 def _cmd_count(args) -> int:
     h = _read_graph(args.h)
     g = _read_graph(args.g) if args.g is not None else None
+    path = "bruteforce"
     if args.kind == "aut":
         _check_budget("aut", None, h, args.budget)
         count = aut_count(h)
-        path = "bruteforce"
     else:
-        path = "bruteforce"
         if not args.force_bruteforce:
-            if args.kind in ("hom", "vsurj") and classify_F(h)[0]:
-                path = "polytime"
-            elif args.kind == "vesurj" and classify_C(h)[0]:
-                path = "polytime"
-        if path == "polytime":
-            if args.kind == "hom":
-                count = hom_polytime(g, h, classify_F(h)[1])
-            elif args.kind == "vsurj":
-                count = vsurj_polytime(g, h)
+            if args.kind == "vesurj":
+                if classify_C(h)[0]:
+                    path, count = "polytime", vesurj_polytime(g, h)
             else:
-                count = vesurj_polytime(g, h)
-        else:
+                in_f, shapes = classify_F(h)
+                if in_f and args.kind == "hom":
+                    path, count = "polytime", hom_polytime(g, h, shapes)
+                elif in_f:
+                    path, count = "polytime", vsurj_polytime(g, h)
+        if path == "bruteforce":
             _check_budget(args.kind, g, h, args.budget)
             counter = {"hom": hom_count, "vsurj": vsurj_count, "vesurj": vesurj_count}
             count = counter[args.kind](g, h)
@@ -237,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the closed-form path even when the target allows it")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="brute-force budget: the most dynamic-program states the "
-                   "counting kernel may build (permutations for --kind aut)")
+                   "counting kernel may build (for --kind aut, a cap on n! for the "
+                   "target's n vertices)")
     add_format(p)
     p.set_defaults(func=_cmd_count)
 

@@ -8,14 +8,15 @@ target edge to be the image of some source edge (loops need not be
 covered).  The three map counters run one dynamic program over the
 source's vertices (kernels.count_maps): it keeps only maps that respect
 every edge placed so far and, for the surjective counters, what of the
-target they cover, so it counts surjective maps directly.  aut_count runs
-its own backtracking kernel over permutations.
+target they cover, so it counts surjective maps directly.  aut_count reads
+the automorphism count off the canonical-key search (kernels.min_encoding),
+whose least vertex orders form one coset of the automorphism group.
 """
 
 from __future__ import annotations
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, adjacency_masks
 
 
 def hom_count(g: Graph, h: Graph) -> int:
@@ -37,6 +38,5 @@ def vesurj_count(g: Graph, h: Graph) -> int:
 def aut_count(h: Graph) -> int:
     """Number of automorphisms: permutations preserving loops, edges, and
     non-edges exactly."""
-    if h.n == 0:
-        return 1
-    return kernels.count_autos(h)
+    loop_flags = [1 if v in h.loops else 0 for v in range(h.n)]
+    return kernels.min_encoding(h.n, loop_flags, adjacency_masks(h))[1]

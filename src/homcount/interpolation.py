@@ -126,7 +126,7 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int], ...]:
                     row[c] |= 1 << b
             stack.append((v + 1, blocks + (b,), q_loops, tuple(row)))
     encodings = {
-        (k, kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj))
+        (k, kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj)[0])
         for k, loops, q_adj in quotients
     }
     return tuple(sorted(encodings, key=lambda ke: _key(*ke)))

@@ -16,14 +16,16 @@ surjective modes add the mask of target vertices covered so far, and
 vesurj the mask of target non-loop edges covered so far, so they count
 surjective maps directly, not as signed sums of hom counts.  A state that
 can no longer cover what is left of the target is dropped.  The work is
-bounded by state_bound, which the CLI budget charges.  count_autos
-enumerates permutations by backtracking, since they must be injective.
+bounded by state_bound, which the CLI budget charges.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
 to each placed vertex (after McKay and Piperno): only the candidates whose
 row is least are expanded, one vertex of each set of twins is tried, and a
-branch whose rows exceed the best order's is dropped.
+branch whose rows exceed the best order's is dropped.  It also counts the
+least orders, which form one coset of Aut(h), so their number is the
+automorphism count: each least leaf counts with the product of the twin
+sets skipped on its path.
 """
 
 from functools import lru_cache
@@ -194,43 +196,6 @@ def count_maps(g, h, mode):
     return total
 
 
-def count_autos(h):
-    """Count permutations of h preserving loops, edges, and non-edges
-    exactly.  Callers guarantee h.n >= 1."""
-    order, prev = _plan(h)
-    adj = adjacency_masks(h)
-    h_loops = loops_mask(h)
-    full = (1 << h.n) - 1
-    base = [h_loops if v in h.loops else full & ~h_loops for v in order]
-    far = [[j for j in range(i) if j not in ups] for i, ups in enumerate(prev)]
-    last = h.n - 1
-    img = [0] * h.n
-    rest = [0] * h.n
-    rest[0] = base[0]
-    count = 0
-    v = 0
-    while v >= 0:
-        m = rest[v]
-        if not m:
-            v -= 1
-            continue
-        low = m & -m
-        rest[v] = m ^ low
-        img[v] = low.bit_length() - 1
-        if v == last:
-            count += 1
-            continue
-        v += 1
-        m = base[v]
-        for u in prev[v]:
-            m &= adj[img[u]]
-        for u in far[v]:
-            c = img[u]
-            m &= ~(adj[c] | 1 << c)
-        rest[v] = m
-    return count
-
-
 def encode_with_perm(n, loop_flags, adj, perm):
     """Bit encoding of the relabeled graph: n loop bits, then upper-triangle
     adjacency bits in row-major pair order, most significant first."""
@@ -245,7 +210,8 @@ def encode_with_perm(n, loop_flags, adj, perm):
 
 
 def min_encoding(n, loop_flags, adj):
-    """Lexicographically smallest encoding over all vertex orders.
+    """Lexicographically smallest encoding over all vertex orders, and the
+    number of automorphisms.
 
     The loop bits are the most significant, so every least order lists the
     loopless vertices first.  The search fixes one position at a time and
@@ -256,12 +222,17 @@ def min_encoding(n, loop_flags, adj):
     only the candidates with the least row are kept.  Placing v splits every
     cell into non-neighbours, then neighbours.  Of a set of twins (same
     neighbourhood apart from each other) only one is tried: swapping two
-    twins is an automorphism fixing the placed prefix and every cell.  A
-    branch whose rows so far exceed those of the best order found is
-    dropped.
+    twins is an automorphism fixing the placed prefix and every cell, so it
+    maps one subtree onto the other.  A branch whose rows so far exceed
+    those of the best order found is dropped.
+
+    The least orders form one coset of Aut, so their number is the
+    automorphism count.  Every least order is a leaf of the search, and
+    each leaf stands for as many orders as the product of the sizes of the
+    twin sets its path tried one vertex of.
     """
     if n == 0:
-        return 0
+        return 0, 1
     loopless = 0
     for v in range(n):
         if not loop_flags[v]:
@@ -270,18 +241,24 @@ def min_encoding(n, loop_flags, adj):
     # Bits of the encoding from row i on; rows are n-1-i bits long.
     rest = [(n - i) * (n - 1 - i) // 2 for i in range(n)]
     best = None
-    # Depth first on an explicit stack: (position, cells, rows so far).
-    stack = [(0, [c for c in (loopless, looped) if c], 0)]
+    autos = 0
+    # Depth first on an explicit stack: (position, cells, rows so far,
+    # least orders each leaf below stands for).
+    stack = [(0, [c for c in (loopless, looped) if c], 0, 1)]
     while stack:
-        i, cells, prefix = stack.pop()
+        i, cells, prefix, weight = stack.pop()
         if best is not None and prefix > best >> rest[i]:
             continue
         if i == n - 1:
-            best = prefix
+            if prefix == best:
+                autos += weight
+            else:
+                best, autos = prefix, weight
             continue
         head, tail = cells[0], cells[1:]
         low = None
-        tried = []
+        # Each tried vertex -> the size of its set of twins in the cell.
+        twins = {}
         keep = []
         m = head
         while m:
@@ -289,18 +266,21 @@ def min_encoding(n, loop_flags, adj):
             m ^= bit
             v = bit.bit_length() - 1
             a = adj[v]
-            if any(not (adj[u] ^ a) & ~(bit | 1 << u) for u in tried):
-                continue
-            tried.append(v)
-            row = 0
-            for c in [head ^ bit] + tail:
-                b = (c & a).bit_count()
-                row = (row << c.bit_count()) | ((1 << b) - 1)
-            if low is None or row < low:
-                low = row
-                keep = [v]
-            elif row == low:
-                keep.append(v)
+            for u in twins:
+                if not (adj[u] ^ a) & ~(bit | 1 << u):
+                    twins[u] += 1
+                    break
+            else:
+                twins[v] = 1
+                row = 0
+                for c in [head ^ bit] + tail:
+                    b = (c & a).bit_count()
+                    row = (row << c.bit_count()) | ((1 << b) - 1)
+                if low is None or row < low:
+                    low = row
+                    keep = [v]
+                elif row == low:
+                    keep.append(v)
         prefix = (prefix << (n - 1 - i)) | low
         # The children's own test, made once before their cells are split.
         if best is not None and prefix > best >> rest[i + 1]:
@@ -313,5 +293,5 @@ def min_encoding(n, loop_flags, adj):
                     split.append(c & ~a)
                 if c & a:
                     split.append(c & a)
-            stack.append((i + 1, split, prefix))
-    return (((1 << looped.bit_count()) - 1) << (n * (n - 1) // 2)) | best
+            stack.append((i + 1, split, prefix, weight * twins[v]))
+    return (((1 << looped.bit_count()) - 1) << (n * (n - 1) // 2)) | best, autos

@@ -286,6 +286,24 @@ def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp
     assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
 
 
+def test_aut_counts_highly_symmetric_targets(tmp_path, capsys):
+    k12 = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    k66 = [(u, v) for u in range(6) for v in range(6, 12)]
+    for name, edges, count in (("isolated12", [], 479001600), ("k12", k12, 479001600),
+                               ("k66", k66, 1036800)):
+        assert cli.main(["count", "--kind", "aut", "--h", _graph_file(tmp_path, name, 12, edges),
+                         "--format", "plain"]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+
+
+def test_aut_budget_runs_before_the_search(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
+    cycles = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(4) for i in range(5)]
+    assert cli.main(["count", "--kind", "aut", "--h",
+                     _graph_file(tmp_path, "4c5", 20, cycles)]) == 4
+    assert "over the budget" in capsys.readouterr().err
+
+
 def _refuse_hom_polytime(g, h, shapes):
     raise InternalCheckError("a closed-form sum went through hom_polytime")
 
