@@ -182,6 +182,9 @@ def _run_verify(n_max: int) -> dict:
             lovasz_matrix(homomorphic_images(h))
         except SingularSystemError:
             inter.append({"h": to_text(h), "check": "closed-set matrix invertible"})
+        except InternalCheckError:
+            inter.append({"h": to_text(h),
+                          "check": "closed-set determinant is the product of aut"})
     sections["interpolation"] = {"classes": len(classes), "violations": inter}
 
     total = sum(len(s["violations"]) for s in sections.values())

@@ -10,32 +10,32 @@ non-loop-edge deletions; for a target in F but not in C some single edge
 deletion already leaves F, and find_hard_edge locates one.
 
 Against targets in F, homomorphism counts have a closed form (a product
-over source components of sums over target components); the two
-surjective variants reduce to such counts for targets in F and in C
-respectively.  Everything here is polynomial in the source for a fixed
-target.
+over source components of sums over target components).  The two
+surjective variants are signed sums of such counts, over the induced
+subgraphs of a target in F and over the deletion subgraphs of a target in
+C.  Every such subgraph stays in its family, and its count depends only on
+the multiset of component shapes it has, so each target component
+contributes its few shape outcomes with binomial multiplicities and the
+sum runs over distinct multisets, never over subsets.  The source is read
+once per count, in one pass over its components.  Everything here is
+polynomial in the source for a fixed target.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InternalCheckError, SizeLimitError
-from .graphs import (
-    Graph,
-    _adjacency_lists,
-    connected_components,
-    delete_nonloop_edge,
-)
-from .inversion import signed_deletion_subgraphs, signed_induced_subgraphs
+from .graphs import Graph, _adjacency_lists, delete_nonloop_edge
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
 UNRECOGNIZED = "unrecognized"
 
-# Most terms a closed-form surjective sum may have; each term is one
-# closed-form homomorphism count into a subgraph of the target.
+# Most shape multisets a closed-form surjective sum may fold; each one
+# left at the end costs one closed-form homomorphism count.
 CLOSED_FORM_TERM_LIMIT = 1 << 14
 
 
@@ -70,49 +70,64 @@ class ComponentShape:
         return UNRECOGNIZED
 
 
-def _bipartition_sizes(c: Graph) -> tuple[int, int] | None:
-    """Part sizes (larger first) of a connected loop-free graph, or None if
-    an odd cycle makes 2-coloring impossible."""
-    color = [-1] * c.n
-    adj = _adjacency_lists(c)
-    color[0] = 0
-    dq = deque([0])
-    while dq:
-        v = dq.popleft()
-        for w in adj[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                dq.append(w)
-            elif color[w] == color[v]:
-                return None
-    ones = sum(color)
-    x, y = c.n - ones, ones
-    return (x, y) if x >= y else (y, x)
+def _component_profiles(g: Graph) -> list[tuple[int, int, int, tuple[int, int] | None]]:
+    """Per connected component of g, ordered by smallest vertex: its vertex
+    count, looped vertex count, non-loop edge count and 2-coloring part
+    sizes (None when an odd cycle rules one out), all from one
+    breadth-first pass over the adjacency lists."""
+    adj = _adjacency_lists(g)
+    color = [-1] * g.n
+    out = []
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        dq = deque([start])
+        size = ones = loops = degrees = 0
+        bipartite = True
+        while dq:
+            v = dq.popleft()
+            size += 1
+            ones += color[v]
+            loops += v in g.loops
+            degrees += len(adj[v])
+            for w in adj[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    dq.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+        out.append((size, loops, degrees // 2, (size - ones, ones) if bipartite else None))
+    return out
+
+
+def _shape(n: int, loops: int, edges: int, parts) -> ComponentShape:
+    """Shape of a connected component from its _component_profiles entry."""
+    if loops == n:
+        if edges == n * (n - 1) // 2:
+            return ComponentShape.reflexive_clique(n)
+        return ComponentShape.unrecognized()
+    if loops or parts is None or edges != parts[0] * parts[1]:
+        return ComponentShape.unrecognized()
+    return ComponentShape.biclique(*parts)
+
+
+def _shapes(h: Graph) -> list[ComponentShape]:
+    return [_shape(*profile) for profile in _component_profiles(h)]
 
 
 def component_shape(c: Graph) -> ComponentShape:
-    """Classify one connected graph."""
+    """Classify one connected graph; a disconnected one is unrecognized."""
     if c.n == 0:
         raise ValueError("components are nonempty")
-    if len(c.loops) == c.n:
-        if len(c.edges) == c.n * (c.n - 1) // 2:
-            return ComponentShape.reflexive_clique(c.n)
-        return ComponentShape.unrecognized()
-    if c.loops:
-        return ComponentShape.unrecognized()
-    parts = _bipartition_sizes(c)
-    if parts is None:
-        return ComponentShape.unrecognized()
-    a, b = parts
-    if len(c.edges) == a * b:
-        return ComponentShape.biclique(a, b)
-    return ComponentShape.unrecognized()
+    shapes = _shapes(c)
+    return shapes[0] if len(shapes) == 1 else ComponentShape.unrecognized()
 
 
 def classify_F(h: Graph) -> tuple[bool, list[ComponentShape]]:
     """Membership in F plus the per-component shapes (component order
     follows smallest original vertex)."""
-    shapes = [component_shape(c) for c in connected_components(h)]
+    shapes = _shapes(h)
     return all(s.kind != UNRECOGNIZED for s in shapes), shapes
 
 
@@ -126,7 +141,7 @@ def _in_C(shape: ComponentShape) -> bool:
 
 def classify_C(h: Graph) -> tuple[bool, list[ComponentShape]]:
     """Membership in C (stars and reflexive cliques of size at most 2)."""
-    shapes = [component_shape(c) for c in connected_components(h)]
+    shapes = _shapes(h)
     return all(_in_C(s) for s in shapes), shapes
 
 
@@ -154,10 +169,7 @@ def _source_components(g: Graph) -> list[tuple[int, tuple[int, int] | None]]:
     """Per connected component of g, its vertex count and its 2-coloring
     part sizes (None when a loop or an odd cycle rules one out): all the
     closed forms need of the source, computed once per count."""
-    return [
-        (gc.n, None if gc.loops else _bipartition_sizes(gc))
-        for gc in connected_components(g)
-    ]
+    return [(n, None if loops else parts) for n, loops, _, parts in _component_profiles(g)]
 
 
 def _hom_closed_form(comps, shapes: list[ComponentShape]) -> int:
@@ -188,64 +200,110 @@ def _hom_closed_form(comps, shapes: list[ComponentShape]) -> int:
 def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
     """Homomorphism count via closed forms; shapes must describe h's
     components as returned by classify_F."""
-    comps_h = connected_components(h)
-    if len(shapes) != len(comps_h):
-        raise ValueError("shape list does not match the target's components")
     if any(s.kind == UNRECOGNIZED for s in shapes):
         raise ValueError("target is not in F")
-    for c, s in zip(comps_h, shapes):
-        if component_shape(c) != s:
-            raise ValueError("shape list does not match the target's components")
+    if _shapes(h) != list(shapes):
+        raise ValueError("shape list does not match the target's components")
     return _hom_closed_form(_source_components(g), shapes)
 
 
-def _check_term_count(terms: int) -> None:
-    """Refuse a closed-form sum of more than CLOSED_FORM_TERM_LIMIT terms;
-    call it before the first term."""
-    if terms > CLOSED_FORM_TERM_LIMIT:
-        raise SizeLimitError(
-            f"the closed-form sum would have {terms} terms, "
-            f"over the limit of {CLOSED_FORM_TERM_LIMIT}"
-        )
+_K1 = ComponentShape.biclique(1, 0)
+_L1 = ComponentShape.reflexive_clique(1)
 
 
-def _signed_hom_sum(g: Graph, terms) -> int:
-    """Sum of sign * hom(g, sub) over (sign, sub) terms in F, coloring the
-    source once for all of them."""
+def _vsurj_outcomes(s: ComponentShape):
+    """(coefficient, shapes left) for every induced subgraph of one target
+    component, grouped by what is left: a biclique keeps a' and b' of its
+    sides (isolated vertices when one side is empty), a reflexive clique
+    keeps k' vertices; the sign counts deleted vertices."""
+    if s.kind == REFLEXIVE_CLIQUE:
+        for k in range(s.k + 1):
+            shapes = [ComponentShape.reflexive_clique(k)] if k else []
+            yield (-1) ** (s.k - k) * comb(s.k, k), shapes
+        return
+    for a in range(s.a + 1):
+        for b in range(s.b + 1):
+            shapes = [ComponentShape.biclique(a, b)] if a and b else [_K1] * (a + b)
+            yield (-1) ** (s.a - a + s.b - b) * comb(s.a, a) * comb(s.b, b), shapes
+
+
+def _vesurj_outcomes(s: ComponentShape):
+    """(coefficient, shapes left) for every signed deletion subgraph of one
+    target component in C: a star with k leaves loses j edges, a reflexive
+    K2 its edge, and a vertex on no edge is kept or deleted."""
+    if s in (_K1, _L1):
+        yield from ((1, [s]), (-1, []))
+    elif s.kind == REFLEXIVE_CLIQUE:
+        yield from ((1, [s]), (-1, [_L1, _L1]))
+    else:
+        for j in range(s.a + 1):
+            rest = [ComponentShape.biclique(s.a - j, 1)] if j < s.a else [_K1]
+            yield (-1) ** j * comb(s.a, j), rest + [_K1] * j
+
+
+def _signed_shape_sum(g: Graph, shapes: list[ComponentShape], outcomes) -> int:
+    """Sum over one outcome per target component of the product of their
+    coefficients times hom(g, the shapes left).
+
+    The terms are folded component by component into a map from the
+    multiset of shapes left (a sorted tuple of indices into the shapes
+    seen) to its coefficient, and each nonzero entry costs one closed-form
+    count.  The map is refused once it would hold more than
+    CLOSED_FORM_TERM_LIMIT multisets, before any count is made.
+    """
+    index: dict[ComponentShape, int] = {}
+    states = {(): 1}
+    for s in shapes:
+        grouped: dict[tuple[int, ...], int] = {}
+        for coeff, left in outcomes(s):
+            key = tuple(index.setdefault(t, len(index)) for t in left)
+            grouped[key] = grouped.get(key, 0) + coeff
+        folded: dict[tuple[int, ...], int] = {}
+        for state, coeff in states.items():
+            for left, mult in grouped.items():
+                key = tuple(sorted(state + left))
+                if key in folded:
+                    folded[key] += coeff * mult
+                elif len(folded) < CLOSED_FORM_TERM_LIMIT:
+                    folded[key] = coeff * mult
+                else:
+                    raise SizeLimitError(
+                        f"the closed-form sum would fold more than {CLOSED_FORM_TERM_LIMIT} "
+                        "shape multisets, over the limit"
+                    )
+        states = {key: coeff for key, coeff in folded.items() if coeff}
+    universe = list(index)
     comps = _source_components(g)
-    total = 0
-    for sign, sub in terms:
-        ok, sub_shapes = classify_F(sub)
-        if not ok:
-            raise InternalCheckError("a signed subgraph of a target in F left F")
-        total += sign * _hom_closed_form(comps, sub_shapes)
-    return total
+    return sum(
+        coeff * _hom_closed_form(comps, [universe[i] for i in key])
+        for key, coeff in states.items()
+    )
 
 
 def vsurj_polytime(g: Graph, h: Graph) -> int:
-    """Vertex-surjective count for targets in F, via the signed sum of
-    closed-form homomorphism counts over the 2^|V(h)| induced subgraphs of h."""
-    in_f, _ = classify_F(h)
+    """Vertex-surjective count for targets in F: the signed sum of
+    hom(g, h[S]) over vertex subsets S, grouped by the multiset of
+    component shapes h[S] has, so each distinct multiset costs one
+    closed-form count."""
+    in_f, shapes = classify_F(h)
     if not in_f:
         raise ValueError("target is not in F")
     if g.n < h.n:
         return 0
-    _check_term_count(1 << h.n)
-    return _signed_hom_sum(g, signed_induced_subgraphs(h))
+    return _signed_shape_sum(g, shapes, _vsurj_outcomes)
 
 
 def vesurj_polytime(g: Graph, h: Graph) -> int:
-    """Compaction count for targets in C, via the inclusion-exclusion sum of
-    closed-form homomorphism counts over signed deletion subgraphs of h: one
-    term per set of non-loop edges and set of vertices on no such edge."""
-    in_c, _ = classify_C(h)
+    """Compaction count for targets in C: the inclusion-exclusion sum of
+    hom(g, h - A - B) over sets B of non-loop edges and sets A of vertices
+    on no such edge, grouped by the multiset of component shapes left, so
+    each distinct multiset costs one closed-form count."""
+    in_c, shapes = classify_C(h)
     if not in_c:
         raise ValueError("target is not in C")
     if g.n < h.n or len(g.edges) < len(h.edges):
         return 0
-    bare = h.n - len({v for e in h.edges for v in e})
-    _check_term_count(1 << (len(h.edges) + bare))
-    return _signed_hom_sum(g, signed_deletion_subgraphs(h))
+    return _signed_shape_sum(g, shapes, _vesurj_outcomes)
 
 
 def classification_json(h: Graph) -> dict:

@@ -13,13 +13,14 @@ and contains the support of alpha gives the linear system
 
     f(G + F) = sum over H in S of hom(F, H) * (alpha(H) * hom(G, H)),
 
-whose matrix hom(F, H) over S x S is invertible.  Solving it exactly and
-dividing the entry at a target by alpha(target) recovers hom(G, target)
-from oracle access to f alone.  The system depends only on the counter and
-the target's isomorphism class, so reduction_demo, which wires this up end
-to end against the in-process counters, builds it once per class and
-keeps the row of the inverse matrix at each target: a recovery is then
-one query set plus one dot product per target.
+whose matrix hom(F, H) over S x S is invertible: its determinant is the
+product of the members' automorphism counts, which every system checks.
+Solving it exactly and dividing the entry at a target by alpha(target)
+recovers hom(G, target) from oracle access to f alone.  The system depends
+only on the counter and the target's isomorphism class, so reduction_demo,
+which wires this up end to end against the in-process counters, builds it
+once per class and keeps the row of the inverse matrix at each target: a
+recovery is then one query set plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class.  homomorphic_images keeps each class's images, as
@@ -33,6 +34,7 @@ import subprocess
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import kernels
 from .canonical import (
@@ -45,7 +47,7 @@ from .canonical import (
     canonical_key,
     graph_from_key,
 )
-from .counting import hom_count, vesurj_count, vsurj_count
+from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
     OracleMismatchError,
@@ -188,8 +190,14 @@ class LovaszSystem:
 
 
 def _system_over(ordered) -> LovaszSystem:
-    """Matrix, checked nonzero determinant and system over members already
-    known to be distinct, closed and in matrix order."""
+    """Matrix, checked determinant and system over members already known to
+    be distinct, closed and in matrix order.
+
+    On a closed set hom = sur * diag(aut)^-1 * inj, with sur and inj
+    triangular up to a common reordering and aut on both diagonals
+    (Lovasz, Large Networks and Graph Limits, 2012), so the determinant is
+    the product of the members' automorphism counts.
+    """
     if len(ordered) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
     matrix = [
@@ -199,6 +207,12 @@ def _system_over(ordered) -> LovaszSystem:
     det = determinant(matrix)
     if det == 0:
         raise SingularSystemError("homomorphism matrix of a closed set is singular")
+    autos = prod(aut_count(rep) for _, rep in ordered)
+    if det != autos:
+        raise InternalCheckError(
+            f"homomorphism matrix of a closed set has determinant {det}, "
+            f"not the product of its members' automorphism counts, {autos}"
+        )
     return LovaszSystem(list(ordered), matrix, det)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -308,20 +309,46 @@ def _refuse_hom_polytime(g, h, shapes):
     raise InternalCheckError("a closed-form sum went through hom_polytime")
 
 
+def _refuse_closed_form(comps, shapes):
+    raise InternalCheckError("a closed-form term was evaluated")
+
+
+def _stars_file(tmp_path, name, sizes):
+    edges, n = [], 0
+    for leaves in sizes:
+        edges += [(n, n + v) for v in range(1, leaves + 1)]
+        n += leaves + 1
+    return _graph_file(tmp_path, name, n, edges)
+
+
 def test_closed_form_term_limit_runs_before_any_term(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(families, "hom_polytime", _refuse_hom_polytime)
-    p20 = _path_file(tmp_path, 20)
-    c20 = _graph_file(tmp_path, "c20", 20, [(i, (i + 1) % 20) for i in range(20)])
-    isolated20 = _graph_file(tmp_path, "isolated20", 20, [])
-    k1010 = _graph_file(tmp_path, "k1010", 20, [(i, 10 + j) for i in range(10) for j in range(10)])
-    assert cli.main(["count", "--kind", "vesurj", "--g", p20, "--h", isolated20]) == 4
-    assert cli.main(["count", "--kind", "vsurj", "--g", c20, "--h", k1010]) == 4
+    monkeypatch.setattr(families, "_hom_closed_form", _refuse_closed_form)
+    p60 = _path_file(tmp_path, 60)
+    for kind, sizes in (("vsurj", range(1, 9)), ("vesurj", range(1, 10))):
+        h = _stars_file(tmp_path, f"stars{len(sizes)}", sizes)
+        start = time.perf_counter()
+        assert cli.main(["count", "--kind", kind, "--g", p60, "--h", h]) == 4
+        assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.count("the closed-form sum would have 1048576 terms") == 2
+    assert err.count("the closed-form sum would fold more than 16384 shape multisets") == 2
+
+
+def test_closed_form_serves_targets_with_many_subsets(tmp_path, capsys):
+    c20 = _graph_file(tmp_path, "c20", 20, [(i, (i + 1) % 20) for i in range(20)])
+    k88 = _graph_file(tmp_path, "k88", 16, [(i, 8 + j) for i in range(8) for j in range(8)])
+    assert cli.main(["count", "--kind", "vsurj", "--g", c20, "--h", k88,
+                     "--format", "plain"]) == 0
+    assert capsys.readouterr() == ("1828915200000000\n", "path: polytime\n")
+    assert cli.main(["count", "--kind", "vesurj", "--g", _path_file(tmp_path, 60),
+                     "--h", _star_file(tmp_path, 40), "--format", "plain"]) == 0
+    assert capsys.readouterr() == ("0\n", "path: polytime\n")
 
 
 def test_closed_form_vesurj_serves_star13(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(families, "hom_polytime", _refuse_hom_polytime)
-    assert cli.main(["count", "--kind", "vesurj", "--g", _path_file(tmp_path, 20),
-                     "--h", _star_file(tmp_path, 13), "--format", "plain"]) == 0
+    p20, star13 = _path_file(tmp_path, 20), _star_file(tmp_path, 13)
+    start = time.perf_counter()
+    assert cli.main(["count", "--kind", "vesurj", "--g", p20, "--h", star13,
+                     "--format", "plain"]) == 0
+    assert time.perf_counter() - start < 0.1
     assert capsys.readouterr().out == "0\n"

@@ -25,9 +25,11 @@ from homcount.graphs import (
     disjoint_union,
     path_graph,
     reflexive_clique,
+    relabel,
 )
 
 from .conftest import random_graph
+from .oracles import naive_vesurj, naive_vsurj
 
 
 def test_component_shapes():
@@ -137,6 +139,36 @@ def test_vesurj_polytime_matches_brute_force():
     for h in targets:
         for g in sources:
             assert vesurj_polytime(g, h) == vesurj_count(g, h), (g, h)
+
+
+def _oracle_sources(rng, h):
+    """Three sources per target, each small enough that naive_* enumerates
+    every map: two random looped graphs, and a relabeled copy of h plus one
+    vertex, which maps onto h."""
+    n_max = max(n for n in range(h.n, 8) if h.n**n <= 16000 or n == h.n)
+    extra = Graph(1, loops=frozenset({0}) if h.loops and rng.random() < 0.5 else ())
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return [random_graph(rng, n_max, n_min=h.n), random_graph(rng, n_max, n_min=h.n),
+            disjoint_union(relabel(h, perm), extra)]
+
+
+@pytest.mark.parametrize("mode", ["vsurj", "vesurj"])
+def test_surjective_polytime_matches_naive_oracles_up_to_five_vertices(mode):
+    classify, polytime, naive = {
+        "vsurj": (classify_F, vsurj_polytime, naive_vsurj),
+        "vesurj": (classify_C, vesurj_polytime, naive_vesurj),
+    }[mode]
+    rng = random.Random(53)
+    targets = [rep for _, rep in enumerate_graphs(5) if classify(rep)[0]]
+    assert len(targets) == {"vsurj": 78, "vesurj": 62}[mode]
+    nonzero = 0
+    for h in targets:
+        for g in _oracle_sources(rng, h):
+            want = naive(g, h)
+            assert polytime(g, h) == want, (g, h)
+            nonzero += want != 0
+    assert nonzero >= len(targets)
 
 
 def test_polytime_preconditions(named):

@@ -1,5 +1,6 @@
 import functools
 import gc
+import math
 import os
 import random
 import sys
@@ -13,7 +14,12 @@ from homcount import interpolation, kernels
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
 from homcount.counting import hom_count, vesurj_count, vsurj_count
-from homcount.errors import OracleMismatchError, SizeLimitError
+from homcount.errors import (
+    InternalCheckError,
+    OracleMismatchError,
+    SingularSystemError,
+    SizeLimitError,
+)
 from homcount.exactsolve import solve_linear_system
 from homcount.families import find_hard_edge
 from homcount.graphs import (
@@ -44,6 +50,7 @@ from homcount.interpolation import (
 
 from .conftest import random_graph
 from .oracles import (
+    naive_aut,
     naive_classes,
     naive_isomorphic,
     naive_quotient,
@@ -233,6 +240,31 @@ def test_lovasz_matrix_small_example(named):
     system = lovasz_matrix(members)
     assert system.matrix == [[1, 1, 2], [0, 1, 0], [0, 1, 2]]
     assert system.det == 2
+
+
+def test_lovasz_determinant_is_product_of_automorphism_counts():
+    for _, h in enumerate_graphs(4):
+        system = lovasz_matrix(closed_set([h]))
+        assert system.det == math.prod(naive_aut(rep) for _, rep in system.members), h
+
+
+def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
+    def off_by_one(f, h):
+        return hom_count(f, h) + (f.n == h.n == 2)
+
+    monkeypatch.setattr(interpolation, "hom_count", off_by_one)
+    with pytest.raises(InternalCheckError) as raised:
+        lovasz_matrix(closed_set([named["k1"], named["l1"], named["k2"]]))
+    assert not isinstance(raised.value, SingularSystemError)
+    assert "determinant 3" in str(raised.value)
+
+
+def test_verify_reports_determinant_mismatch(monkeypatch):
+    monkeypatch.setattr(interpolation, "aut_count", lambda h: 2)
+    report = _run_verify(1)
+    checks = [v["check"] for v in report["sections"]["interpolation"]["violations"]]
+    assert checks == ["closed-set determinant is the product of aut"] * 3
+    assert not report["ok"]
 
 
 def test_lovasz_matrix_rejects_non_closed_input(named):
