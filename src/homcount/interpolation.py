@@ -16,11 +16,17 @@ and contains the support of alpha gives the linear system
 whose matrix hom(F, H) over S x S is invertible: its determinant is the
 product of the members' automorphism counts, which every system checks.
 Solving it exactly and dividing the entry at a target by alpha(target)
-recovers hom(G, target) from oracle access to f alone.  The system depends
-only on the counter and the target's isomorphism class, so reduction_demo,
-which wires this up end to end against the in-process counters, builds it
-once per class and keeps the row of the inverse matrix at each target: a
-recovery is then one query set plus one dot product per target.
+recovers hom(G, target) from oracle access to f alone.  The matrix is
+filled from hom counts between the classes of the members' connected
+components, since hom is multiplicative over the source's components and
+additive over a connected source's target components.  Each system is
+eliminated once (exactsolve.factorize, on the transposed matrix) and
+keeps the elimination, so every row of the inverse matrix costs O(n^2).
+The system depends only on the counter and the target's isomorphism
+class, so reduction_demo, which wires this up end to end against the
+in-process counters, builds it once per class and keeps the row of the
+inverse matrix at each target: a recovery is then one query set plus one
+dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class.  homomorphic_images keeps each class's images, as
@@ -54,12 +60,14 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .exactsolve import _as_int, determinant, solve_linear_system
+from .exactsolve import Factorization, _as_int, factorize
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
+    component_vertex_sets,
     delete_nonloop_edge,
     disjoint_union,
+    induced_subgraph,
     to_text,
 )
 from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
@@ -160,51 +168,92 @@ def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
 @dataclass
 class LovaszSystem:
     """Closed set with its homomorphism-count matrix (rows and columns both
-    follow matrix order) and optionally the coefficients being inverted."""
+    follow matrix order) and optionally the coefficients being inverted.
+
+    The transposed matrix is eliminated once and its steps kept, so each
+    row of the inverse matrix costs O(n^2) on first use and is then kept.
+    """
 
     members: list[tuple[GraphKey, Graph]]
     matrix: list[list[int]]
     det: int
     alpha: CoeffVector | None = None
+    _factors: Factorization | None = field(default=None, repr=False, compare=False)
     _index: dict = field(default_factory=dict, repr=False)
     _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {key: i for i, (key, _) in enumerate(self.members)}
+        if self._factors is None:
+            self._factors = factorize(_transposed(self.matrix))
 
     def index_of(self, key: GraphKey) -> int:
         if key not in self._index:
             raise ValueError("graph is not a member of the system")
         return self._index[key]
 
-    def _inverse_row(self, idx: int) -> list[Fraction]:
-        """Row idx of the inverse matrix, solved once from the transposed
-        system against the unit vector e_idx and then kept."""
+    def _inverse_row(self, idx: int) -> list[int]:
+        """det times row idx of the inverse matrix: the transposed system
+        solved against the unit vector e_idx from the kept elimination."""
         row = self._inverse_rows.get(idx)
         if row is None:
             n = len(self.members)
-            transposed = [list(col) for col in zip(*self.matrix)]
-            row = solve_linear_system(transposed, [int(j == idx) for j in range(n)])
+            row = self._factors.solve_scaled([int(j == idx) for j in range(n)])
             self._inverse_rows[idx] = row
         return row
+
+
+def _transposed(matrix: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*matrix)]
 
 
 def _system_over(ordered) -> LovaszSystem:
     """Matrix, checked determinant and system over members already known to
     be distinct, closed and in matrix order.
 
+    Entries come from one table of hom counts between the classes of the
+    members' connected components: hom(F1 + F2, H) = hom(F1, H) * hom(F2, H)
+    for any F1, F2, and hom(F, H1 + H2) = hom(F, H1) + hom(F, H2) for
+    connected F (Lovasz, Large Networks and Graph Limits, 2012).  The empty
+    graph has no components, so its row is all ones and its column is zero
+    except at itself.
+
     On a closed set hom = sur * diag(aut)^-1 * inj, with sur and inj
-    triangular up to a common reordering and aut on both diagonals
-    (Lovasz, Large Networks and Graph Limits, 2012), so the determinant is
-    the product of the members' automorphism counts.
+    triangular up to a common reordering and aut on both diagonals (ibid.),
+    so the determinant is the product of the members' automorphism counts.
+    The transposed matrix is eliminated once; the determinant is read off
+    that elimination, whose steps the system keeps for its inverse rows.
     """
     if len(ordered) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    matrix = [
-        [hom_count(f, h) for _, h in ordered]
-        for _, f in ordered
+    # Component classes (a connected member is its own), and each member's
+    # components as indices into them.
+    index: dict[GraphKey, int] = {}
+    reps = []
+    parts = []
+    for key, rep in ordered:
+        comps = component_vertex_sets(rep)
+        forms = [(key, rep)] if len(comps) == 1 else [
+            canonical_form(induced_subgraph(rep, comp)) for comp in comps
+        ]
+        for k, r in forms:
+            if k not in index:
+                index[k] = len(reps)
+                reps.append(r)
+        parts.append([index[k] for k, _ in forms])
+    # sums[c][j] = hom(c, member j), a sum over member j's components.
+    sums = [
+        [sum(hom_c[d] for d in h_parts) for h_parts in parts]
+        for hom_c in ([hom_count(c, d) for d in reps] for c in reps)
     ]
-    det = determinant(matrix)
+    matrix = []
+    for f_parts in parts:
+        row = [1] * len(parts)
+        for c in f_parts:
+            row = [x * y for x, y in zip(row, sums[c])]
+        matrix.append(row)
+    factors = factorize(_transposed(matrix))
+    det = factors.det
     if det == 0:
         raise SingularSystemError("homomorphism matrix of a closed set is singular")
     autos = prod(aut_count(rep) for _, rep in ordered)
@@ -213,7 +262,7 @@ def _system_over(ordered) -> LovaszSystem:
             f"homomorphism matrix of a closed set has determinant {det}, "
             f"not the product of its members' automorphism counts, {autos}"
         )
-    return LovaszSystem(list(ordered), matrix, det)
+    return LovaszSystem(list(ordered), matrix, det, _factors=factors)
 
 
 def lovasz_matrix(members) -> LovaszSystem:
@@ -336,7 +385,7 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     rhs = [_as_int(oracle.eval(disjoint_union(g, rep))) for _, rep in system.members]
     values = []
     for row, a_t in targets:
-        value = sum(r * b for r, b in zip(row, rhs)) / a_t
+        value = Fraction(sum(r * b for r, b in zip(row, rhs)), system._factors.det * a_t)
         if value.denominator != 1 or value < 0:
             raise OracleMismatchError(
                 "recovered value is not a nonnegative integer; "
@@ -350,11 +399,12 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
     """Recover hom(g, target) using exactly one oracle query per member.
 
     Queries f(g + F) for every member F and takes the dot product of the
-    answers with the inverse matrix's row at the target, which the system
-    solves exactly on first use and keeps, so later recoveries against the
-    same system make no elimination.  The entry is divided by
-    alpha(target).  A non-integer or negative outcome means the oracle does
-    not match the declared coefficients.
+    answers with the inverse matrix's row at the target.  The system was
+    eliminated once when it was built; the row is solved from that kept
+    elimination on first use, in O(n^2), and kept, so no recovery
+    eliminates.  The entry is divided by alpha(target).  A non-integer or
+    negative outcome means the oracle does not match the declared
+    coefficients.
     """
     return _recover(system, oracle, g, [target])[0]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homcount.errors import SingularSystemError
-from homcount.exactsolve import determinant, solve_linear_system
+from homcount.exactsolve import determinant, factorize, solve_linear_system
 
 
 def fraction_determinant(rows):
@@ -105,3 +105,51 @@ def test_solve_returns_fractions():
     got = solve_linear_system([[2]], [1])
     assert got == [Fraction(1, 2)]
     assert isinstance(got[0], Fraction)
+
+
+def test_one_factorization_solves_many_right_hand_sides():
+    rng = random.Random(23)
+    swapped = solved = 0
+    for trial in range(200):
+        n = rng.randint(0, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 2:
+            rows[0][0] = 0
+        factors = factorize(rows)
+        assert factors.det == fraction_determinant(rows)
+        if factors.det == 0:
+            continue
+        swapped += factors.order != list(range(n))
+        for _ in range(4):
+            rhs = [rng.randint(-99, 99) for _ in range(n)]
+            got = [Fraction(x, factors.det) for x in factors.solve_scaled(rhs)]
+            assert got == fraction_solve(rows, rhs)
+        solved += 1
+    assert swapped >= 40 and solved >= 150
+
+
+def test_factorization_base_cases():
+    empty = factorize([])
+    assert empty.det == 1
+    assert empty.solve_scaled([]) == []
+    one = factorize([[5]])
+    assert one.det == 5
+    assert [one.solve_scaled([b]) for b in (3, -10, 0)] == [[3], [-10], [0]]
+
+
+def test_factorization_is_exact_on_large_entries():
+    big = 10**30
+    rows = [[big, 1, 0], [1, big, 1], [0, 1, big]]
+    factors = factorize(rows)
+    assert factors.det == fraction_determinant(rows)
+    for rhs in ([1, 0, 0], [big, -big, 7], [3 * big**2, 1, -1]):
+        got = [Fraction(x, factors.det) for x in factors.solve_scaled(rhs)]
+        assert got == fraction_solve(rows, rhs)
+
+
+def test_singular_factorization_has_zero_determinant_and_cannot_solve():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 2]]):
+        factors = factorize(rows)
+        assert factors.det == 0
+        with pytest.raises(SingularSystemError):
+            factors.solve_scaled([1] * len(rows))

@@ -248,6 +248,47 @@ def test_lovasz_determinant_is_product_of_automorphism_counts():
         assert system.det == math.prod(naive_aut(rep) for _, rep in system.members), h
 
 
+def _recover_mix_targets(named):
+    c4_one_loop = Graph(4, loops=[0], edges=cycle_graph(4).edges)
+    return [named["k2"], named["k3"], named["p3"], named["k22"], named["star3"],
+            biclique(2, 3), named["c5"], complete_graph(4), c4_one_loop,
+            named["r2"], named["r3"]]
+
+
+def test_component_table_matrix_matches_hom_counts(named):
+    systems = [lovasz_matrix(homomorphic_images(h)) for _, h in enumerate_graphs(4)]
+    for h in _recover_mix_targets(named):
+        systems += [build_system(alpha_for_vsurj(h)), build_system(alpha_for_vesurj(h))]
+    assert len(systems) == 119 + 22
+    assert any(rep.n == 0 for system in systems for _, rep in system.members)
+    for system in systems:
+        reps = [rep for _, rep in system.members]
+        for f, row in zip(reps, system.matrix):
+            for h, entry in zip(reps, row):
+                assert entry == hom_count(f, h), (f, h)
+
+
+def test_k23_vesurj_system_counts_component_classes_and_eliminates_once(monkeypatch):
+    alpha = alpha_for_vesurj(biclique(2, 3))
+    calls, eliminations = [], []
+    count_maps, factorize = kernels.count_maps, interpolation.factorize
+
+    def counting_maps(*args, **kwargs):
+        calls.append(args)
+        return count_maps(*args, **kwargs)
+
+    def counting_eliminations(rows):
+        eliminations.append(len(rows))
+        return factorize(rows)
+
+    monkeypatch.setattr(kernels, "count_maps", counting_maps)
+    monkeypatch.setattr(interpolation, "factorize", counting_eliminations)
+    system = build_system(alpha)
+    assert len(system.members) == 62
+    assert len(calls) <= 30**2
+    assert eliminations == [62]
+
+
 def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
     def off_by_one(f, h):
         return hom_count(f, h) + (f.n == h.n == 2)
@@ -329,30 +370,31 @@ def test_recover_hom_from_vesurj_oracle_hits_edge_deleted_target(named):
 
 
 def test_factored_recovery_matches_full_solve(monkeypatch, named):
-    solves = []
-    solve = interpolation.solve_linear_system
+    eliminations = []
+    factorize = interpolation.factorize
 
-    def counting(rows, rhs):
-        solves.append(len(rows))
-        return solve(rows, rhs)
+    def counting(rows):
+        eliminations.append(len(rows))
+        return factorize(rows)
 
-    monkeypatch.setattr(interpolation, "solve_linear_system", counting)
+    monkeypatch.setattr(interpolation, "factorize", counting)
     for mode, h in (("vsurj", named["k3"]), ("vsurj", named["star3"]),
                     ("vesurj", named["k22"]), ("vesurj", named["r2"])):
         alpha = alpha_for_vsurj(h) if mode == "vsurj" else alpha_for_vesurj(h)
+        eliminations.clear()
         system = build_system(alpha)
+        assert eliminations == [len(system.members)]
         for g in (named["p3"], named["c5"]):
             oracle = CountingOracle(mode, h)
             rhs = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
-            beta = solve(system.matrix, rhs)
+            beta = solve_linear_system(system.matrix, rhs)
             for key, rep, coeff in alpha.items():
                 got = recover_hom(system, oracle, g, key)
                 assert Fraction(got) == beta[system.index_of(key)] / coeff
                 assert got == hom_count(g, rep)
-        solves.clear()
         for key in alpha.support():
             recover_hom(system, CountingOracle(mode, h), named["p4"], key)
-        assert solves == []
+        assert eliminations == [len(system.members)]
 
 
 def test_recover_rejects_target_outside_support(named):
