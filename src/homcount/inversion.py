@@ -41,6 +41,10 @@ from .errors import SizeLimitError
 from .graphs import Graph, induced_subgraph, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
+# Largest n_max verify_expansions accepts.  At 5 it checks 663 classes in
+# about a minute; at 6, enumerating the 5,759 classes alone takes 20 s, and
+# their tables hold 75 times as many pairs.
+VERIFY_MAX_VERTICES = 5
 
 
 class CoeffVector:
@@ -249,8 +253,14 @@ def verify_expansions(n_max: int) -> dict:
     ordered pair of canonical representatives, and each target's induced,
     signed induced, downset and inverse columns are built once and mapped to
     class indices, so every check is a dot product of a table row with a
-    column.
+    column.  n_max above VERIFY_MAX_VERTICES is refused before any class
+    is enumerated.
     """
+    if n_max > VERIFY_MAX_VERTICES:
+        raise SizeLimitError(
+            f"verify is limited to {VERIFY_MAX_VERTICES} vertices; the tables for "
+            f"{n_max} would take over an hour"
+        )
     classes = enumerate_graphs(n_max)
     index = {key: i for i, (key, _) in enumerate(classes)}
     reps = [rep for _, rep in classes]

@@ -1,12 +1,15 @@
 """Counting and canonicalization kernels.
 
-The hot loops of the package, in pure Python.  Both counting kernels take
-Graph objects and place one source vertex at a time in breadth-first
-order, so each vertex after the first of its component has a placed
-neighbour.  The candidate images of a vertex form one bitmask: the AND of
-the target neighbourhoods of its placed neighbours' images, so no partial
-map ever breaks an edge.  Counts are plain integers with no overflow
-concerns.
+The hot loops of the package, in pure Python.  count_maps takes Graph
+objects and places one source vertex at a time, component by component, so
+each vertex after the first of its component has a placed neighbour.  A
+component is placed in breadth-first order, or in depth-first preorder when
+that keeps strictly fewer vertices on the frontier at its widest (on the
+complete binary tree with 63 vertices, BFS order keeps up to 16 and DFS
+preorder up to 5).  The candidate images of a vertex form one bitmask: the
+AND of the target neighbourhoods of its placed neighbours' images, so no
+partial map ever breaks an edge.  Counts are plain integers with no
+overflow concerns.
 
 count_maps is a forward dynamic program over that order (after
 Díaz, Serna and Thilikos, TCS 2002).  After each position, a state is the
@@ -16,7 +19,14 @@ surjective modes add the mask of target vertices covered so far, and
 vesurj the mask of target non-loop edges covered so far, so they count
 surjective maps directly, not as signed sums of hom counts.  A state that
 can no longer cover what is left of the target is dropped.  The work is
-bounded by state_bound, which the CLI budget charges.
+bounded by state_bound, which the CLI budget charges.  hom and the
+surjective modes run separate loops, so the hom loop keys a state by the
+frontier images alone and tests no mode per candidate.  The per-source
+schedule fixes, for each step, how a state's frontier shrinks (nothing to
+do when every entry stays, else one itemgetter call) and holds the last
+step apart.  The surjective loop reads its coverage thresholds once per
+step: a state one vertex short of the vertex threshold draws its images
+from the uncovered vertices alone, so no candidate is tested for it.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
@@ -29,6 +39,7 @@ sets skipped on its path.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .graphs import adjacency_masks, loops_mask
 
@@ -45,39 +56,93 @@ def backend_name() -> str:
     return "pure"
 
 
+def _bfs_order(adj, start):
+    """start's component in breadth-first order, and its vertex mask."""
+    order = [start]
+    seen = 1 << start
+    for v in order:
+        fresh = adj[v] & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            order.append(low.bit_length() - 1)
+            fresh ^= low
+    return order, seen
+
+
+def _dfs_order(adj, start):
+    """start's component in depth-first preorder, least neighbour first."""
+    order = []
+    seen = 0
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        if (seen >> v) & 1:
+            continue
+        seen |= 1 << v
+        order.append(v)
+        fresh = adj[v] & ~seen
+        while fresh:
+            top = fresh.bit_length() - 1
+            stack.append(top)
+            fresh ^= 1 << top
+    return order
+
+
+def _width(adj, order):
+    """Largest frontier along order: placed vertices with an unplaced
+    neighbour, that is, the neighbours of the vertices still to place that
+    are not among them themselves."""
+    later = near = width = 0
+    for v in reversed(order):
+        later |= 1 << v
+        near |= adj[v]
+        size = (near & ~later).bit_count()
+        if size > width:
+            width = size
+    return width
+
+
 def _plan(g):
-    """Search plan for g: its vertices in BFS order per component, so each
-    one after the first of its component has a placed neighbour to prune
-    against, and for each position the earlier positions adjacent to it."""
+    """Search plan for g: its vertices component by component, each in BFS
+    order or, when its largest frontier is strictly smaller, DFS preorder,
+    so each vertex after the first of its component has a placed neighbour
+    to prune against; and for each position the earlier positions adjacent
+    to it."""
     adj = adjacency_masks(g)
     order = []
     seen = 0
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        seen |= 1 << start
-        order.append(start)
-        i = len(order) - 1
-        while i < len(order):
-            fresh = adj[order[i]] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                order.append(low.bit_length() - 1)
-                fresh ^= low
-            i += 1
+        comp, mask = _bfs_order(adj, start)
+        seen |= mask
+        width = _width(adj, comp)
+        # No order keeps fewer vertices on its frontier than the least degree
+        # (just before the last vertex is placed, all its neighbours are
+        # there), so DFS is tried only when BFS order does worse.  Width 1
+        # is that bound in any component with an edge.
+        if width > 1 and width > min(adj[v].bit_count() for v in comp):
+            dfs = _dfs_order(adj, start)
+            if _width(adj, dfs) < width:
+                comp = dfs
+        order += comp
     prev = [[j for j in range(i) if (adj[v] >> order[j]) & 1] for i, v in enumerate(order)]
     return order, prev
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _schedule(g):
-    """count_maps' steps for source g, one per position of _plan's order:
-    (looped, slots, kept, push, left, edges_left).  slots index the
-    frontier before the step at the placed neighbours, kept the frontier
-    entries that stay; push says whether the new vertex joins the frontier
-    (at its end); left counts the vertices and edges_left the non-loop
-    edges still to place after the step."""
+    """count_maps' steps for source g along _plan's order: (steps, last,
+    widths).  steps holds (looped, slots, pick, push, left, edges_left) for
+    every position but the last.  slots index the frontier before the step
+    at the placed neighbours.  pick takes the entries that stay out of that
+    frontier: None when all of them stay, else an itemgetter that returns a
+    tuple.  push says whether the new vertex joins the frontier (at its
+    end); left counts the vertices and edges_left the non-loop edges still
+    to place after the step.  last is (looped, slots) for the last
+    position, None for the empty graph; widths holds the frontier's size
+    after each position."""
     order, prev = _plan(g)
     last = list(range(g.n))
     for w, ups in enumerate(prev):
@@ -85,15 +150,25 @@ def _schedule(g):
             last[u] = w
     frontier = []
     steps = []
+    widths = []
     edges_left = len(g.edges)
     for w, v in enumerate(order):
         edges_left -= len(prev[w])
-        slots = tuple(frontier.index(u) for u in prev[w])
-        kept = tuple(i for i, u in enumerate(frontier) if last[u] > w)
+        slots = tuple([frontier.index(u) for u in prev[w]])
+        kept = tuple([i for i, u in enumerate(frontier) if last[u] > w])
+        if len(kept) == len(frontier):
+            pick = None
+        elif len(kept) > 1:
+            pick = itemgetter(*kept)
+        else:
+            # itemgetter of one index returns the entry itself, not a tuple.
+            pick = itemgetter(slice(kept[0], kept[0] + 1) if kept else slice(0))
         push = last[w] > w
         frontier = [frontier[i] for i in kept] + ([w] if push else [])
-        steps.append((v in g.loops, slots, kept, push, g.n - 1 - w, edges_left))
-    return tuple(steps)
+        steps.append((v in g.loops, slots, pick, push, g.n - 1 - w, edges_left))
+        widths.append(len(frontier))
+    final = steps.pop()[:2] if steps else None
+    return tuple(steps), final, tuple(widths)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -117,60 +192,101 @@ def state_bound(g, h, mode):
     c = 1 for hom, 2^n for vsurj and 2^(n + |E(h)|) for vesurj."""
     n = h.n
     c = (1, 1 << n, 1 << (n + len(h.edges)))[mode]
-    return sum(min(n ** (w + 1), n ** (len(kept) + push) * c)
-               for w, (_, _, kept, push, _, _) in enumerate(_schedule(g)))
+    return sum(min(n ** (w + 1), n ** f * c) for w, f in enumerate(_schedule(g)[2]))
 
 
 def count_maps(g, h, mode):
     """Count homomorphisms from g to h: all of them, the vertex-surjective
     ones, or the vertex-surjective ones covering every non-loop edge of h,
     as mode selects.  Any sizes, empty graphs included."""
-    n = h.n
-    h_edges = len(h.edges)
-    if mode != MODE_HOM and (n > g.n or (mode == MODE_VESURJ and h_edges > len(g.edges))):
+    if mode == MODE_HOM:
+        return _count_homs(g, h)
+    if h.n > g.n or (mode == MODE_VESURJ and len(h.edges) > len(g.edges)):
         return 0
-    steps = _schedule(g)
-    if not steps:
+    return _count_surjective(g, h, mode == MODE_VESURJ)
+
+
+def _count_homs(g, h):
+    steps, last, _ = _schedule(g)
+    if last is None:
         return 1
-    nbr, pairs, h_loops = _tables(h)
-    full = (1 << n) - 1
-    # (frontier images, covered vertices, covered edges) -> partial maps
-    states = {((), 0, 0): 1}
-    for looped, slots, kept, push, left, edges_left in steps[:-1]:
+    nbr, _, h_loops = _tables(h)
+    full = (1 << h.n) - 1
+    # frontier images -> partial maps
+    states = {(): 1}
+    for looped, slots, pick, push, _, _ in steps:
         base = h_loops if looped else full
         nxt = {}
         get = nxt.get
-        for (imgs, cov, ecov), mult in states.items():
+        for imgs, mult in states.items():
             m = base
             for s in slots:
                 m &= nbr[imgs[s]]
             if not m:
                 continue
-            stem = tuple([imgs[s] for s in kept])
-            if mode == MODE_HOM and not push:
-                key = (stem, 0, 0)
-                nxt[key] = get(key, 0) + mult * m.bit_count()
+            stem = imgs if pick is None else pick(imgs)
+            if not push:
+                nxt[stem] = get(stem, 0) + mult * m.bit_count()
                 continue
             while m:
                 low = m & -m
                 m ^= low
+                key = stem + (low.bit_length() - 1,)
+                nxt[key] = get(key, 0) + mult
+        states = nxt
+    looped, slots = last
+    base = h_loops if looped else full
+    total = 0
+    for imgs, mult in states.items():
+        m = base
+        for s in slots:
+            m &= nbr[imgs[s]]
+        total += mult * m.bit_count()
+    return total
+
+
+def _count_surjective(g, h, edges_too):
+    steps, last, _ = _schedule(g)
+    if last is None:
+        return 1
+    n = h.n
+    h_edges = len(h.edges)
+    nbr, pairs, h_loops = _tables(h)
+    full = (1 << n) - 1
+    # (frontier images, covered vertices, covered edges) -> partial maps
+    states = {((), 0, 0): 1}
+    for looped, slots, pick, push, left, edges_left in steps:
+        base = h_loops if looped else full
+        # What must be covered after this step for the rest to cover h.
+        # Every state covers at least need - 1 vertices, the last step's
+        # need, so in a state that covers no more the image must be new.
+        need = n - left
+        need_edges = h_edges - edges_left
+        nxt = {}
+        get = nxt.get
+        for (imgs, cov, ecov), mult in states.items():
+            m = base if cov.bit_count() >= need else base & ~cov
+            for s in slots:
+                m &= nbr[imgs[s]]
+            if not m:
+                continue
+            stem = imgs if pick is None else pick(imgs)
+            while m:
+                low = m & -m
+                m ^= low
+                cv = cov | low
                 c = low.bit_length() - 1
-                cv = cov
                 ev = ecov
-                if mode != MODE_HOM:
-                    cv |= low
-                    if n - cv.bit_count() > left:
+                if edges_too:
+                    row = pairs[c]
+                    for s in slots:
+                        ev |= row[imgs[s]]
+                    if ev.bit_count() < need_edges:
                         continue
-                    if mode == MODE_VESURJ:
-                        row = pairs[c]
-                        for s in slots:
-                            ev |= row[imgs[s]]
-                        if h_edges - ev.bit_count() > edges_left:
-                            continue
                 key = (stem + (c,) if push else stem, cv, ev)
                 nxt[key] = get(key, 0) + mult
         states = nxt
-    looped, slots = steps[-1][:2]
+    looped, slots = last
     base = h_loops if looped else full
     every_edge = (1 << h_edges) - 1
     total = 0
@@ -178,10 +294,10 @@ def count_maps(g, h, mode):
         m = base
         for s in slots:
             m &= nbr[imgs[s]]
-        if mode != MODE_HOM and cov != full:
+        if cov != full:
             # Pruning leaves one target vertex uncovered: the last image.
             m &= full ^ cov
-        if mode != MODE_VESURJ:
+        if not edges_too:
             total += mult * m.bit_count()
             continue
         while m:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from homcount import cli, families, kernels
+from homcount import cli, families, inversion, kernels
 from homcount.errors import InternalCheckError
 
 DATA = Path(__file__).parent / "data"
@@ -285,6 +285,18 @@ def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp
     monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
     assert cli.main(["inverse-column", "--h", _star_file(tmp_path, 13)]) == 4
     assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
+
+
+def test_verify_size_guard_runs_before_enumeration(monkeypatch, capsys):
+    def refuse(n_max):
+        raise InternalCheckError(f"enumerated the classes up to {n_max} vertices")
+
+    monkeypatch.setattr(inversion, "enumerate_graphs", refuse)
+    monkeypatch.setattr(cli, "enumerate_graphs", refuse)
+    start = time.perf_counter()
+    assert cli.main(["verify", "--n-max", "6"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "verify is limited to 5 vertices" in capsys.readouterr().err
 
 
 def test_aut_counts_highly_symmetric_targets(tmp_path, capsys):

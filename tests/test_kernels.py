@@ -1,4 +1,5 @@
 import random
+import time
 
 import homcount
 from homcount import kernels
@@ -42,13 +43,51 @@ def _random_looped(rng, n, p_edge, p_loop):
                  [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge])
 
 
+def _step_shapes(g):
+    """(what the step keeps of the frontier, whether it pushes) for each
+    step of g's schedule but the last."""
+    steps, _, widths = kernels._schedule(g)
+    shapes = set()
+    for w, (_, _, pick, push, _, _) in enumerate(steps):
+        frontier = tuple(range(widths[w - 1] if w else 0))
+        kept = frontier if pick is None else pick(frontier)
+        shapes.add(("all" if kept == frontier else "some" if kept else "none", push))
+    return shapes
+
+
 def test_modes_match_oracles_on_random_looped_pairs():
     rng = random.Random(23)
+    pairs = []
     for _ in range(40):
         g = _random_looped(rng, rng.randint(1, 9), rng.uniform(0.15, 0.5), 0.2)
         # At most 4^7 or 3^9 maps for the oracles to enumerate.
         h = _random_looped(rng, rng.randint(1, 4 if g.n <= 7 else 3), 0.6, 0.4)
+        pairs.append((g, h))
+    # Sources for every step shape, each with and without loops: the star
+    # keeps its centre and pushes no leaf; C4 keeps its whole frontier, then
+    # part of it, and pushes both times; the spider keeps one leg's middle
+    # while placing the other leg's end; in the forest (isolated vertices,
+    # K2, P3) steps keep nothing, with and without a push; the diamonds are
+    # placed in depth-first preorder.
+    sources = [
+        Graph(4, (), {(0, 1), (0, 2), (0, 3)}),
+        cycle_graph(4),
+        Graph(5, (), {(0, 1), (0, 2), (1, 3), (2, 4)}),
+        Graph(7, (), {(1, 2), (4, 5), (5, 6)}),
+        Graph(4, (), {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}),
+        Graph(5, (), {(2, 3), (2, 4), (0, 4), (3, 4), (1, 3), (1, 4)}),
+    ]
+    targets = [complete_graph(3), Graph(3, {0, 2}, {(0, 1), (1, 2)}),
+               Graph(4, {3}, {(0, 1), (1, 2), (2, 3)})]
+    for g in sources:
+        for looped in (g.loops, frozenset(range(0, g.n, 2))):
+            pairs += [(Graph(g.n, looped, g.edges), h) for h in targets]
+    shapes = set()
+    for g, h in pairs:
         _agrees_with_oracles(g, h)
+        shapes |= _step_shapes(g)
+    assert shapes == {(kept, push) for kept in ("all", "some", "none") for push in (False, True)}
+    assert kernels._plan(sources[4])[0] == [0, 1, 3, 2]
 
 
 def _grid(k):
@@ -109,6 +148,26 @@ def test_state_bound_sums_frontier_bounds():
     assert kernels.state_bound(cycle_graph(5), k3, kernels.MODE_VESURJ) == 3 + 9 + 27 + 81 + 64
     assert kernels.state_bound(Graph(0), k3, kernels.MODE_HOM) == 0
     assert kernels.state_bound(cycle_graph(30), complete_graph(4), kernels.MODE_HOM) < 2000
+
+
+def _binary_tree(n):
+    return Graph(n, (), [((v - 1) // 2, v) for v in range(1, n)])
+
+
+def test_sources_take_dfs_preorder_only_when_its_frontier_is_narrower():
+    k3 = complete_graph(3)
+    # In BFS order the 63-vertex tree keeps up to 16 vertices on the
+    # frontier (bound 2.15e8); in DFS preorder it keeps at most 5.
+    assert kernels.state_bound(_binary_tree(63), k3, kernels.MODE_HOM) <= 2048
+    assert kernels.state_bound(_binary_tree(255), k3, kernels.MODE_HOM) < 40000
+    # Ties keep BFS order: C5 keeps 2 vertices either way and the 6x6 grid
+    # 6, and the grid's BFS bound, 10,210, is below its DFS bound (18,950).
+    assert kernels._plan(cycle_graph(5))[0] == [0, 1, 4, 2, 3]
+    assert kernels.state_bound(_grid(6), k3, kernels.MODE_HOM) == 10210
+    for n in (63, 255):
+        start = time.perf_counter()
+        assert hom_count(_binary_tree(n), k3) == 3 * 2 ** (n - 1)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_kernel_caches_are_bounded():
