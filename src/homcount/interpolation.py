@@ -13,25 +13,29 @@ and contains the support of alpha gives the linear system
 
     f(G + F) = sum over H in S of hom(F, H) * (alpha(H) * hom(G, H)),
 
-whose matrix hom(F, H) over S x S is invertible: its determinant is the
-product of the members' automorphism counts, which every system checks.
-Solving it exactly and dividing the entry at a target by alpha(target)
-recovers hom(G, target) from oracle access to f alone.  The matrix is
-filled from hom counts between the classes of the members' connected
-components, since hom is multiplicative over the source's components and
-additive over a connected source's target components.  Each system is
-eliminated once (exactsolve.factorize, on the transposed matrix) and
-keeps the elimination, so every row of the inverse matrix costs O(n^2).
-The system depends only on the counter and the target's isomorphism
-class, so reduction_demo, which wires this up end to end against the
-in-process counters, builds it once per class and keeps the row of the
-inverse matrix at each target: a recovery is then one query set plus one
-dot product per target.
+whose matrix M = hom(F, H) over S x S is invertible.  On a closed set it
+factors as M = N U into triangular integer factors (Lovasz, Large
+Networks and Graph Limits, 2012): N counts the set partitions of each
+member by the class of their quotient, and U counts injective maps, with
+the members' automorphism counts on its diagonal.  Every system computes
+U = N^-1 M and checks that it comes out so.  Solving the system exactly
+and dividing the entry at a target by alpha(target) recovers
+hom(G, target) from oracle access to f alone.  The matrix is filled from
+hom counts between the classes of the members' connected components,
+since hom is multiplicative over the source's components and additive
+over a connected source's target components.  N is read off the walk
+that finds the members' images, so each row of the inverse matrix costs
+two triangular solves and no elimination.  The system depends only on
+the counter and the target's isomorphism class, so reduction_demo, which
+wires this up end to end against the in-process counters, builds it once
+per class and keeps the row of the inverse matrix at each target: a
+recovery is then one query set plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class.  homomorphic_images keeps each class's images, as
-least encodings, in a cache bounded by IMAGES_CACHE_SIZE, so closed_set,
-lovasz_matrix and verify walk the set partitions of each class once.
+least encodings with their partition and automorphism counts, in a cache
+bounded by IMAGES_CACHE_SIZE, so closed_set, lovasz_matrix and verify
+walk the set partitions of each class once.
 """
 
 from __future__ import annotations
@@ -49,18 +53,19 @@ from .canonical import (
     _form,
     _key,
     _masks,
+    _unpack,
     canonical_form,
     canonical_key,
     graph_from_key,
 )
-from .counting import aut_count, hom_count, vesurj_count, vsurj_count
+from .counting import hom_count, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
     OracleMismatchError,
     SingularSystemError,
     SizeLimitError,
 )
-from .exactsolve import Factorization, _as_int, factorize
+from .exactsolve import _as_int, row_solve_unit_lower, row_solve_upper
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import (
     Graph,
@@ -73,10 +78,11 @@ from .graphs import (
 from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
 
 QUOTIENT_MAX_VERTICES = 8
-# Classes whose homomorphic images are kept, as least encodings (plain
-# ints, about 120 bytes per image: 35 KB for an 8-vertex class with 290).
+# Classes whose homomorphic images are kept, as least encodings with
+# their partition and automorphism counts (plain ints, about 140 bytes per
+# image: 41 KB for an 8-vertex class with 290).
 IMAGES_CACHE_SIZE = 128
-SYSTEM_MAX_SIZE = 64
+SYSTEM_MAX_SIZE = 256
 # Systems kept by reduction_demo's cache, one per (mode, target class).
 SYSTEM_CACHE_SIZE = 64
 # Seconds one external oracle query may take before it counts as failed.
@@ -93,36 +99,42 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
     IMAGES_CACHE_SIZE classes.  A repeated class costs one min_encoding
     plus one Graph per image; each call returns a new list.
     """
+    _check_quotient_size(h)
+    return [_form(k, e) for k, e, _, _ in _image_encodings(h.n, _encoding(h))]
+
+
+def _check_quotient_size(h: Graph) -> None:
     if h.n > QUOTIENT_MAX_VERTICES:
         raise SizeLimitError(
             f"quotient enumeration is limited to {QUOTIENT_MAX_VERTICES} vertices"
         )
-    return [_form(k, e) for k, e in _image_encodings(h.n, _encoding(h))]
 
 
 @lru_cache(maxsize=IMAGES_CACHE_SIZE)
-def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int], ...]:
-    """(block count, least encoding) of each class of quotients of the
-    graph with least encoding enc on n vertices, in matrix order.
+def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(block count, least encoding, partitions, automorphisms) of each class
+    of quotients of the graph with least encoding enc on n vertices, in
+    matrix order: partitions counts the set partitions whose quotient is in
+    the class, and automorphisms is the class's own count.
 
     Set partitions are grown one vertex at a time, depth first on an
     explicit stack, with the quotient kept in bitmask form and blocks
     indexed by their first member.  When vertex v joins block b, only v's
     lower-numbered neighbours are visited: one in b loops b, one in another
-    block c joins b and c.  Each leaf is then exactly the quotient by the
-    partition as (block count, loop mask, adjacency masks); the distinct
-    ones are canonicalized once each.
+    block c joins b and c.  Placing the last vertex then gives exactly the
+    quotient by the partition as (block count, loop mask, adjacency masks),
+    which is counted rather than pushed; the distinct ones are canonicalized
+    once each by min_encoding, which also counts their automorphisms.
     """
+    if n == 0:
+        return ((0, 0, 1, 1),)
     h_loops, adj = _masks(n, enc)
     lower = [[u for u in range(v) if (adj[v] >> u) & 1] for v in range(n)]
-    quotients = set()
+    quotients: dict[tuple, int] = {}
     # (next vertex, block of each placed vertex, loop mask, adjacency masks)
     stack = [(0, (), 0, ())]
     while stack:
         v, blocks, loops, q_adj = stack.pop()
-        if v == n:
-            quotients.add((len(q_adj), loops, q_adj))
-            continue
         k = len(q_adj)
         for b in range(k + 1):
             q_loops = loops | (((h_loops >> v) & 1) << b)
@@ -134,12 +146,20 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int], ...]:
                 else:
                     row[b] |= 1 << c
                     row[c] |= 1 << b
-            stack.append((v + 1, blocks + (b,), q_loops, tuple(row)))
-    encodings = {
-        (k, kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj)[0])
-        for k, loops, q_adj in quotients
-    }
-    return tuple(sorted(encodings, key=lambda ke: _key(*ke)))
+            if v + 1 < n:
+                stack.append((v + 1, blocks + (b,), q_loops, tuple(row)))
+            else:
+                leaf = (len(row), q_loops, tuple(row))
+                quotients[leaf] = quotients.get(leaf, 0) + 1
+    classes: dict[tuple[int, int], list[int]] = {}
+    for (k, loops, q_adj), count in quotients.items():
+        e, aut = kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj)
+        if (k, e) in classes:
+            classes[k, e][0] += count
+        else:
+            classes[k, e] = [count, aut]
+    return tuple(sorted(((k, e, c, a) for (k, e), (c, a) in classes.items()),
+                        key=lambda image: _key(image[0], image[1])))
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
@@ -167,25 +187,28 @@ def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
 
 @dataclass
 class LovaszSystem:
-    """Closed set with its homomorphism-count matrix (rows and columns both
-    follow matrix order) and optionally the coefficients being inverted.
+    """Closed set with its homomorphism-count matrix M (rows and columns
+    both follow matrix order), its triangular factors M = N U, and
+    optionally the coefficients being inverted.
 
-    The transposed matrix is eliminated once and its steps kept, so each
-    row of the inverse matrix costs O(n^2) on first use and is then kept.
+    lower holds N's entries below its unit diagonal, row by row, as
+    (column, partition count) pairs; upper holds U's dense rows, with the
+    members' automorphism counts on the diagonal and det = det M their
+    product.  Each row of the inverse matrix costs two triangular solves
+    on first use and is then kept.
     """
 
     members: list[tuple[GraphKey, Graph]]
     matrix: list[list[int]]
     det: int
+    lower: list[list[tuple[int, int]]] = field(repr=False)
+    upper: list[list[int]] = field(repr=False)
     alpha: CoeffVector | None = None
-    _factors: Factorization | None = field(default=None, repr=False, compare=False)
     _index: dict = field(default_factory=dict, repr=False)
     _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {key: i for i, (key, _) in enumerate(self.members)}
-        if self._factors is None:
-            self._factors = factorize(_transposed(self.matrix))
 
     def index_of(self, key: GraphKey) -> int:
         if key not in self._index:
@@ -193,23 +216,22 @@ class LovaszSystem:
         return self._index[key]
 
     def _inverse_row(self, idx: int) -> list[int]:
-        """det times row idx of the inverse matrix: the transposed system
-        solved against the unit vector e_idx from the kept elimination."""
+        """det times row idx of the inverse matrix M^-1 = U^-1 N^-1: first
+        y U = det e_idx, then z N = y, both over the integers (det U^-1 is
+        integral, since det = det U)."""
         row = self._inverse_rows.get(idx)
         if row is None:
-            n = len(self.members)
-            row = self._factors.solve_scaled([int(j == idx) for j in range(n)])
+            scaled_unit = [0] * len(self.members)
+            scaled_unit[idx] = self.det
+            row = row_solve_unit_lower(self.lower, row_solve_upper(self.upper, scaled_unit))
             self._inverse_rows[idx] = row
         return row
 
 
-def _transposed(matrix: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*matrix)]
-
-
 def _system_over(ordered) -> LovaszSystem:
-    """Matrix, checked determinant and system over members already known to
-    be distinct, closed and in matrix order.
+    """Matrix, factors and checked determinant of the system over members
+    already known to be distinct, closed and in matrix order, each keyed by
+    its least encoding.
 
     Entries come from one table of hom counts between the classes of the
     members' connected components: hom(F1 + F2, H) = hom(F1, H) * hom(F2, H)
@@ -218,11 +240,17 @@ def _system_over(ordered) -> LovaszSystem:
     graph has no components, so its row is all ones and its column is zero
     except at itself.
 
-    On a closed set hom = sur * diag(aut)^-1 * inj, with sur and inj
-    triangular up to a common reordering and aut on both diagonals (ibid.),
-    so the determinant is the product of the members' automorphism counts.
-    The transposed matrix is eliminated once; the determinant is read off
-    that elimination, whose steps the system keeps for its inverse rows.
+    Every homomorphism is a quotient by its fibers followed by an injective
+    map, so M = N U with N[i][k] the number of set partitions of member i
+    whose quotient is member k, and U[k][j] = inj(member k, member j)
+    (ibid.).  A partition that merges vertices leaves fewer vertices and no
+    more edges and loops, and an injective map needs at least as many of
+    each, so in matrix order N is unit lower triangular and U upper
+    triangular with the automorphism counts on its diagonal.  N and those
+    counts are read from the members' cached images, with no canonical
+    search; U = N^-1 M by forward substitution.  M and N are computed
+    independently, so U coming out triangular with the images walk's
+    automorphism counts on its diagonal checks both.
     """
     if len(ordered) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
@@ -252,26 +280,54 @@ def _system_over(ordered) -> LovaszSystem:
         for c in f_parts:
             row = [x * y for x, y in zip(row, sums[c])]
         matrix.append(row)
-    factors = factorize(_transposed(matrix))
-    det = factors.det
-    if det == 0:
-        raise SingularSystemError("homomorphism matrix of a closed set is singular")
-    autos = prod(aut_count(rep) for _, rep in ordered)
-    if det != autos:
+    # N's rows and the automorphism counts, from the members' images.
+    position = {_unpack(key.data): i for i, (key, _) in enumerate(ordered)}
+    lower, autos = [], []
+    for i, (key, _) in enumerate(ordered):
+        below = []
+        for k, e, partitions, aut in _image_encodings(*_unpack(key.data)):
+            j = position.get((k, e))
+            if j == i and partitions == 1:
+                autos.append(aut)
+            elif j is not None and j < i:
+                below.append((j, partitions))
+            else:
+                raise InternalCheckError(
+                    "partition counts of a closed set are not unit lower triangular"
+                )
+        lower.append(below)
+    # U = N^-1 M, row by row, since N's diagonal is all ones.
+    upper = []
+    for m_row, below in zip(matrix, lower):
+        for k, c in below:
+            m_row = [a - c * b for a, b in zip(m_row, upper[k])]
+        upper.append(m_row)
+    if any(any(row[:i]) for i, row in enumerate(upper)):
         raise InternalCheckError(
-            f"homomorphism matrix of a closed set has determinant {det}, "
-            f"not the product of its members' automorphism counts, {autos}"
+            "homomorphism matrix of a closed set has no upper triangular "
+            "injective-count factor"
         )
-    return LovaszSystem(list(ordered), matrix, det, _factors=factors)
+    diagonal = [row[i] for i, row in enumerate(upper)]
+    if 0 in diagonal:
+        raise SingularSystemError("homomorphism matrix of a closed set is singular")
+    if diagonal != autos:
+        i = next(i for i, (d, a) in enumerate(zip(diagonal, autos)) if d != a)
+        raise InternalCheckError(
+            f"homomorphism matrix of a closed set has determinant {prod(diagonal)}: "
+            f"member {i} has {diagonal[i]} injective maps to itself, "
+            f"not its {autos[i]} automorphisms"
+        )
+    return LovaszSystem(list(ordered), matrix, prod(autos), lower, upper)
 
 
 def lovasz_matrix(members) -> LovaszSystem:
-    """Build the homomorphism-count matrix over a closed set.
+    """Build the homomorphism-count matrix over a closed set, with its
+    checked triangular factors.
 
     Accepts (key, rep) pairs or plain graphs; the input must already be
     closed under homomorphic images and contain no duplicate classes.  The
-    matrix is invertible for closed sets; its determinant is computed
-    exactly and checked.
+    matrix is invertible for closed sets: its determinant is the product of
+    the members' automorphism counts, which the factors check.
     """
     norm: dict[GraphKey, Graph] = {}
     for m in members:
@@ -385,7 +441,7 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     rhs = [_as_int(oracle.eval(disjoint_union(g, rep))) for _, rep in system.members]
     values = []
     for row, a_t in targets:
-        value = Fraction(sum(r * b for r, b in zip(row, rhs)), system._factors.det * a_t)
+        value = Fraction(sum(r * b for r, b in zip(row, rhs)), system.det * a_t)
         if value.denominator != 1 or value < 0:
             raise OracleMismatchError(
                 "recovered value is not a nonnegative integer; "
@@ -400,8 +456,8 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
 
     Queries f(g + F) for every member F and takes the dot product of the
     answers with the inverse matrix's row at the target.  The system was
-    eliminated once when it was built; the row is solved from that kept
-    elimination on first use, in O(n^2), and kept, so no recovery
+    factored into triangular N and U when it was built; the row is solved
+    through them on first use, in O(n^2), and kept, so no recovery
     eliminates.  The entry is divided by alpha(target).  A non-integer or
     negative outcome means the oracle does not match the declared
     coefficients.
@@ -409,13 +465,11 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
     return _recover(system, oracle, g, [target])[0]
 
 
-_ALPHA = {"vsurj": alpha_for_vsurj, "vesurj": alpha_for_vesurj}
-
-
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def _reduction_system(mode: str, key: GraphKey) -> tuple[CoeffVector, LovaszSystem]:
     """Coefficients and checked system for a mode and a target class."""
-    alpha = _ALPHA[mode](graph_from_key(key))
+    alpha_for = alpha_for_vsurj if mode == "vsurj" else alpha_for_vesurj
+    alpha = alpha_for(graph_from_key(key))
     return alpha, build_system(alpha)
 
 
@@ -430,10 +484,13 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     the number of targets.  The coefficients and the factored system
     depend only on the mode and h's isomorphism class, so they are built
     once per process and kept (up to SYSTEM_CACHE_SIZE of them); h, g and
-    the hard edge are taken from the inputs on every call.
+    the hard edge are taken from the inputs on every call.  h is a member of
+    its own closed set, so a target too large for quotient enumeration is
+    refused before any coefficient is built.
     """
-    if mode not in _ALPHA:
+    if mode not in ("vsurj", "vesurj"):
         raise ValueError("mode must be 'vsurj' or 'vesurj'")
+    _check_quotient_size(h)
     if oracle is None:
         oracle = CountingOracle(mode, h)
     h_key = canonical_key(h)

@@ -177,6 +177,25 @@ def naive_all_graphs(n: int):
             yield Graph(n, loops, edges)
 
 
+def naive_solve(a, b):
+    """Solve A X = B over the rationals by Gauss-Jordan elimination, for a
+    square nonsingular A and B given as rows; X comes back as rows of
+    Fractions."""
+    n = len(a)
+    rows = [[Fraction(x) for x in a_row] + [Fraction(x) for x in b_row]
+            for a_row, b_row in zip(a, b)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def naive_inverse_column(h: Graph):
     """Solve the deletion-subgraph system for the column at h with Fractions.
 
@@ -184,16 +203,7 @@ def naive_inverse_column(h: Graph):
     """
     reps = [r for r, _ in naive_classes(naive_deletion_pairs(h))]
     m = len(reps)
-    a = [[Fraction(naive_dsub(reps[i], reps[j])) for j in range(m)] for i in range(m)]
-    rhs = [Fraction(1 if naive_isomorphic(reps[i], h) else 0) for i in range(m)]
-    rows = [a[i] + [rhs[i]] for i in range(m)]
-    for col in range(m):
-        piv = next(i for i in range(col, m) if rows[i][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for i in range(m):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
-    return [(reps[i], rows[i][m]) for i in range(m) if rows[i][m] != 0]
+    a = [[naive_dsub(reps[i], reps[j]) for j in range(m)] for i in range(m)]
+    rhs = [[1 if naive_isomorphic(reps[i], h) else 0] for i in range(m)]
+    column = naive_solve(a, rhs)
+    return [(reps[i], column[i][0]) for i in range(m) if column[i][0] != 0]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from homcount import cli, families, inversion, kernels
+from homcount import cli, families, interpolation, inversion, kernels
 from homcount.errors import InternalCheckError
 
 DATA = Path(__file__).parent / "data"
@@ -364,3 +364,37 @@ def test_closed_form_vesurj_serves_star13(monkeypatch, tmp_path, capsys):
                      "--format", "plain"]) == 0
     assert time.perf_counter() - start < 0.1
     assert capsys.readouterr().out == "0\n"
+
+
+def _cycle_file(tmp_path, n):
+    return _graph_file(tmp_path, f"c{n}", n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_recover_size_guard_runs_before_the_coefficients(monkeypatch, tmp_path, capsys):
+    def refuse(h):
+        raise InternalCheckError(f"built coefficients for a {h.n}-vertex target")
+
+    monkeypatch.setattr(interpolation, "alpha_for_vsurj", refuse)
+    monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
+    assert cli.main(["recover", "--mode", "vsurj", "--h", _cycle_file(tmp_path, 20),
+                     "--g", f"{G}/p3.graph"]) == 4
+    assert "quotient enumeration is limited to 8 vertices" in capsys.readouterr().err
+
+
+def test_recover_vesurj_serves_the_hard_targets(tmp_path, capsys):
+    targets = {
+        "k33": _graph_file(tmp_path, "k33", 6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        "k24": _graph_file(tmp_path, "k24", 6, [(i, j) for i in range(2) for j in range(2, 6)]),
+        "c6": _cycle_file(tmp_path, 6),
+        "p6": _path_file(tmp_path, 6),
+        "k5": _graph_file(tmp_path, "k5", 5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+    }
+    members = {"k33": 189, "k24": 139, "c6": 120, "p6": 114, "k5": 89}
+    for name, h in targets.items():
+        assert cli.main(["recover", "--mode", "vesurj", "--h", h, "--g", f"{G}/p3.graph"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["closed_set"]) == report["oracle_queries"] == members[name]
+        assert report["targets"] and all(t["match"] for t in report["targets"]), name
+    assert cli.main(["recover", "--mode", "vesurj", "--h", _cycle_file(tmp_path, 7),
+                     "--g", f"{G}/p3.graph"]) == 4
+    assert "systems are limited to 256 members" in capsys.readouterr().err

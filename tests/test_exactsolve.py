@@ -1,155 +1,119 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from homcount.errors import SingularSystemError
-from homcount.exactsolve import determinant, factorize, solve_linear_system
+from homcount.exactsolve import row_solve_unit_lower, row_solve_upper
+
+from .oracles import naive_solve
 
 
-def fraction_determinant(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            factor = m[i][col] * inv
-            if factor:
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return det
+def random_upper(rng, n, bound=9):
+    """Dense rows of an integer upper triangular matrix, nonzero diagonal."""
+    rows = [[rng.randint(-bound, bound) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice([-1, 1]) * rng.randint(1, bound)
+    return rows
 
 
-def test_determinant_base_cases():
-    assert determinant([]) == 1
-    assert determinant([[7]]) == 7
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[2, 0], [0, 3]]) == 6
-    assert determinant([[1, 2], [2, 4]]) == 0
+def random_lower(rng, n, bound=9):
+    """Entries below the unit diagonal of a sparse lower triangular matrix."""
+    return [[(k, rng.randint(-bound, bound)) for k in range(i) if rng.random() < 0.4]
+            for i in range(n)]
 
 
-def test_determinant_needs_row_swaps():
-    assert determinant([[0, 1], [1, 0]]) == -1
-    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+def dense_unit_lower(lower):
+    n = len(lower)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, below in enumerate(lower):
+        for k, c in below:
+            rows[i][k] = c
+    return rows
 
 
-def test_determinant_matches_fraction_elimination():
-    rng = random.Random(21)
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(rows) == fraction_determinant(rows)
-
-
-def test_determinant_is_exact_on_large_entries():
-    big = 10**30
-    rows = [[big, 1], [1, big]]
-    assert determinant(rows) == big * big - 1
-
-
-def fraction_solve(rows, rhs):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+def fraction_row_solve(a, rhs):
+    """x with x A = rhs, by Fraction elimination on the transposed system."""
+    return [x for (x,) in naive_solve([list(col) for col in zip(*a)], [[b] for b in rhs])]
 
 
 def test_solve_matches_fraction_elimination():
     rng = random.Random(22)
-    solved = 0
-    while solved < 100:
+    integral = fractional = 0
+    for trial in range(300):
         n = rng.randint(1, 6)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        if determinant(rows) == 0:
-            continue
+        upper, lower = random_upper(rng, n), random_lower(rng, n)
         rhs = [rng.randint(-99, 99) for _ in range(n)]
-        got = solve_linear_system(rows, rhs)
-        assert got == fraction_solve(rows, rhs)
-        solved += 1
+        if trial % 2:
+            rhs = [sum(a * b for a, b in zip(rhs, col)) for col in zip(*upper)]
+        assert row_solve_unit_lower(lower, rhs) == fraction_row_solve(dense_unit_lower(lower), rhs)
+        want = fraction_row_solve(upper, rhs)
+        if all(x.denominator == 1 for x in want):
+            assert row_solve_upper(upper, rhs) == want
+            integral += 1
+        else:
+            with pytest.raises(ValueError):
+                row_solve_upper(upper, rhs)
+            fractional += 1
+    assert integral >= 30 and fractional >= 30
 
 
 def test_solve_rejects_non_integer_entries():
+    for solve, factor in ((row_solve_upper, [[1]]), (row_solve_unit_lower, [[]])):
+        for rhs in ([Fraction(1, 2)], [0.5], [1.0]):
+            with pytest.raises(ValueError):
+                solve(factor, rhs)
     with pytest.raises(ValueError):
-        solve_linear_system([[Fraction(1, 2)]], [1])
-    with pytest.raises(ValueError):
-        solve_linear_system([[1]], [0.5])
-    with pytest.raises(ValueError):
-        solve_linear_system([[1.0]], [1])
-    with pytest.raises(ValueError):
-        determinant([[0.5]])
+        row_solve_upper([[2]], [1])
 
 
 def test_solve_raises_on_singular_input():
     with pytest.raises(SingularSystemError):
-        solve_linear_system([[1, 2], [2, 4]], [1, 1])
+        row_solve_upper([[1, 2], [0, 0]], [1, 1])
     with pytest.raises(SingularSystemError):
-        solve_linear_system([[0]], [1])
-
-
-def test_solve_returns_fractions():
-    got = solve_linear_system([[2]], [1])
-    assert got == [Fraction(1, 2)]
-    assert isinstance(got[0], Fraction)
+        row_solve_upper([[0]], [1])
 
 
 def test_one_factorization_solves_many_right_hand_sides():
     rng = random.Random(23)
-    swapped = solved = 0
-    for trial in range(200):
+    for _ in range(100):
         n = rng.randint(0, 6)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        if n > 1 and trial % 2:
-            rows[0][0] = 0
-        factors = factorize(rows)
-        assert factors.det == fraction_determinant(rows)
-        if factors.det == 0:
-            continue
-        swapped += factors.order != list(range(n))
+        upper, lower = random_upper(rng, n), random_lower(rng, n)
+        det = math.prod(upper[i][i] for i in range(n))
+        product = [[sum(a * b for a, b in zip(n_row, col)) for col in zip(*upper)]
+                   for n_row in dense_unit_lower(lower)]
         for _ in range(4):
             rhs = [rng.randint(-99, 99) for _ in range(n)]
-            got = [Fraction(x, factors.det) for x in factors.solve_scaled(rhs)]
-            assert got == fraction_solve(rows, rhs)
-        solved += 1
-    assert swapped >= 40 and solved >= 150
+            # det times the solution is integral: det U^-1 is U's adjugate.
+            got = row_solve_unit_lower(lower, row_solve_upper(upper, [det * b for b in rhs]))
+            assert [Fraction(x, det) for x in got] == fraction_row_solve(product, rhs)
 
 
 def test_factorization_base_cases():
-    empty = factorize([])
-    assert empty.det == 1
-    assert empty.solve_scaled([]) == []
-    one = factorize([[5]])
-    assert one.det == 5
-    assert [one.solve_scaled([b]) for b in (3, -10, 0)] == [[3], [-10], [0]]
+    assert row_solve_upper([], []) == []
+    assert row_solve_unit_lower([], []) == []
+    assert [row_solve_upper([[5]], [b]) for b in (15, -10, 0)] == [[3], [-2], [0]]
+    assert [row_solve_unit_lower([[]], [b]) for b in (3, -10, 0)] == [[3], [-10], [0]]
 
 
 def test_factorization_is_exact_on_large_entries():
     big = 10**30
-    rows = [[big, 1, 0], [1, big, 1], [0, 1, big]]
-    factors = factorize(rows)
-    assert factors.det == fraction_determinant(rows)
-    for rhs in ([1, 0, 0], [big, -big, 7], [3 * big**2, 1, -1]):
-        got = [Fraction(x, factors.det) for x in factors.solve_scaled(rhs)]
-        assert got == fraction_solve(rows, rhs)
+    upper = [[big, 1, 0], [0, big, 1], [0, 0, big]]
+    lower = [[], [(0, big)], [(0, 1), (1, -big)]]
+    for rhs in ([big**3, 0, 0], [big**4, -big**3, 7 * big**3], [3 * big**5, big**3, -big**3]):
+        assert row_solve_upper(upper, rhs) == fraction_row_solve(upper, rhs)
+        assert row_solve_unit_lower(lower, rhs) == fraction_row_solve(dense_unit_lower(lower), rhs)
 
 
 def test_singular_factorization_has_zero_determinant_and_cannot_solve():
-    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 2]]):
-        factors = factorize(rows)
-        assert factors.det == 0
-        with pytest.raises(SingularSystemError):
-            factors.solve_scaled([1] * len(rows))
+    rng = random.Random(24)
+    for n in range(1, 6):
+        for zero in range(n):
+            upper = random_upper(rng, n)
+            upper[zero][zero] = 0
+            assert math.prod(upper[i][i] for i in range(n)) == 0
+            x = [rng.randint(-9, 9) for _ in range(n)]
+            rhs = [sum(a * b for a, b in zip(x, col)) for col in zip(*upper)]
+            with pytest.raises(SingularSystemError):
+                row_solve_upper(upper, rhs)

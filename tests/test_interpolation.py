@@ -11,7 +11,7 @@ import pytest
 
 import homcount
 from homcount import interpolation, kernels
-from homcount.canonical import canonical_key, enumerate_graphs
+from homcount.canonical import canonical_form, canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
 from homcount.counting import hom_count, vesurj_count, vsurj_count
 from homcount.errors import (
@@ -20,7 +20,6 @@ from homcount.errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from homcount.exactsolve import solve_linear_system
 from homcount.families import find_hard_edge
 from homcount.graphs import (
     Graph,
@@ -53,8 +52,10 @@ from .oracles import (
     naive_aut,
     naive_classes,
     naive_isomorphic,
+    naive_min_encoding,
     naive_quotient,
     naive_set_partitions,
+    naive_solve,
 )
 
 
@@ -255,11 +256,18 @@ def _recover_mix_targets(named):
             named["r2"], named["r3"]]
 
 
-def test_component_table_matrix_matches_hom_counts(named):
+def _image_and_recover_mix_systems(named):
+    """The systems over the 119 image sets of classes with at most 4
+    vertices, then the 22 recover-mix systems."""
     systems = [lovasz_matrix(homomorphic_images(h)) for _, h in enumerate_graphs(4)]
     for h in _recover_mix_targets(named):
         systems += [build_system(alpha_for_vsurj(h)), build_system(alpha_for_vesurj(h))]
     assert len(systems) == 119 + 22
+    return systems
+
+
+def test_component_table_matrix_matches_hom_counts(named):
+    systems = _image_and_recover_mix_systems(named)
     assert any(rep.n == 0 for system in systems for _, rep in system.members)
     for system in systems:
         reps = [rep for _, rep in system.members]
@@ -268,49 +276,100 @@ def test_component_table_matrix_matches_hom_counts(named):
                 assert entry == hom_count(f, h), (f, h)
 
 
-def test_k23_vesurj_system_counts_component_classes_and_eliminates_once(monkeypatch):
+def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypatch):
     alpha = alpha_for_vesurj(biclique(2, 3))
-    calls, eliminations = [], []
-    count_maps, factorize = kernels.count_maps, interpolation.factorize
+    calls = []
+    count_maps = kernels.count_maps
 
     def counting_maps(*args, **kwargs):
         calls.append(args)
         return count_maps(*args, **kwargs)
 
-    def counting_eliminations(rows):
-        eliminations.append(len(rows))
-        return factorize(rows)
-
     monkeypatch.setattr(kernels, "count_maps", counting_maps)
-    monkeypatch.setattr(interpolation, "factorize", counting_eliminations)
     system = build_system(alpha)
     assert len(system.members) == 62
     assert len(calls) <= 30**2
-    assert eliminations == [62]
+
+    def refuse(*args):
+        raise AssertionError("keyed a member whose images are cached")
+
+    # Members are keyed by their least encodings, and the images walk has
+    # already counted their automorphisms.
+    monkeypatch.setattr(kernels, "min_encoding", refuse)
+    again = interpolation._system_over(system.members)
+    assert (again.matrix, again.lower, again.upper) == (system.matrix, system.lower, system.upper)
+
+
+def test_factors_match_naive_partitions_and_automorphisms():
+    """N's rows group the naive set partitions of each member by the least
+    encoding of the naive quotient, and U's diagonal is the naive aut."""
+    partitions, autos = {}, {}
+    for _, h in enumerate_graphs(4):
+        classes = {}
+        for p in naive_set_partitions(h.n):
+            q = naive_quotient(h, p)
+            classes.setdefault((q.n, naive_min_encoding(q)), []).append(q)
+        h_class = (h.n, naive_min_encoding(h))
+        partitions[h_class] = {c: len(qs) for c, qs in classes.items()}
+        autos[h_class] = naive_aut(h)
+        kept = interpolation._image_encodings(*h_class)
+        assert {(k, e): c for k, e, c, _ in kept} == partitions[h_class], h
+        assert {(k, e): a for k, e, _, a in kept} == {
+            c: naive_aut(qs[0]) for c, qs in classes.items()}, h
+    for _, h in enumerate_graphs(4):
+        system = lovasz_matrix(homomorphic_images(h))
+        members = [(rep.n, naive_min_encoding(rep)) for _, rep in system.members]
+        for i, member in enumerate(members):
+            row = {members[k]: c for k, c in system.lower[i]}
+            row[member] = 1
+            assert row == partitions[member], (h, i)
+            assert system.upper[i][i] == autos[member], (h, i)
+
+
+def test_inverse_rows_match_fraction_elimination(named):
+    for system in _image_and_recover_mix_systems(named):
+        n = len(system.members)
+        inverse = naive_solve(system.matrix, [[int(i == j) for j in range(n)] for i in range(n)])
+        for t in range(n):
+            assert system._inverse_row(t) == [system.det * x for x in inverse[t]], t
 
 
 def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
-    def off_by_one(f, h):
-        return hom_count(f, h) + (f.n == h.n == 2)
+    members = closed_set([named["k1"], named["l1"], named["k2"]])
+    # hom(K2, K2) off by one changes U's diagonal; hom(K2, K1) off by one
+    # leaves U with an entry below it.
+    for f_n, h_n, message in ((2, 2, "determinant 3"), (2, 1, "upper triangular")):
+        def off_by_one(f, h):
+            return hom_count(f, h) + (f.n == f_n and h.n == h_n and not h.loops)
 
-    monkeypatch.setattr(interpolation, "hom_count", off_by_one)
-    with pytest.raises(InternalCheckError) as raised:
-        lovasz_matrix(closed_set([named["k1"], named["l1"], named["k2"]]))
-    assert not isinstance(raised.value, SingularSystemError)
-    assert "determinant 3" in str(raised.value)
+        monkeypatch.setattr(interpolation, "hom_count", off_by_one)
+        with pytest.raises(InternalCheckError) as raised:
+            lovasz_matrix(members)
+        assert not isinstance(raised.value, SingularSystemError)
+        assert message in str(raised.value)
 
 
 def test_verify_reports_determinant_mismatch(monkeypatch):
-    monkeypatch.setattr(interpolation, "aut_count", lambda h: 2)
-    report = _run_verify(1)
-    checks = [v["check"] for v in report["sections"]["interpolation"]["violations"]]
-    assert checks == ["closed-set determinant is the product of aut"] * 3
-    assert not report["ok"]
+    # The empty graph's system has no hom entries to get wrong; K1's and
+    # L1's have one each.
+    for shift, check in ((1, "closed-set determinant is the product of aut"),
+                         (-1, "closed-set matrix invertible")):
+        def shifted(f, h):
+            return hom_count(f, h) + shift * (f.n == h.n == 1)
+
+        monkeypatch.setattr(interpolation, "hom_count", shifted)
+        report = _run_verify(1)
+        checks = [v["check"] for v in report["sections"]["interpolation"]["violations"]]
+        assert checks == [check] * 2
+        assert not report["ok"]
 
 
 def test_lovasz_matrix_rejects_non_closed_input(named):
     with pytest.raises(ValueError):
         lovasz_matrix([named["k2"]])
+    # _system_over trusts its caller, but K2's partition counts reach L1.
+    with pytest.raises(InternalCheckError, match="unit lower triangular"):
+        interpolation._system_over([canonical_form(named["k2"])])
 
 
 def test_lovasz_matrix_rejects_duplicates(named):
@@ -370,31 +429,32 @@ def test_recover_hom_from_vesurj_oracle_hits_edge_deleted_target(named):
 
 
 def test_factored_recovery_matches_full_solve(monkeypatch, named):
-    eliminations = []
-    factorize = interpolation.factorize
+    solves = []
+    solve = interpolation.row_solve_upper
 
-    def counting(rows):
-        eliminations.append(len(rows))
-        return factorize(rows)
+    def counting(upper, rhs):
+        solves.append(len(rhs))
+        return solve(upper, rhs)
 
-    monkeypatch.setattr(interpolation, "factorize", counting)
+    monkeypatch.setattr(interpolation, "row_solve_upper", counting)
     for mode, h in (("vsurj", named["k3"]), ("vsurj", named["star3"]),
                     ("vesurj", named["k22"]), ("vesurj", named["r2"])):
         alpha = alpha_for_vsurj(h) if mode == "vsurj" else alpha_for_vesurj(h)
-        eliminations.clear()
+        solves.clear()
         system = build_system(alpha)
-        assert eliminations == [len(system.members)]
+        assert solves == []
         for g in (named["p3"], named["c5"]):
             oracle = CountingOracle(mode, h)
             rhs = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
-            beta = solve_linear_system(system.matrix, rhs)
+            beta = [x for (x,) in naive_solve(system.matrix, [[b] for b in rhs])]
             for key, rep, coeff in alpha.items():
                 got = recover_hom(system, oracle, g, key)
                 assert Fraction(got) == beta[system.index_of(key)] / coeff
                 assert got == hom_count(g, rep)
         for key in alpha.support():
             recover_hom(system, CountingOracle(mode, h), named["p4"], key)
-        assert eliminations == [len(system.members)]
+        # One row solve per target, kept for every later recovery.
+        assert solves == [len(system.members)] * len(alpha)
 
 
 def test_recover_rejects_target_outside_support(named):
