@@ -11,12 +11,18 @@ every edge placed so far and, for the surjective counters, what of the
 target they cover, so it counts surjective maps directly.  aut_count reads
 the automorphism count off the canonical-key search (kernels.min_encoding),
 whose least vertex orders form one coset of the automorphism group.
+
+hom_table fills the hom counts between the members of a set of classes
+from the counts between the classes of their connected components, since
+hom is multiplicative over the source's components and, for a connected
+source, additive over the target's components.
 """
 
 from __future__ import annotations
 
 from . import kernels
-from .graphs import Graph, adjacency_masks
+from .canonical import canonical_form
+from .graphs import Graph, adjacency_masks, component_vertex_sets, induced_subgraph
 
 
 def hom_count(g: Graph, h: Graph) -> int:
@@ -40,3 +46,43 @@ def aut_count(h: Graph) -> int:
     non-edges exactly."""
     loop_flags = [1 if v in h.loops else 0 for v in range(h.n)]
     return kernels.min_encoding(h.n, loop_flags, adjacency_masks(h))[1]
+
+
+def hom_table(members) -> list[list[int]]:
+    """hom(F, H) for every ordered pair of the given (key, representative)
+    pairs, rows and columns in their order; each key must be the canonical
+    key of its representative.
+
+    hom_count runs only between the classes of the members' connected
+    components (a connected member is its own): hom(F1 + F2, H) =
+    hom(F1, H) * hom(F2, H) for any F1, F2, and hom(F, H1 + H2) =
+    hom(F, H1) + hom(F, H2) for connected F (Lovasz, Large Networks and
+    Graph Limits, 2012).  The empty graph has no components, so its row is
+    all ones and its column is zero except at itself.
+    """
+    # Component classes, and each member's components as indices into them.
+    index = {}
+    reps = []
+    parts = []
+    for key, rep in members:
+        comps = component_vertex_sets(rep)
+        forms = [(key, rep)] if len(comps) == 1 else [
+            canonical_form(induced_subgraph(rep, comp)) for comp in comps
+        ]
+        for k, r in forms:
+            if k not in index:
+                index[k] = len(reps)
+                reps.append(r)
+        parts.append([index[k] for k, _ in forms])
+    # sums[c][j] = hom(c, member j), a sum over member j's components.
+    sums = [
+        [sum(hom_c[d] for d in h_parts) for h_parts in parts]
+        for hom_c in ([hom_count(c, d) for d in reps] for c in reps)
+    ]
+    table = []
+    for f_parts in parts:
+        row = [1] * len(parts)
+        for c in f_parts:
+            row = [x * y for x, y in zip(row, sums[c])]
+        table.append(row)
+    return table

@@ -58,7 +58,7 @@ from .canonical import (
     canonical_key,
     graph_from_key,
 )
-from .counting import hom_count, vesurj_count, vsurj_count
+from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
     OracleMismatchError,
@@ -67,14 +67,7 @@ from .errors import (
 )
 from .exactsolve import _as_int, row_solve_unit_lower, row_solve_upper
 from .families import classify_C, classify_F, find_hard_edge
-from .graphs import (
-    Graph,
-    component_vertex_sets,
-    delete_nonloop_edge,
-    disjoint_union,
-    induced_subgraph,
-    to_text,
-)
+from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
 
 QUOTIENT_MAX_VERTICES = 8
@@ -167,22 +160,34 @@ def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
     sorted in matrix order.  Closure is verified, not assumed: images of
     members must add nothing.  A given graph's own class is the one image
     with as many vertices, and its images are already merged, so each
-    member's images are computed once."""
+    member's images are computed once.  A union that passes
+    SYSTEM_MAX_SIZE classes is refused as soon as it does, before the
+    images of the remaining inputs or any member."""
+    return _closure(graphs)[0]
+
+
+def _closure(graphs):
+    """closed_set's members, and a map from each member's key to its
+    _image_encodings, for _system_over."""
     acc: dict[GraphKey, Graph] = {}
-    merged = set()
+    images = {}
     for g in graphs:
         for key, rep in homomorphic_images(g):
             acc.setdefault(key, rep)
             if rep.n == g.n:
-                merged.add(key)
+                # Read back from the cache entry the call above made.
+                images[key] = _image_encodings(*_unpack(key.data))
+        if len(acc) > SYSTEM_MAX_SIZE:
+            raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
     members = sorted(acc.items())
     for key, rep in members:
-        if key in merged:
+        if key in images:
             continue
         for image, _ in homomorphic_images(rep):
             if image not in acc:
                 raise InternalCheckError("image closure failed to close")
-    return members
+        images[key] = _image_encodings(*_unpack(key.data))
+    return members, images
 
 
 @dataclass
@@ -228,17 +233,15 @@ class LovaszSystem:
         return row
 
 
-def _system_over(ordered) -> LovaszSystem:
+def _system_over(ordered, images=None) -> LovaszSystem:
     """Matrix, factors and checked determinant of the system over members
     already known to be distinct, closed and in matrix order, each keyed by
-    its least encoding.
+    its least encoding.  images, when given, maps each member's key to its
+    _image_encodings, as closed_set found them; otherwise they are read
+    from the cache.
 
-    Entries come from one table of hom counts between the classes of the
-    members' connected components: hom(F1 + F2, H) = hom(F1, H) * hom(F2, H)
-    for any F1, F2, and hom(F, H1 + H2) = hom(F, H1) + hom(F, H2) for
-    connected F (Lovasz, Large Networks and Graph Limits, 2012).  The empty
-    graph has no components, so its row is all ones and its column is zero
-    except at itself.
+    Entries come from counting.hom_table, which counts hom only between the
+    classes of the members' connected components.
 
     Every homomorphism is a quotient by its fibers followed by an injective
     map, so M = N U with N[i][k] the number of set partitions of member i
@@ -254,38 +257,14 @@ def _system_over(ordered) -> LovaszSystem:
     """
     if len(ordered) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    # Component classes (a connected member is its own), and each member's
-    # components as indices into them.
-    index: dict[GraphKey, int] = {}
-    reps = []
-    parts = []
-    for key, rep in ordered:
-        comps = component_vertex_sets(rep)
-        forms = [(key, rep)] if len(comps) == 1 else [
-            canonical_form(induced_subgraph(rep, comp)) for comp in comps
-        ]
-        for k, r in forms:
-            if k not in index:
-                index[k] = len(reps)
-                reps.append(r)
-        parts.append([index[k] for k, _ in forms])
-    # sums[c][j] = hom(c, member j), a sum over member j's components.
-    sums = [
-        [sum(hom_c[d] for d in h_parts) for h_parts in parts]
-        for hom_c in ([hom_count(c, d) for d in reps] for c in reps)
-    ]
-    matrix = []
-    for f_parts in parts:
-        row = [1] * len(parts)
-        for c in f_parts:
-            row = [x * y for x, y in zip(row, sums[c])]
-        matrix.append(row)
+    matrix = hom_table(ordered)
     # N's rows and the automorphism counts, from the members' images.
     position = {_unpack(key.data): i for i, (key, _) in enumerate(ordered)}
     lower, autos = [], []
     for i, (key, _) in enumerate(ordered):
         below = []
-        for k, e, partitions, aut in _image_encodings(*_unpack(key.data)):
+        found = images[key] if images is not None else _image_encodings(*_unpack(key.data))
+        for k, e, partitions, aut in found:
             j = position.get((k, e))
             if j == i and partitions == 1:
                 autos.append(aut)
@@ -337,11 +316,13 @@ def lovasz_matrix(members) -> LovaszSystem:
         norm[key] = rep
     if len(norm) > SYSTEM_MAX_SIZE:
         raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    for rep in norm.values():
-        for key, _ in homomorphic_images(rep):
-            if key not in norm:
+    images = {}
+    for key, rep in norm.items():
+        for image, _ in homomorphic_images(rep):
+            if image not in norm:
                 raise ValueError("input set is not closed under homomorphic images")
-    return _system_over(sorted(norm.items()))
+        images[key] = _image_encodings(*_unpack(key.data))
+    return _system_over(sorted(norm.items()), images)
 
 
 def alpha_for_vsurj(h: Graph) -> CoeffVector:
@@ -412,8 +393,8 @@ def build_system(alpha: CoeffVector) -> LovaszSystem:
     """Closed set spanning the support of alpha, with matrix and alpha attached.
 
     closed_set verifies closure, so the matrix is built over its members
-    without computing their images a second time."""
-    system = _system_over(closed_set(rep for _, rep, _ in alpha.items()))
+    from the images it computed, without walking them a second time."""
+    system = _system_over(*_closure(rep for _, rep, _ in alpha.items()))
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:
         raise InternalCheckError("closure lost part of the coefficient support")

@@ -16,11 +16,16 @@ converts them into vertex-surjective counts.
 verify_expansions replays the two expansions that make this work, and their
 inverses, as identities between matrices over the classes up to a size:
 hom = vsurj . ind^T, hom = vesurj . dsub^T, and the signed and inverse
-columns back.  It computes the hom, vsurj and vesurj tables once over the
-canonical representatives and each target's columns once, then checks every
-identity entry as an integer dot product, reporting any violation.  There
-the counters run on canonical representatives only; counting on other
-labelings is checked against naive counters by the test suite.
+columns back.  It computes the vsurj and vesurj tables once over the
+canonical representatives, the hom table from the connected classes alone
+(counting.hom_table), and each target's columns once.  Each table column is
+packed into one integer with a slot per source, wide enough that no slot
+can carry into the next, so an identity at a target, for all sources at
+once, is one exact integer combination of packed columns compared with the
+packed left column; only a column that differs is recomputed entry by entry
+to report its violations.  There the counters run on canonical
+representatives only; counting on other labelings is checked against naive
+counters by the test suite.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from .canonical import (
     enumerate_graphs,
     graph_from_key,
 )
-from .counting import hom_count, vesurj_count, vsurj_count
+from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import SizeLimitError
 from .graphs import Graph, induced_subgraph, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
 # Largest n_max verify_expansions accepts.  At 5 it checks 663 classes in
-# about a minute; at 6, enumerating the 5,759 classes alone takes 20 s, and
+# about 22 s; at 6, enumerating the 5,759 classes alone takes 20 s, and
 # their tables hold 75 times as many pairs.
 VERIFY_MAX_VERTICES = 5
 
@@ -249,12 +254,14 @@ def verify_expansions(n_max: int) -> dict:
     with the brute-force counters.  Returns a report dict; the violations
     list is expected to stay empty.
 
-    The pairs are entries of class tables: each counter runs once per
-    ordered pair of canonical representatives, and each target's induced,
-    signed induced, downset and inverse columns are built once and mapped to
-    class indices, so every check is a dot product of a table row with a
-    column.  n_max above VERIFY_MAX_VERTICES is refused before any class
-    is enumerated.
+    The pairs are entries of class tables: the surjective counters run once
+    per ordered pair of canonical representatives and hom once per pair of
+    connected classes, and each target's induced, signed induced, downset
+    and inverse columns are built once and mapped to class indices.  Every
+    identity at a target is checked for all sources at once, as an exact
+    combination of packed table columns; violations are listed by source,
+    target and identity, in that order.  n_max above VERIFY_MAX_VERTICES is
+    refused before any class is enumerated.
     """
     if n_max > VERIFY_MAX_VERTICES:
         raise SizeLimitError(
@@ -264,7 +271,7 @@ def verify_expansions(n_max: int) -> dict:
     classes = enumerate_graphs(n_max)
     index = {key: i for i, (key, _) in enumerate(classes)}
     reps = [rep for _, rep in classes]
-    hom = [[hom_count(g, h) for h in reps] for g in reps]
+    hom = hom_table(classes)
     vsurj = [[vsurj_count(g, h) for h in reps] for g in reps]
     vesurj = [[vesurj_count(g, h) for h in reps] for g in reps]
 
@@ -282,41 +289,47 @@ def verify_expansions(n_max: int) -> dict:
         down.append(on_classes(dsub_downset(h)))
         inv.append(on_classes(dsub_inverse_column(h).items()))
 
-    def dot(row, column):
-        return sum(c * row[f] for f, c in column)
-
-    violations = []
-
-    def record(name, g, h, left, right):
-        violations.append(
-            {
-                "identity": name,
-                "g": to_text(g),
-                "h": to_text(h),
-                "left": str(left),
-                "right": str(right),
-            }
-        )
-
-    pairs = 0
-    for i, g in enumerate(reps):
-        for j, h in enumerate(reps):
-            pairs += 1
-            hom_gh = hom[i][j]
-            total = dot(vsurj[i], ind[j])
-            if total != hom_gh:
-                record("hom = sum of vsurj over induced subgraphs", g, h, hom_gh, total)
-            total = dot(vesurj[i], down[j])
-            if total != hom_gh:
-                record("hom = dsub-weighted sum of vesurj", g, h, hom_gh, total)
-            vs = vsurj[i][j]
-            vsi = dot(hom[i], signed[j])
-            if vs != vsi:
-                record("vsurj = signed hom sum", g, h, vs, vsi)
-            ve = vesurj[i][j]
-            vei = dot(hom[i], inv[j])
-            if ve != vei:
-                record("vesurj = inverse-column hom sum", g, h, ve, vei)
+    # Each table column packed into one integer, entry i in slot i of
+    # `width` bytes.  At every source, |left| + |right| <= top * (weight + 1)
+    # < 2^(8 width), so each slot of the difference of two packed sides
+    # lies strictly between -2^(8 width) and 2^(8 width): the packed sides
+    # are equal exactly when every slot is.
+    tables = (hom, vsurj, vesurj)
+    top = max(abs(x) for table in tables for row in table for x in row)
+    weight = max(sum(abs(c) for _, c in col) for cols in (ind, down, signed, inv) for col in cols)
+    width = (top * (weight + 1)).bit_length() // 8 + 1
+    hom_p, vsurj_p, vesurj_p = ([_pack(col, width) for col in zip(*table)] for table in tables)
+    # (identity, left table, its packed columns, right table, its packed
+    # columns, coefficient columns) in report order.
+    identities = (
+        ("hom = sum of vsurj over induced subgraphs", hom, hom_p, vsurj, vsurj_p, ind),
+        ("hom = dsub-weighted sum of vesurj", hom, hom_p, vesurj, vesurj_p, down),
+        ("vsurj = signed hom sum", vsurj, vsurj_p, hom, hom_p, signed),
+        ("vesurj = inverse-column hom sum", vesurj, vesurj_p, hom, hom_p, inv),
+    )
+    # (source index, target index, identity index, identity, left, right)
+    found = []
+    for j in range(len(reps)):
+        for order, (name, left, left_p, right, right_p, cols) in enumerate(identities):
+            column = cols[j]
+            if left_p[j] == sum(c * right_p[f] for f, c in column):
+                continue
+            for i, row in enumerate(right):
+                total = sum(c * row[f] for f, c in column)
+                if total != left[i][j]:
+                    found.append((i, j, order, name, left[i][j], total))
+    found.sort(key=lambda v: v[:3])
+    violations = [
+        {
+            "identity": name,
+            "g": to_text(reps[i]),
+            "h": to_text(reps[j]),
+            "left": str(left),
+            "right": str(right),
+        }
+        for i, j, _, name, left, right in found
+    ]
+    pairs = len(reps) ** 2
     return {
         "n_max": n_max,
         "classes": len(classes),
@@ -324,3 +337,12 @@ def verify_expansions(n_max: int) -> dict:
         "checks": 4 * pairs,
         "violations": violations,
     }
+
+
+def _pack(column, width: int) -> int:
+    """sum of column[i] * 2^(8 width i), exactly, for entries of either sign
+    below 2^(8 width) in absolute value."""
+    if min(column) < 0:
+        return (_pack([max(x, 0) for x in column], width)
+                - _pack([max(-x, 0) for x in column], width))
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in column]), "little")

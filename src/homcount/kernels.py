@@ -18,7 +18,9 @@ neighbour, mapped to the number of partial maps with those images; the
 surjective modes add the mask of target vertices covered so far, and
 vesurj the mask of target non-loop edges covered so far, so they count
 surjective maps directly, not as signed sums of hom counts.  A state that
-can no longer cover what is left of the target is dropped.  The work is
+can no longer cover what is left of the target is dropped, and a source
+with fewer components than the target has no surjective map at all: each
+source component lands inside one target component.  The work is
 bounded by state_bound, which the CLI budget charges.  hom and the
 surjective modes run separate loops, so the hom loop keys a state by the
 frontier images alone and tests no mode per candidate.  The per-source
@@ -108,15 +110,16 @@ def _plan(g):
     order or, when its largest frontier is strictly smaller, DFS preorder,
     so each vertex after the first of its component has a placed neighbour
     to prune against; and for each position the earlier positions adjacent
-    to it."""
+    to it; and its number of components."""
     adj = adjacency_masks(g)
     order = []
-    seen = 0
+    seen = parts = 0
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
         comp, mask = _bfs_order(adj, start)
         seen |= mask
+        parts += 1
         width = _width(adj, comp)
         # No order keeps fewer vertices on its frontier than the least degree
         # (just before the last vertex is placed, all its neighbours are
@@ -128,13 +131,13 @@ def _plan(g):
                 comp = dfs
         order += comp
     prev = [[j for j in range(i) if (adj[v] >> order[j]) & 1] for i, v in enumerate(order)]
-    return order, prev
+    return order, prev, parts
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _schedule(g):
     """count_maps' steps for source g along _plan's order: (steps, last,
-    widths).  steps holds (looped, slots, pick, push, left, edges_left) for
+    widths, parts).  steps holds (looped, slots, pick, push, left, edges_left) for
     every position but the last.  slots index the frontier before the step
     at the placed neighbours.  pick takes the entries that stay out of that
     frontier: None when all of them stay, else an itemgetter that returns a
@@ -142,8 +145,8 @@ def _schedule(g):
     end); left counts the vertices and edges_left the non-loop edges still
     to place after the step.  last is (looped, slots) for the last
     position, None for the empty graph; widths holds the frontier's size
-    after each position."""
-    order, prev = _plan(g)
+    after each position, and parts counts g's components."""
+    order, prev, parts = _plan(g)
     last = list(range(g.n))
     for w, ups in enumerate(prev):
         for u in ups:
@@ -168,21 +171,27 @@ def _schedule(g):
         steps.append((v in g.loops, slots, pick, push, g.n - 1 - w, edges_left))
         widths.append(len(frontier))
     final = steps.pop()[:2] if steps else None
-    return tuple(steps), final, tuple(widths)
+    return tuple(steps), final, tuple(widths), parts
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _tables(h):
     """count_maps' tables for target h: nbr[c], where a neighbour of a
     vertex mapped to c may go; pairs[c][d], the bit of non-loop edge cd
-    (0 when c and d are not adjacent); the loop mask."""
+    (0 when c and d are not adjacent); the loop mask; the number of
+    components."""
     h_loops = loops_mask(h)
-    nbr = tuple(m | (1 << c) if (h_loops >> c) & 1 else m
-                for c, m in enumerate(adjacency_masks(h)))
+    adj = adjacency_masks(h)
+    nbr = tuple(m | (1 << c) if (h_loops >> c) & 1 else m for c, m in enumerate(adj))
     pairs = [[0] * h.n for _ in range(h.n)]
     for i, (c, d) in enumerate(sorted(h.edges)):
         pairs[c][d] = pairs[d][c] = 1 << i
-    return nbr, tuple(map(tuple, pairs)), h_loops
+    seen = parts = 0
+    for start in range(h.n):
+        if not (seen >> start) & 1:
+            seen |= _bfs_order(adj, start)[1]
+            parts += 1
+    return nbr, tuple(map(tuple, pairs)), h_loops, parts
 
 
 def state_bound(g, h, mode):
@@ -207,10 +216,10 @@ def count_maps(g, h, mode):
 
 
 def _count_homs(g, h):
-    steps, last, _ = _schedule(g)
+    steps, last, _, _ = _schedule(g)
     if last is None:
         return 1
-    nbr, _, h_loops = _tables(h)
+    nbr, _, h_loops, _ = _tables(h)
     full = (1 << h.n) - 1
     # frontier images -> partial maps
     states = {(): 1}
@@ -246,12 +255,15 @@ def _count_homs(g, h):
 
 
 def _count_surjective(g, h, edges_too):
-    steps, last, _ = _schedule(g)
+    steps, last, _, parts = _schedule(g)
     if last is None:
         return 1
+    nbr, pairs, h_loops, h_parts = _tables(h)
+    if parts < h_parts:
+        # Each component of g lands inside one component of h.
+        return 0
     n = h.n
     h_edges = len(h.edges)
-    nbr, pairs, h_loops = _tables(h)
     full = (1 << n) - 1
     # (frontier images, covered vertices, covered edges) -> partial maps
     states = {((), 0, 0): 1}

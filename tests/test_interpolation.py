@@ -13,7 +13,7 @@ import homcount
 from homcount import interpolation, kernels
 from homcount.canonical import canonical_form, canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
-from homcount.counting import hom_count, vesurj_count, vsurj_count
+from homcount.counting import hom_count, hom_table, vesurj_count, vsurj_count
 from homcount.errors import (
     InternalCheckError,
     OracleMismatchError,
@@ -300,6 +300,29 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     assert (again.matrix, again.lower, again.upper) == (system.matrix, system.lower, system.upper)
 
 
+def test_k33_vesurj_system_walks_each_member_once():
+    # 189 members, more than the images cache keeps: closed_set hands the
+    # images it walked to the matrix build instead of reading them back.
+    alpha = alpha_for_vesurj(biclique(3, 3))
+    interpolation._image_encodings.cache_clear()
+    system = build_system(alpha)
+    assert len(system.members) == 189 > IMAGES_CACHE_SIZE
+    assert interpolation._image_encodings.cache_info().misses <= len(system.members)
+
+
+def test_closed_set_refuses_c7_while_it_grows():
+    # C7's vesurj closed set has 278 members; it is refused as soon as the
+    # union passes SYSTEM_MAX_SIZE, before every member's images are walked.
+    alpha = alpha_for_vesurj(cycle_graph(7))
+    for build in (lambda: closed_set(rep for _, rep, _ in alpha.items()),
+                  lambda: reduction_demo(cycle_graph(7), "vesurj", path_graph(3))):
+        interpolation._image_encodings.cache_clear()
+        interpolation._reduction_system.cache_clear()
+        with pytest.raises(SizeLimitError, match="systems are limited"):
+            build()
+        assert interpolation._image_encodings.cache_info().misses < 278
+
+
 def test_factors_match_naive_partitions_and_automorphisms():
     """N's rows group the naive set partitions of each member by the least
     encoding of the naive quotient, and U's diagonal is the naive aut."""
@@ -334,15 +357,25 @@ def test_inverse_rows_match_fraction_elimination(named):
             assert system._inverse_row(t) == [system.det * x for x in inverse[t]], t
 
 
+def _shifted_hom_table(shift):
+    """counting.hom_table with shift(f, h) added to the entry at each pair."""
+    def shifted(members):
+        table = hom_table(members)
+        for (_, f), row in zip(members, table):
+            for j, (_, h) in enumerate(members):
+                row[j] += shift(f, h)
+        return table
+
+    return shifted
+
+
 def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
     members = closed_set([named["k1"], named["l1"], named["k2"]])
     # hom(K2, K2) off by one changes U's diagonal; hom(K2, K1) off by one
     # leaves U with an entry below it.
     for f_n, h_n, message in ((2, 2, "determinant 3"), (2, 1, "upper triangular")):
-        def off_by_one(f, h):
-            return hom_count(f, h) + (f.n == f_n and h.n == h_n and not h.loops)
-
-        monkeypatch.setattr(interpolation, "hom_count", off_by_one)
+        monkeypatch.setattr(interpolation, "hom_table", _shifted_hom_table(
+            lambda f, h: f.n == f_n and h.n == h_n and not h.loops))
         with pytest.raises(InternalCheckError) as raised:
             lovasz_matrix(members)
         assert not isinstance(raised.value, SingularSystemError)
@@ -354,10 +387,8 @@ def test_verify_reports_determinant_mismatch(monkeypatch):
     # L1's have one each.
     for shift, check in ((1, "closed-set determinant is the product of aut"),
                          (-1, "closed-set matrix invertible")):
-        def shifted(f, h):
-            return hom_count(f, h) + shift * (f.n == h.n == 1)
-
-        monkeypatch.setattr(interpolation, "hom_count", shifted)
+        monkeypatch.setattr(interpolation, "hom_table", _shifted_hom_table(
+            lambda f, h: shift * (f.n == h.n == 1)))
         report = _run_verify(1)
         checks = [v["check"] for v in report["sections"]["interpolation"]["violations"]]
         assert checks == [check] * 2

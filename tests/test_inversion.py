@@ -2,12 +2,13 @@ from collections import Counter
 
 import pytest
 
-from homcount import inversion
+from homcount import counting, inversion
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.errors import SizeLimitError
 from homcount.graphs import (
     Graph,
     complete_graph,
+    component_vertex_sets,
     cycle_graph,
     delete_nonloop_edge,
     disjoint_union,
@@ -242,16 +243,36 @@ FAULT_SHIFTS = {
 }
 
 
+def _shift_hom_table(monkeypatch, shifts):
+    """Make verify_expansions' hom table add shifts[(f key, h key)] at
+    those pairs."""
+    real = inversion.hom_table
+
+    def shifted(members):
+        table = real(members)
+        keys = [key for key, _ in members]
+        for (f, h), shift in shifts.items():
+            table[keys.index(f)][keys.index(h)] += shift
+        return table
+
+    monkeypatch.setattr(inversion, "hom_table", shifted)
+
+
 @pytest.mark.parametrize("counter", sorted(FAULT_SHIFTS))
 def test_verify_expansions_reports_a_faulty_counter(monkeypatch, counter):
     g, h = Graph(2), complete_graph(2)
     faulty_pair = (canonical_key(g), canonical_key(h))
-    real = getattr(inversion, counter)
+    if counter == "hom_count":
+        # hom is counted between connected classes only, so the pair
+        # (2 isolated vertices, K2) is an entry of hom_table's table.
+        _shift_hom_table(monkeypatch, {faulty_pair: 1})
+    else:
+        real = getattr(inversion, counter)
 
-    def off_by_one(a, b):
-        return real(a, b) + ((canonical_key(a), canonical_key(b)) == faulty_pair)
+        def off_by_one(a, b):
+            return real(a, b) + ((canonical_key(a), canonical_key(b)) == faulty_pair)
 
-    monkeypatch.setattr(inversion, counter, off_by_one)
+        monkeypatch.setattr(inversion, counter, off_by_one)
     violations = verify_expansions(2)["violations"]
 
     hom, vs, ve = naive_hom(g, h), naive_vsurj(g, h), naive_vesurj(g, h)
@@ -271,23 +292,58 @@ def test_verify_expansions_reports_a_faulty_counter(monkeypatch, counter):
     assert {v["identity"] for v in violations} == set(want)
 
 
+def test_verify_expansions_packs_extreme_entries_exactly(monkeypatch):
+    # The class with the most loops and edges is read only by its own
+    # columns, so a hom entry there shifts only the identities at its pair.
+    classes = enumerate_graphs(2)
+    h = classes[-1][1]
+    assert h == Graph(2, {0, 1}, {(0, 1)})
+    reps = [rep for _, rep in classes]
+    # One entry far above every other and one negative; then, at adjacent
+    # sources, +2^(8k) and -1, which cancel in packed columns whose slots
+    # are k bytes wide.
+    cases = [{Graph(2): 10**40, complete_graph(2): -(naive_hom(complete_graph(2), h) + 7)}]
+    cases += [{reps[1]: 1 << (8 * k), reps[2]: -1} for k in range(1, 6)]
+    for shifts in cases:
+        _shift_hom_table(monkeypatch, {(canonical_key(g), canonical_key(h)): d
+                                       for g, d in shifts.items()})
+        want = []
+        for g in sorted(shifts, key=reps.index):
+            d = shifts[g]
+            base = {HOM_BY_VSURJ: naive_hom(g, h), HOM_BY_VESURJ: naive_hom(g, h),
+                    VSURJ_BY_HOM: naive_vsurj(g, h), VESURJ_BY_HOM: naive_vesurj(g, h)}
+            for name in (HOM_BY_VSURJ, HOM_BY_VESURJ, VSURJ_BY_HOM, VESURJ_BY_HOM):
+                dl, dr = FAULT_SHIFTS["hom_count"][name]
+                want.append({"identity": name, "g": to_text(g), "h": to_text(h),
+                             "left": str(base[name] + d * dl), "right": str(base[name] + d * dr)})
+        assert verify_expansions(2)["violations"] == want, shifts
+        monkeypatch.undo()
+    assert want[0]["left"] == str(naive_hom(reps[1], h) + (1 << 40))
+    assert cases[0][complete_graph(2)] + naive_hom(complete_graph(2), h) == -7
+
+
 def test_verify_expansions_counts_each_class_pair_once(monkeypatch):
     calls = Counter()
 
-    def counted(name):
-        real = getattr(inversion, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(inversion, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counters = ("hom_count", "vsurj_count", "vesurj_count")
-    for name in (*counters, "dsub_downset", "dsub_inverse_column"):
-        counted(name)
+    # hom_table calls hom_count from its own module.
+    counted(counting, "hom_count")
+    for name in ("vsurj_count", "vesurj_count", "dsub_downset", "dsub_inverse_column"):
+        counted(inversion, name)
     n = verify_expansions(3)["classes"]
     assert n == 29
-    assert sum(calls[name] for name in counters) <= 3 * n * n
+    connected = sum(len(component_vertex_sets(rep)) == 1 for _, rep in enumerate_graphs(3))
+    assert connected == 15
+    assert calls["hom_count"] <= connected * connected
+    assert calls["vsurj_count"] <= n * n
+    assert calls["vesurj_count"] <= n * n
     assert calls["dsub_downset"] <= n
     assert calls["dsub_inverse_column"] <= n

@@ -4,7 +4,15 @@ import time
 import homcount
 from homcount import kernels
 from homcount.counting import hom_count
-from homcount.graphs import Graph, adjacency_masks, biclique, complete_graph, cycle_graph, path_graph
+from homcount.graphs import (
+    Graph,
+    adjacency_masks,
+    biclique,
+    complete_graph,
+    component_vertex_sets,
+    cycle_graph,
+    path_graph,
+)
 from homcount.inversion import verify_expansions
 
 from .oracles import naive_hom, naive_vesurj, naive_vsurj
@@ -46,7 +54,7 @@ def _random_looped(rng, n, p_edge, p_loop):
 def _step_shapes(g):
     """(what the step keeps of the frontier, whether it pushes) for each
     step of g's schedule but the last."""
-    steps, _, widths = kernels._schedule(g)
+    steps, _, widths, _ = kernels._schedule(g)
     shapes = set()
     for w, (_, _, pick, push, _, _) in enumerate(steps):
         frontier = tuple(range(widths[w - 1] if w else 0))
@@ -88,6 +96,27 @@ def test_modes_match_oracles_on_random_looped_pairs():
         shapes |= _step_shapes(g)
     assert shapes == {(kept, push) for kept in ("all", "some", "none") for push in (False, True)}
     assert kernels._plan(sources[4])[0] == [0, 1, 3, 2]
+
+
+def test_surjective_modes_are_zero_onto_targets_with_more_components():
+    rng = random.Random(31)
+    pairs = [(Graph(0), Graph(0)), (Graph(0), Graph(1)), (Graph(3), Graph(3)),
+             (Graph(3), Graph(3, {2}, {(0, 1)})), (complete_graph(3), Graph(2, {0, 1})),
+             (Graph(4, {0}, {(1, 2), (2, 3)}), Graph(3, {0, 2}, {(0, 1)}))]
+    for _ in range(60):
+        # Sparse graphs, the targets sparser, so most have several
+        # components and many have isolated vertices.
+        g = _random_looped(rng, rng.randint(0, 6), rng.uniform(0.1, 0.6), 0.3)
+        h = _random_looped(rng, rng.randint(0, 4), rng.uniform(0.0, 0.3), 0.4)
+        pairs.append((g, h))
+    fewer = 0
+    for g, h in pairs:
+        _agrees_with_oracles(g, h)
+        if len(component_vertex_sets(g)) < len(component_vertex_sets(h)) and h.n <= g.n:
+            fewer += 1
+            assert kernels.count_maps(g, h, kernels.MODE_VSURJ) == 0, (g, h)
+            assert kernels.count_maps(g, h, kernels.MODE_VESURJ) == 0, (g, h)
+    assert fewer >= 10
 
 
 def _grid(k):
