@@ -6,16 +6,22 @@ canonical form is the lexicographically smallest bit string over all
 vertex orderings; equal keys therefore mean isomorphic graphs, exactly.
 Packed keys are one byte holding n followed by the bit string.
 
+The least encoding is found by one search, kernels.min_encoding, which
+also counts automorphisms; every key, representative and automorphism
+count in the package comes from it.
+
 Keys sort by total size |V| + |E| first, then bytewise.  That order makes
 the subgraph-counting matrices triangular and is called matrix order
-throughout; enumerate_graphs yields classes in matrix order.
+throughout; enumerate_graphs yields classes in matrix order.  It grows
+the classes on n vertices from those on n - 1, adding a last vertex in
+every way and keying each result through the same search: 34,816
+searches on 6 vertices for the 5,759 classes with at most 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from . import kernels
 from .errors import SizeLimitError
@@ -89,16 +95,17 @@ def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
     return _key(n, enc), _decode(n, enc)
 
 
-def _encoding(g: Graph) -> int:
-    """Least encoding of g over all vertex orders, which its key packs."""
+def _min_encoding(g: Graph) -> tuple[int, int]:
+    """min_encoding's pair for g: its least encoding over all vertex orders,
+    which its key packs, and its number of automorphisms."""
     loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))[0]
+    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
     """Key plus the canonically relabeled representative of g's class."""
-    return _form(g.n, _encoding(g))
+    return _form(g.n, _min_encoding(g)[0])
 
 
 def canonical_key(g: Graph) -> GraphKey:
@@ -116,36 +123,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-def _classes_on(n: int) -> list[tuple[GraphKey, Graph]]:
-    """One canonical representative per isomorphism class on exactly n vertices.
-
-    Every labeled graph is visited once: each unseen bit code spawns its
-    whole relabeling orbit, whose minimum is the canonical encoding.
-    """
-    if n == 0:
-        key = GraphKey(0, _pack(0, 0))
-        return [(key, Graph(0))]
-    m = n + n * (n - 1) // 2
-    perms = list(permutations(range(n)))
-    seen = bytearray(1 << m)
-    out = []
-    encode = kernels.encode_with_perm
-    for code in range(1 << m):
-        if seen[code]:
-            continue
-        g = _decode(n, code)
-        loop_flags = [1 if v in g.loops else 0 for v in range(n)]
-        adj = adjacency_masks(g)
-        best = code
-        for p in perms:
-            e = encode(n, loop_flags, adj, p)
-            seen[e] = 1
-            if e < best:
-                best = e
-        out.append(_form(n, best))
-    return out
-
-
 @lru_cache(maxsize=None)
 def enumerate_graphs(n_max: int) -> tuple[tuple[GraphKey, Graph], ...]:
     """All isomorphism classes with at most n_max vertices, in matrix order."""
@@ -155,8 +132,21 @@ def enumerate_graphs(n_max: int) -> tuple[tuple[GraphKey, Graph], ...]:
         raise SizeLimitError(
             f"enumeration is limited to {ENUMERATE_MAX_VERTICES} vertices"
         )
-    classes = []
-    for n in range(n_max + 1):
-        classes.extend(_classes_on(n))
-    classes.sort(key=lambda kr: kr[0])
-    return tuple(classes)
+    # Least encodings on exactly n vertices, level by level: every graph on
+    # n vertices is one on n - 1 plus a last vertex, looped or not, with
+    # some set of neighbours, and relabeling its first n - 1 vertices
+    # leaves its class alone, so growing each class on n - 1 reaches all.
+    level = {0}
+    classes = [_form(0, 0)]
+    for n in range(1, n_max + 1):
+        grown = set()
+        for enc in level:
+            loops, adj = _masks(n - 1, enc)
+            flags = [(loops >> v) & 1 for v in range(n - 1)]
+            for looped in (0, 1):
+                for nbrs in range(1 << (n - 1)):
+                    joined = [a | ((nbrs >> v) & 1) << (n - 1) for v, a in enumerate(adj)]
+                    grown.add(kernels.min_encoding(n, flags + [looped], joined + [nbrs])[0])
+        level = grown
+        classes += [_form(n, enc) for enc in level]
+    return tuple(sorted(classes))

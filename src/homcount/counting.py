@@ -21,8 +21,8 @@ source, additive over the target's components.
 from __future__ import annotations
 
 from . import kernels
-from .canonical import canonical_form
-from .graphs import Graph, adjacency_masks, component_vertex_sets, induced_subgraph
+from .canonical import _min_encoding, canonical_form
+from .graphs import Graph, component_vertex_sets, induced_subgraph
 
 
 def hom_count(g: Graph, h: Graph) -> int:
@@ -44,8 +44,7 @@ def vesurj_count(g: Graph, h: Graph) -> int:
 def aut_count(h: Graph) -> int:
     """Number of automorphisms: permutations preserving loops, edges, and
     non-edges exactly."""
-    loop_flags = [1 if v in h.loops else 0 for v in range(h.n)]
-    return kernels.min_encoding(h.n, loop_flags, adjacency_masks(h))[1]
+    return _min_encoding(h)[1]
 
 
 def hom_table(members) -> list[list[int]]:

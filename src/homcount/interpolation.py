@@ -49,10 +49,10 @@ from math import prod
 from . import kernels
 from .canonical import (
     GraphKey,
-    _encoding,
     _form,
     _key,
     _masks,
+    _min_encoding,
     _unpack,
     canonical_form,
     canonical_key,
@@ -93,7 +93,7 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
     plus one Graph per image; each call returns a new list.
     """
     _check_quotient_size(h)
-    return [_form(k, e) for k, e, _, _ in _image_encodings(h.n, _encoding(h))]
+    return [_form(k, e) for k, e, _, _ in _image_encodings(h.n, _min_encoding(h)[0])]
 
 
 def _check_quotient_size(h: Graph) -> None:
@@ -255,8 +255,6 @@ def _system_over(ordered, images=None) -> LovaszSystem:
     independently, so U coming out triangular with the images walk's
     automorphism counts on its diagonal checks both.
     """
-    if len(ordered) > SYSTEM_MAX_SIZE:
-        raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
     matrix = hom_table(ordered)
     # N's rows and the automorphism counts, from the members' images.
     position = {_unpack(key.data): i for i, (key, _) in enumerate(ordered)}
@@ -304,7 +302,8 @@ def lovasz_matrix(members) -> LovaszSystem:
     checked triangular factors.
 
     Accepts (key, rep) pairs or plain graphs; the input must already be
-    closed under homomorphic images and contain no duplicate classes.  The
+    closed under homomorphic images, so that its closure (closed_set's)
+    adds no member, and contain no duplicate classes.  The
     matrix is invertible for closed sets: its determinant is the product of
     the members' automorphism counts, which the factors check.
     """
@@ -314,15 +313,10 @@ def lovasz_matrix(members) -> LovaszSystem:
         if key in norm:
             raise ValueError("duplicate isomorphism class in the input set")
         norm[key] = rep
-    if len(norm) > SYSTEM_MAX_SIZE:
-        raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    images = {}
-    for key, rep in norm.items():
-        for image, _ in homomorphic_images(rep):
-            if image not in norm:
-                raise ValueError("input set is not closed under homomorphic images")
-        images[key] = _image_encodings(*_unpack(key.data))
-    return _system_over(sorted(norm.items()), images)
+    members, images = _closure(norm.values())
+    if len(members) > len(norm):
+        raise ValueError("input set is not closed under homomorphic images")
+    return _system_over(members, images)
 
 
 def alpha_for_vsurj(h: Graph) -> CoeffVector:

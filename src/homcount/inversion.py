@@ -47,8 +47,8 @@ from .graphs import Graph, induced_subgraph, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
 # Largest n_max verify_expansions accepts.  At 5 it checks 663 classes in
-# about 22 s; at 6, enumerating the 5,759 classes alone takes 20 s, and
-# their tables hold 75 times as many pairs.
+# about 24 s; at 6 the 5,759 classes enumerate in about 1 s, but their
+# tables hold 75 times as many pairs.
 VERIFY_MAX_VERTICES = 5
 
 
@@ -163,13 +163,17 @@ def _deletion_pair_bound(n: int) -> int:
     return sum(comb(n, r) << comb(r, 2) for r in range(n + 1))
 
 
-def _deletion_pair_total(h: Graph) -> int:
+def _deletion_pair_total(h: Graph, limit: int) -> int:
+    """Labeled deletion pairs of h, summed over its vertex subsets until the
+    sum passes limit."""
     total = 0
     for r in range(h.n + 1):
         for s in combinations(range(h.n), r):
             keep = set(s)
             inside = sum(1 for u, v in h.edges if u in keep and v in keep)
             total += 1 << inside
+            if total > limit:
+                return total
     return total
 
 
@@ -196,12 +200,14 @@ def _downset_of(key: GraphKey) -> tuple[tuple[GraphKey, Graph, int], ...]:
 
 def _check_pair_limit(h: Graph) -> None:
     """Refuse h above DSUB_PAIR_LIMIT labeled deletion pairs.  Call it before
-    canonicalizing h, which is itself exponential in h's vertex count.  The
-    exact total is computed only when the bound for h's vertex count exceeds
-    the limit (never up to 6 vertices), so cached lookups stay cheap."""
-    if (
+    canonicalizing h, which is itself exponential in h's vertex count.  Each
+    vertex subset keeps at least one pair, so h is refused at once when 2^n
+    alone passes the limit.  Otherwise the exact total is summed only when
+    the bound for h's vertex count exceeds the limit (never up to 6
+    vertices), so cached lookups stay cheap, and only until it passes."""
+    if h.n >= DSUB_PAIR_LIMIT.bit_length() or (
         _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
-        and _deletion_pair_total(h) > DSUB_PAIR_LIMIT
+        and _deletion_pair_total(h, DSUB_PAIR_LIMIT) > DSUB_PAIR_LIMIT
     ):
         raise SizeLimitError(
             f"deletion-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} pairs"

@@ -130,7 +130,15 @@ def _plan(g):
             if _width(adj, dfs) < width:
                 comp = dfs
         order += comp
-    prev = [[j for j in range(i) if (adj[v] >> order[j]) & 1] for i, v in enumerate(order)]
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    prev = [[] for _ in order]
+    for u, v in g.edges:
+        i, j = position[u], position[v]
+        prev[max(i, j)].append(min(i, j))
+    for ups in prev:
+        ups.sort()
     return order, prev, parts
 
 
@@ -322,19 +330,6 @@ def _count_surjective(g, h, edges_too):
             if ev == every_edge:
                 total += mult
     return total
-
-
-def encode_with_perm(n, loop_flags, adj, perm):
-    """Bit encoding of the relabeled graph: n loop bits, then upper-triangle
-    adjacency bits in row-major pair order, most significant first."""
-    enc = 0
-    for i in range(n):
-        enc = (enc << 1) | loop_flags[perm[i]]
-    for i in range(n):
-        ai = adj[perm[i]]
-        for j in range(i + 1, n):
-            enc = (enc << 1) | ((ai >> perm[j]) & 1)
-    return enc
 
 
 def min_encoding(n, loop_flags, adj):

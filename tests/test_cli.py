@@ -285,6 +285,14 @@ def test_inverse_column_pair_guard_runs_before_canonicalization(monkeypatch, tmp
     monkeypatch.setattr(kernels, "min_encoding", _refuse_canonicalization)
     assert cli.main(["inverse-column", "--h", _star_file(tmp_path, 13)]) == 4
     assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
+    # Every vertex subset is a pair, so many isolated vertices are refused
+    # without summing over their subsets.
+    for n in (40, 200):
+        path = _graph_file(tmp_path, f"isolated{n}", n, [])
+        start = time.perf_counter()
+        assert cli.main(["inverse-column", "--h", path]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "deletion-subgraph enumeration would exceed" in capsys.readouterr().err
 
 
 def test_verify_size_guard_runs_before_enumeration(monkeypatch, capsys):

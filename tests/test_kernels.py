@@ -199,6 +199,15 @@ def test_sources_take_dfs_preorder_only_when_its_frontier_is_narrower():
         assert time.perf_counter() - start < 0.1
 
 
+def test_long_paths_are_planned_in_linear_time():
+    # Each position's placed neighbours come from the source's edges, not
+    # from a scan of every earlier position.
+    g = path_graph(20000)
+    start = time.perf_counter()
+    assert hom_count(g, complete_graph(3)) == 3 * 2 ** 19999
+    assert time.perf_counter() - start < 2.0
+
+
 def test_kernel_caches_are_bounded():
     for cache in (kernels._schedule, kernels._tables):
         assert cache.cache_info().maxsize == kernels.KERNEL_CACHE_SIZE
