@@ -37,7 +37,7 @@ from .interpolation import homomorphic_images, lovasz_matrix, reduction_demo
 from .inversion import (
     dsub_downset,
     dsub_inverse_column,
-    signed_induced_subgraphs,
+    ind_inverse_column,
     verify_expansions,
 )
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
@@ -162,7 +162,7 @@ def _run_verify(n_max: int) -> dict:
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
-            for _, sub in signed_induced_subgraphs(h):
+            for _, sub, _ in ind_inverse_column(h).items():
                 if not classify_F(sub)[0]:
                     fam.append({"h": to_text(h), "check": "F induced-closed"})
         if in_c:
@@ -302,6 +302,11 @@ def main(argv=None) -> int:
         sys.stderr.write("homcount: error: at most one graph may come from stdin\n")
         return EXIT_USAGE
 
+    # Counts print in full: the interpreter's limit on int-to-str digits,
+    # where it has one, is lifted for the command and restored after.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (GraphParseError, OSError) as exc:
@@ -313,6 +318,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"homcount: precondition violated: {exc}\n")
         return EXIT_PRECONDITION
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def main_entry() -> None:

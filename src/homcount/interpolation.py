@@ -68,7 +68,7 @@ from .errors import (
 from .exactsolve import _as_int, row_solve_unit_lower, row_solve_upper
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
-from .inversion import CoeffVector, dsub_inverse_column, signed_induced_subgraphs
+from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
 QUOTIENT_MAX_VERTICES = 8
 # Classes whose homomorphic images are kept, as least encodings with
@@ -324,9 +324,7 @@ def alpha_for_vsurj(h: Graph) -> CoeffVector:
     combination of plain homomorphism counters: each subset of h's vertices
     contributes its induced class, signed by the number of deleted
     vertices.  The entry at h itself is 1."""
-    return CoeffVector.from_pairs(
-        (sub, sign) for sign, sub in signed_induced_subgraphs(h)
-    )
+    return ind_inverse_column(h)
 
 
 def alpha_for_vesurj(h: Graph) -> CoeffVector:

@@ -10,22 +10,25 @@ Two triangular matrices indexed by isomorphism classes in matrix order:
 Both have ones on the diagonal and vanish unless size(f) <= size(h).  The
 column of the inverse of dsub at h, an inclusion-exclusion over the vertices
 and non-loop edges a compaction onto h must cover, converts homomorphism
-counts into compaction counts; the signed subset sum over induced subgraphs
-converts them into vertex-surjective counts.
+counts into compaction counts; that of ind, the signed subset sum over
+induced subgraphs, into vertex-surjective counts.  One walk over the labeled
+subgraphs of h's class, cached per class and kind (induced or deletion),
+records per subgraph class its copies, the entry of ind or dsub, and their
+signed sum, the entry of the inverse column.
 
 verify_expansions replays the two expansions that make this work, and their
 inverses, as identities between matrices over the classes up to a size:
 hom = vsurj . ind^T, hom = vesurj . dsub^T, and the signed and inverse
 columns back.  It computes the vsurj and vesurj tables once over the
 canonical representatives, the hom table from the connected classes alone
-(counting.hom_table), and each target's columns once.  Each table column is
-packed into one integer with a slot per source, wide enough that no slot
-can carry into the next, so an identity at a target, for all sources at
-once, is one exact integer combination of packed columns compared with the
-packed left column; only a column that differs is recomputed entry by entry
-to report its violations.  There the counters run on canonical
-representatives only; counting on other labelings is checked against naive
-counters by the test suite.
+(counting.hom_table), and each target's columns from its two walks.  Each
+table column is packed into one integer with a slot per source, wide enough
+that no slot can carry into the next, so an identity at a target, for all
+sources at once, is one exact integer combination of packed columns
+compared with the packed left column; only a column that differs is
+recomputed entry by entry to report its violations.  There the counters
+run on canonical representatives only; counting on other labelings is
+checked against naive counters by the test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from .errors import SizeLimitError
 from .graphs import Graph, induced_subgraph, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
+# Subgraph walks kept, one per (class, kind); verify --n-max 5 makes 1,326.
+WALK_CACHE_SIZE = 1 << 11
 # Largest n_max verify_expansions accepts.  At 5 it checks 663 classes in
 # about 24 s; at 6 the 5,759 classes enumerate in about 1 s, but their
 # tables hold 75 times as many pairs.
@@ -129,33 +134,6 @@ def ind_count(f: Graph, h: Graph) -> int:
     )
 
 
-def signed_induced_subgraphs(h: Graph):
-    """Yield (sign, h[S]) for every vertex subset S of h, the sign being -1
-    raised to the number of deleted vertices: the coefficients that turn
-    homomorphism counts into vertex-surjective ones."""
-    for r in range(h.n + 1):
-        sign = -1 if (h.n - r) % 2 else 1
-        for s in combinations(range(h.n), r):
-            yield sign, induced_subgraph(h, s)
-
-
-def signed_deletion_subgraphs(h: Graph):
-    """Yield (sign, h - A - B) for every set A of vertices on no non-loop
-    edge and every set B of non-loop edges, the sign being (-1)^(|A|+|B|):
-    inclusion-exclusion over what a compaction must cover.  Deleting a
-    vertex with an edge on it cancels in pairs (with and without that edge
-    in B), so such A are skipped."""
-    on_edge = {v for e in h.edges for v in e}
-    bare = [v for v in range(h.n) if v not in on_edge]
-    edges = sorted(h.edges)
-    for b in range(len(edges) + 1):
-        for gone_edges in combinations(edges, b):
-            hb = Graph(h.n, h.loops, h.edges.difference(gone_edges))
-            for a in range(len(bare) + 1):
-                for gone in combinations(bare, a):
-                    yield (-1) ** (a + b), induced_subgraph(hb, set(range(h.n)) - set(gone))
-
-
 @lru_cache(maxsize=None)
 def _deletion_pair_bound(n: int) -> int:
     """Labeled deletion pairs of the complete graph on n vertices: an upper
@@ -165,37 +143,45 @@ def _deletion_pair_bound(n: int) -> int:
 
 def _deletion_pair_total(h: Graph, limit: int) -> int:
     """Labeled deletion pairs of h, summed over its vertex subsets until the
-    sum passes limit."""
+    sum passes limit.  A vertex on no non-loop edge doubles the total, so
+    only the subsets of the other vertices are summed."""
+    on_edge = sorted({v for e in h.edges for v in e})
+    bare = h.n - len(on_edge)
     total = 0
-    for r in range(h.n + 1):
-        for s in combinations(range(h.n), r):
+    for r in range(len(on_edge) + 1):
+        for s in combinations(on_edge, r):
             keep = set(s)
             inside = sum(1 for u, v in h.edges if u in keep and v in keep)
-            total += 1 << inside
+            total += 1 << (inside + bare)
             if total > limit:
                 return total
     return total
 
 
-@lru_cache(maxsize=None)
-def _downset_of(key: GraphKey) -> tuple[tuple[GraphKey, Graph, int], ...]:
-    """Isomorphism classes of deletion subgraphs with multiplicities, in
-    matrix order.  Cached per class; multiplicities are label-independent."""
+@lru_cache(maxsize=WALK_CACHE_SIZE)
+def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, Graph, int, int], ...]:
+    """Classes of the induced subgraphs of the class key, or with deletions
+    of its deletion subgraphs, in matrix order, as (key, representative,
+    labeled copies, signed sum).  A copy's sign is -1 to the number of
+    vertices and edges it deletes; the deletion walk sums only copies that
+    delete no vertex on a non-loop edge, since the inclusion-exclusion over
+    what a compaction covers cancels the others in pairs."""
     h = graph_from_key(key)
+    on_edge = {v for e in h.edges for v in e}
     acc: dict[GraphKey, list] = {}
     for r in range(h.n + 1):
         for s in combinations(range(h.n), r):
             sub = induced_subgraph(h, s)
-            e2 = sorted(sub.edges)
-            for k in range(len(e2) + 1):
-                for chosen in combinations(e2, k):
-                    cand = Graph(sub.n, sub.loops, chosen)
-                    ck, rep = canonical_form(cand)
-                    if ck in acc:
-                        acc[ck][1] += 1
-                    else:
-                        acc[ck] = [rep, 1]
-    return tuple((k, acc[k][0], acc[k][1]) for k in sorted(acc))
+            sign = 0 if deletions and not on_edge.issubset(s) else (-1) ** (h.n - r)
+            edges = sorted(sub.edges) if deletions else []
+            for b in range(len(edges) + 1):
+                for gone in combinations(edges, b):
+                    leaf = Graph(sub.n, sub.loops, sub.edges.difference(gone)) if gone else sub
+                    k, rep = canonical_form(leaf)
+                    entry = acc.setdefault(k, [rep, 0, 0])
+                    entry[1] += 1
+                    entry[2] += -sign if b % 2 else sign
+    return tuple((k, *acc[k]) for k in sorted(acc))
 
 
 def _check_pair_limit(h: Graph) -> None:
@@ -217,7 +203,7 @@ def _check_pair_limit(h: Graph) -> None:
 def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
     """All classes f with dsub(f, h) > 0, with those counts, in matrix order."""
     _check_pair_limit(h)
-    return _downset_of(canonical_key(h))
+    return tuple((key, rep, copies) for key, rep, copies, _ in _walk(canonical_key(h), True))
 
 
 def dsub_count(f: Graph, h: Graph) -> int:
@@ -225,30 +211,34 @@ def dsub_count(f: Graph, h: Graph) -> int:
     if f.size > h.size or f.n > h.n:
         return 0
     kf = canonical_key(f)
-    for key, _, mult in dsub_downset(h):
-        if key == kf:
-            return mult
-    return 0
+    return next((mult for key, _, mult in dsub_downset(h) if key == kf), 0)
 
 
 def dsub_inverse_column(h: Graph) -> CoeffVector:
     """Column of the inverse of the dsub matrix at h: the signed deletion
     subgraphs of h, aggregated by isomorphism class."""
     _check_pair_limit(h)
-    return CoeffVector.from_pairs((sub, sign) for sign, sub in signed_deletion_subgraphs(h))
+    return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), True)})
+
+
+def ind_inverse_column(h: Graph) -> CoeffVector:
+    """Column of the inverse of the ind matrix at h: the induced subgraphs
+    of h, signed by the number of deleted vertices and aggregated by
+    isomorphism class.  Every copy of a class deletes as many vertices, so
+    each entry's absolute value is ind(f, h)."""
+    return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), False)})
 
 
 def vsurj_via_inversion(g: Graph, h: Graph) -> int:
     """Vertex-surjective count as the signed sum of homomorphism counts into
     the induced subgraphs of h (sign by the number of deleted vertices)."""
-    return sum(sign * hom_count(g, sub) for sign, sub in signed_induced_subgraphs(h))
+    return sum(c * hom_count(g, rep) for _, rep, c in ind_inverse_column(h).items())
 
 
 def vesurj_via_inversion(g: Graph, h: Graph) -> int:
     """Compaction count as the inverse-column-weighted sum of homomorphism
     counts into the deletion subgraphs of h."""
-    col = dsub_inverse_column(h)
-    return sum(c * hom_count(g, rep) for _, rep, c in col.items())
+    return sum(c * hom_count(g, rep) for _, rep, c in dsub_inverse_column(h).items())
 
 
 def verify_expansions(n_max: int) -> dict:
@@ -286,11 +276,8 @@ def verify_expansions(n_max: int) -> dict:
 
     signed, ind, down, inv = [], [], [], []
     for h in reps:
-        terms = ((sub, sign) for sign, sub in signed_induced_subgraphs(h))
-        col = on_classes(CoeffVector.from_pairs(terms).items())
+        col = on_classes(ind_inverse_column(h).items())
         signed.append(col)
-        # The sign depends only on how many vertices were deleted, so every
-        # induced copy of one class carries the same sign.
         ind.append([(f, abs(c)) for f, c in col])
         down.append(on_classes(dsub_downset(h)))
         inv.append(on_classes(dsub_inverse_column(h).items()))

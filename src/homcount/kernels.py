@@ -206,10 +206,13 @@ def state_bound(g, h, mode):
     """Bound on the states count_maps(g, h, mode) builds, summed over its
     steps, from g's schedule alone: after position w at most
     min(n^(w+1), n^f * c) for n = |V(h)| and f the frontier's size, where
-    c = 1 for hom, 2^n for vsurj and 2^(n + |E(h)|) for vesurj."""
+    c = 1 for hom, 2^n for vsurj and 2^(n + |E(h)|) for vesurj.  That is
+    n^f * min(n^(w + 1 - f), c), and n^bits > c for bits = c.bit_length()
+    and n >= 2 (n^k = n for n <= 1, k >= 1), so no larger power is built."""
     n = h.n
     c = (1, 1 << n, 1 << (n + len(h.edges)))[mode]
-    return sum(min(n ** (w + 1), n ** f * c) for w, f in enumerate(_schedule(g)[2]))
+    bits = c.bit_length()
+    return sum(n ** f * min(n ** min(w + 1 - f, bits), c) for w, f in enumerate(_schedule(g)[2]))
 
 
 def count_maps(g, h, mode):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -258,6 +259,26 @@ def _star_file(tmp_path, leaves):
 
 def _path_file(tmp_path, n):
     return _graph_file(tmp_path, f"p{n}", n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_count_prints_counts_past_the_int_digit_limit(tmp_path, capsys):
+    # 2^15000 has 4,516 digits, past the interpreter's default limit of
+    # 4,300 on int-to-str conversion.
+    g = _graph_file(tmp_path, "isolated15000", 15000, [])
+    h = tmp_path / "rk2.graph"
+    h.write_text("vertices 2\nloop 0\nloop 1\nedge 0 1\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert cli.main(["count", "--kind", "hom", "--g", g, "--h", str(h),
+                     "--format", "plain"]) == 0
+    out = capsys.readouterr().out
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{2 ** 15000}\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _refuse_canonicalization(n, loop_flags, adj):

@@ -1,4 +1,6 @@
+import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -7,21 +9,26 @@ from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.errors import SizeLimitError
 from homcount.graphs import (
     Graph,
+    biclique,
     complete_graph,
     component_vertex_sets,
     cycle_graph,
     delete_nonloop_edge,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     reflexive_clique,
     to_text,
 )
 from homcount.inversion import (
+    DSUB_PAIR_LIMIT,
+    WALK_CACHE_SIZE,
     CoeffVector,
     dsub_count,
     dsub_downset,
     dsub_inverse_column,
     ind_count,
+    ind_inverse_column,
     verify_expansions,
     vesurj_via_inversion,
     vsurj_via_inversion,
@@ -100,7 +107,7 @@ def test_dsub_downset_of_single_edge():
 
 
 def test_dsub_downset_matches_naive_classes(named):
-    for h in (named["p3"], named["r2"], named["k3"]):
+    for h in (named["p3"], named["r2"], named["k3"], *(rep for _, rep in enumerate_graphs(4))):
         got = {key: mult for key, _, mult in dsub_downset(h)}
         want = {
             canonical_key(rep): count
@@ -159,7 +166,7 @@ def test_inverse_column_matches_naive_solver(named):
         Graph(4, loops={0}, edges={(0, 1), (0, 2), (0, 3)}),
     )
     for h in (named["k1"], named["l1"], named["k2"], named["r2"], named["p3"],
-              named["star3"], *extra):
+              named["star3"], *extra, *(rep for _, rep in enumerate_graphs(3))):
         got = dsub_inverse_column(h)
         want = naive_inverse_column(h)
         assert len(got) == len(want)
@@ -202,6 +209,79 @@ def test_edge_deletion_coefficient_is_negated_count():
 def test_downset_guardrail():
     with pytest.raises(SizeLimitError):
         dsub_downset(complete_graph(7))
+
+
+def _naive_signed_induced(h):
+    """Induced subgraphs of h by class, signed by the number of deleted
+    vertices."""
+    subs = (induced_subgraph(h, s) for r in range(h.n + 1) for s in combinations(range(h.n), r))
+    return {canonical_key(rep): (-1) ** (h.n - rep.n) * count for rep, count in naive_classes(subs)}
+
+
+def test_ind_inverse_column_matches_naive_signed_subsets():
+    for _, h in enumerate_graphs(4):
+        assert as_class_map(ind_inverse_column(h)) == _naive_signed_induced(h), h
+
+
+def test_inverse_column_after_downset_builds_no_graph_per_pair(monkeypatch):
+    h = Graph(4, edges=cycle_graph(4).edges)
+    downset = dsub_downset(h)
+    built = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    column = dsub_inverse_column(h)
+    assert len(built) <= len(downset) == 13
+    assert column.coeff(canonical_key(h)) == 1
+
+
+def test_walk_cache_is_bounded():
+    cache = inversion._walk
+    assert cache.cache_info().maxsize == WALK_CACHE_SIZE
+    cache.cache_clear()
+    # Every class up to 5 vertices, then 6-vertex graphs made from the
+    # 5-vertex classes by adding an isolated, a looped or a pendant vertex.
+    graphs = [rep for _, rep in enumerate_graphs(5)]
+    fives = [g for g in graphs if g.n == 5]
+    graphs += [disjoint_union(g, Graph(1)) for g in fives]
+    graphs += [disjoint_union(g, Graph(1, loops={0})) for g in fives]
+    graphs += [Graph(6, g.loops, g.edges | {(0, 5)}) for g in fives]
+    for g in graphs:
+        ind_inverse_column(g)
+        assert cache.cache_info().currsize <= WALK_CACHE_SIZE
+        if cache.cache_info().misses > WALK_CACHE_SIZE + 32:
+            break
+    assert cache.cache_info().misses > WALK_CACHE_SIZE + 32
+
+
+def _direct_pair_total(h):
+    """Labeled deletion pairs of h: 2^(edges inside) over every vertex subset."""
+    return sum(1 << sum(1 for u, v in h.edges if (mask >> u) & (mask >> v) & 1)
+               for mask in range(1 << h.n))
+
+
+def test_pair_limit_verdict_matches_the_direct_sum():
+    for h in (path_graph(4), disjoint_union(cycle_graph(4), Graph(3)),
+              disjoint_union(reflexive_clique(3), Graph(2, loops={0}))):
+        assert inversion._deletion_pair_total(h, 1 << 40) == _direct_pair_total(h)
+    star10 = biclique(1, 10)
+    for bare, total in ((4, 961_168), (5, 1_922_336)):
+        h = disjoint_union(star10, Graph(bare))
+        assert _direct_pair_total(h) == total
+        if total > DSUB_PAIR_LIMIT:
+            with pytest.raises(SizeLimitError):
+                inversion._check_pair_limit(h)
+        else:
+            inversion._check_pair_limit(h)
+    # 20 isolated vertices have exactly 2^20 pairs: accepted without a sum
+    # over their subsets.
+    start = time.perf_counter()
+    inversion._check_pair_limit(Graph(20))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_via_inversion_matches_direct(named):

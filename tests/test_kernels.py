@@ -179,6 +179,33 @@ def test_state_bound_sums_frontier_bounds():
     assert kernels.state_bound(cycle_graph(30), complete_graph(4), kernels.MODE_HOM) < 2000
 
 
+def test_state_bound_equals_the_direct_formula():
+    # min(n^(w+1), n^f * c) summed over g's positions, as state_bound's
+    # docstring defines it, for targets of 0, 1, 2 and more vertices.
+    sources = (Graph(0), Graph(4), path_graph(3), cycle_graph(5), path_graph(40),
+               _binary_tree(63), _grid(6), complete_graph(5))
+    targets = (Graph(0), Graph(1), Graph(1, loops={0}), complete_graph(2),
+               Graph(2, loops={0}, edges={(0, 1)}), complete_graph(3), cycle_graph(5),
+               Graph(7, loops={1}, edges=cycle_graph(7).edges))
+    for g in sources:
+        widths = kernels._schedule(g)[2]
+        for h in targets:
+            n = h.n
+            for mode, c in ((kernels.MODE_HOM, 1), (kernels.MODE_VSURJ, 1 << n),
+                            (kernels.MODE_VESURJ, 1 << (n + len(h.edges)))):
+                want = sum(min(n ** (w + 1), n ** f * c) for w, f in enumerate(widths))
+                assert kernels.state_bound(g, h, mode) == want, (g, h, mode)
+
+
+def test_state_bound_is_cheap_on_long_sources():
+    p, k3 = path_graph(20000), complete_graph(3)
+    kernels._schedule(p)
+    start = time.perf_counter()
+    # Frontiers of one vertex, then none: 3 states per position, 1 at the last.
+    assert kernels.state_bound(p, k3, kernels.MODE_HOM) == 3 * 19999 + 1
+    assert time.perf_counter() - start < 0.1
+
+
 def _binary_tree(n):
     return Graph(n, (), [((v - 1) // 2, v) for v in range(1, n)])
 
