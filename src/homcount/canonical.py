@@ -59,30 +59,50 @@ def _unpack(data: bytes) -> tuple[int, int]:
     return n, enc
 
 
+@lru_cache(maxsize=None)
+def _bit_table(n: int) -> tuple[tuple[int, int, str], ...]:
+    """For each bit of an encoding on n vertices, lowest first: the bit's
+    end vertices (equal for a loop bit) and its line of the text format."""
+    ends = [(v, v) for v in range(n)]
+    ends += [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple((u, v, f"loop {u}" if u == v else f"edge {u} {v}")
+                 for u, v in reversed(ends))
+
+
+def _set_bits(n: int, enc: int) -> list[tuple[int, int, str]]:
+    """_bit_table's entries for enc's set bits, highest bit first: loops by
+    vertex, then edges in row-major order, which is to_text's order."""
+    table = _bit_table(n)
+    found = []
+    while enc:
+        k = enc.bit_length() - 1
+        found.append(table[k])
+        enc ^= 1 << k
+    return found
+
+
 def _masks(n: int, enc: int) -> tuple[int, list[int]]:
     """Loop mask and adjacency masks of the graph an encoding describes."""
-    k = n + n * (n - 1) // 2
     loops = 0
-    for v in range(n):
-        k -= 1
-        loops |= ((enc >> k) & 1) << v
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            k -= 1
-            if (enc >> k) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for u, v, _ in _set_bits(n, enc):
+        if u == v:
+            loops |= 1 << u
+        else:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return loops, adj
 
 
 def _decode(n: int, enc: int) -> Graph:
-    loops, adj = _masks(n, enc)
-    return Graph(
-        n,
-        [v for v in range(n) if (loops >> v) & 1],
-        [(i, j) for i in range(n) for j in range(i + 1, n) if (adj[i] >> j) & 1],
-    )
+    found = _set_bits(n, enc)
+    return Graph(n, [u for u, v, _ in found if u == v],
+                 [(u, v) for u, v, _ in found if u != v])
+
+
+def _text(n: int, enc: int) -> str:
+    """to_text of the graph an encoding describes, built without it."""
+    return "\n".join([f"vertices {n}"] + [line for _, _, line in _set_bits(n, enc)]) + "\n"
 
 
 def _key(n: int, enc: int) -> GraphKey:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import lru_cache
 
-from .canonical import enumerate_graphs
+from .canonical import _key, _text, enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     BudgetExceededError,
@@ -33,7 +32,12 @@ from .families import (
     vsurj_polytime,
 )
 from .graphs import Graph, load_graph, parse_graph, to_text
-from .interpolation import homomorphic_images, lovasz_matrix, reduction_demo
+from .interpolation import (
+    homomorphic_images,
+    image_encodings,
+    lovasz_matrix,
+    reduction_demo,
+)
 from .inversion import (
     dsub_downset,
     dsub_inverse_column,
@@ -56,8 +60,8 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _one_line(g: Graph) -> str:
-    return "; ".join(to_text(g).strip().splitlines())
+def _one_line(text: str) -> str:
+    return "; ".join(text.strip().splitlines())
 
 
 def _read_graph(spec: str) -> Graph:
@@ -68,12 +72,21 @@ def _read_graph(spec: str) -> Graph:
 
 def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
     if kind == "aut":
-        work, what = math.factorial(h.n), "vertex orders (n!)"
-    else:
-        work, what = state_bound(g, h, _MODES[kind]), "dynamic-program states"
+        # n! is multiplied out only until it passes the budget, so the
+        # guard costs as much for a huge n as for the first n refused.
+        orders = 1
+        for k in range(2, h.n + 1):
+            orders *= k
+            if orders > budget:
+                raise BudgetExceededError(
+                    f"brute force would try {h.n}! vertex orders, over the budget of {budget}"
+                )
+        return
+    work = state_bound(g, h, _MODES[kind])
     if work > budget:
         raise BudgetExceededError(
-            f"brute force would build up to {work} {what}, over the budget of {budget}"
+            f"brute force would build up to {work} dynamic-program states, "
+            f"over the budget of {budget}"
         )
 
 
@@ -128,18 +141,18 @@ def _cmd_inverse_column(args) -> int:
         _emit_json(column.to_json_entries())
     else:
         for _, rep, coeff in column.items():
-            sys.stdout.write(f"{coeff}\t{_one_line(rep)}\n")
+            sys.stdout.write(f"{coeff}\t{_one_line(to_text(rep))}\n")
     return EXIT_OK
 
 
 def _cmd_images(args) -> int:
     h = _read_graph(args.h)
-    members = homomorphic_images(h)
+    images = [(_key(k, e).hex(), _text(k, e)) for k, e, _, _ in image_encodings(h)]
     if args.format == "json":
-        _emit_json([{"graph": to_text(rep), "key": key.hex()} for key, rep in members])
+        _emit_json([{"graph": text, "key": key} for key, text in images])
     else:
-        for key, rep in members:
-            sys.stdout.write(f"{key.hex()}\t{_one_line(rep)}\n")
+        for key, text in images:
+            sys.stdout.write(f"{key}\t{_one_line(text)}\n")
     return EXIT_OK
 
 

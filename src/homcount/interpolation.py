@@ -32,10 +32,12 @@ per class and keeps the row of the inverse matrix at each target: a
 recovery is then one query set plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
-on the input's class.  homomorphic_images keeps each class's images, as
+on the input's class.  image_encodings keeps each class's images, as
 least encodings with their partition and automorphism counts, in a cache
 bounded by IMAGES_CACHE_SIZE, so closed_set, lovasz_matrix and verify
-walk the set partitions of each class once.
+walk the set partitions of each class once.  homomorphic_images decodes
+them into (key, Graph) pairs; the images command prints each image's key
+and text straight from its encoding, with no Graph.
 """
 
 from __future__ import annotations
@@ -87,13 +89,22 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
 
     These are exactly the homomorphic images: any homomorphism factors as a
     quotient by its fibers followed by an embedding of the image.  The
-    answer depends only on h's class, so it is kept per class, keyed by h's
-    least encoding, as the images' least encodings in a cache of
-    IMAGES_CACHE_SIZE classes.  A repeated class costs one min_encoding
-    plus one Graph per image; each call returns a new list.
+    answer depends only on h's class and is read from image_encodings'
+    cache; a repeated class costs one min_encoding plus one Graph per
+    image.  Each call returns a new list.
     """
+    return [_form(k, e) for k, e, _, _ in image_encodings(h)]
+
+
+def image_encodings(h: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """_image_encodings of h's class: (block count, least encoding,
+    partitions, automorphisms) of each class of its homomorphic images, in
+    matrix order.  The classes are kept per class of h, keyed by h's least
+    encoding, in a cache of IMAGES_CACHE_SIZE classes, so a repeated class
+    costs one min_encoding.  The CLI prints images from these encodings
+    without building a Graph for any of them."""
     _check_quotient_size(h)
-    return [_form(k, e) for k, e, _, _ in _image_encodings(h.n, _min_encoding(h)[0])]
+    return _image_encodings(h.n, _min_encoding(h)[0])
 
 
 def _check_quotient_size(h: Graph) -> None:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homcount import kernels
+from homcount import canonical, kernels
 from homcount.canonical import (
     CANONICAL_CACHE_SIZE,
     GraphKey,
@@ -13,7 +13,17 @@ from homcount.canonical import (
     graph_from_key,
 )
 from homcount.errors import SizeLimitError
-from homcount.graphs import Graph, biclique, complete_graph, cycle_graph, relabel
+from homcount.graphs import (
+    Graph,
+    adjacency_masks,
+    biclique,
+    complete_graph,
+    cycle_graph,
+    loops_mask,
+    relabel,
+    to_text,
+)
+from homcount.interpolation import image_encodings
 
 from .conftest import random_graph
 from .oracles import (
@@ -207,3 +217,38 @@ def test_graphkey_hex_roundtrips_through_bytes():
     key = canonical_key(Graph(3, edges=frozenset({(0, 1), (1, 2)})))
     assert isinstance(key, GraphKey)
     assert bytes.fromhex(key.hex()) == key.data
+
+
+def _decode_bit_by_bit(n, enc):
+    """The graph an encoding describes, read one bit at a time in the
+    documented layout: loop bits by vertex, then pairs in row-major order."""
+    k = n + n * (n - 1) // 2
+    loops, edges = [], []
+    for v in range(n):
+        k -= 1
+        if (enc >> k) & 1:
+            loops.append(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            k -= 1
+            if (enc >> k) & 1:
+                edges.append((i, j))
+    return Graph(n, loops, edges)
+
+
+def test_bit_table_readers_match_a_bit_by_bit_decode():
+    encodings = [(key.data[0], kernels.min_encoding(*_masks(rep))[0])
+                 for key, rep in enumerate_graphs(5)]
+    rng = random.Random(97)
+    for _ in range(30):
+        g = random_graph(rng, 8, n_min=6)
+        encodings += [(k, e) for k, e, _, _ in image_encodings(g)]
+    assert len(encodings) > 663 + 30
+    for n, enc in encodings:
+        want = _decode_bit_by_bit(n, enc)
+        assert canonical._text(n, enc) == to_text(want)
+        assert canonical._masks(n, enc) == (loops_mask(want), adjacency_masks(want))
+        got = canonical._decode(n, enc)
+        assert got == want
+        # Same insertion order, so the frozensets iterate alike as well.
+        assert repr(got) == repr(want)

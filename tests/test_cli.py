@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -8,7 +9,11 @@ from pathlib import Path
 import pytest
 
 from homcount import cli, families, interpolation, inversion, kernels
+from homcount.canonical import enumerate_graphs
 from homcount.errors import InternalCheckError
+from homcount.graphs import Graph, to_text
+
+from .conftest import random_graph
 
 DATA = Path(__file__).parent / "data"
 G = DATA / "graphs"
@@ -344,6 +349,66 @@ def test_aut_budget_runs_before_the_search(monkeypatch, tmp_path, capsys):
     assert cli.main(["count", "--kind", "aut", "--h",
                      _graph_file(tmp_path, "4c5", 20, cycles)]) == 4
     assert "over the budget" in capsys.readouterr().err
+
+
+def test_aut_budget_is_judged_without_building_n_factorial(tmp_path, capsys):
+    # 300,000! has about 1.5 million digits; the guard stops multiplying
+    # once the product passes the budget.
+    huge = _graph_file(tmp_path, "isolated300000", 300000, [])
+    start = time.perf_counter()
+    assert cli.main(["count", "--kind", "aut", "--h", huge]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "over the budget" in err and "300000" in err
+    assert len(err) < 300
+    assert cli.main(["count", "--kind", "aut", "--h",
+                     _graph_file(tmp_path, "isolated13", 13, [])]) == 4
+    assert "over the budget" in capsys.readouterr().err
+    four_k3 = [(3 * c + i, 3 * c + j) for c in range(4) for i, j in ((0, 1), (0, 2), (1, 2))]
+    for name, edges, count in (("isolated12", [], 479001600), ("4k3", four_k3, 31104)):
+        assert cli.main(["count", "--kind", "aut", "--h", _graph_file(tmp_path, name, 12, edges),
+                         "--format", "plain"]) == 0
+        assert capsys.readouterr().out == f"{count}\n"
+
+
+def test_images_output_matches_a_rendering_of_homomorphic_images(tmp_path, capsys):
+    # Every class with at most 4 vertices, then 20 random looped graphs on
+    # 6-8 vertices.
+    rng = random.Random(113)
+    inputs = [rep for _, rep in enumerate_graphs(4)]
+    inputs += [random_graph(rng, 8, n_min=6) for _ in range(20)]
+    for i, h in enumerate(inputs):
+        path = tmp_path / f"h{i}.graph"
+        path.write_text(to_text(h))
+        images = interpolation.homomorphic_images(h)
+        want_json = json.dumps([{"graph": to_text(rep), "key": key.hex()}
+                                for key, rep in images], sort_keys=True, indent=2) + "\n"
+        want_plain = "".join(f"{key.hex()}\t{'; '.join(to_text(rep).strip().splitlines())}\n"
+                             for key, rep in images)
+        assert cli.main(["images", "--h", str(path)]) == 0
+        assert capsys.readouterr().out == want_json
+        assert cli.main(["images", "--h", str(path), "--format", "plain"]) == 0
+        assert capsys.readouterr().out == want_plain
+
+
+def test_images_builds_no_graph_but_its_input(monkeypatch, tmp_path, capsys):
+    cube = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    path = _graph_file(tmp_path, "cube", 8, cube)
+    interpolation._image_encodings.cache_clear()
+    built = []
+    post_init = Graph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    for fmt in ("json", "plain"):
+        built.clear()
+        assert cli.main(["images", "--h", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out) if fmt == "json" else out.splitlines()) == 89
+        assert built == [8]
 
 
 def _refuse_hom_polytime(g, h, shapes):

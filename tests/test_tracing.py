@@ -30,3 +30,16 @@ def test_tracer_installs_over_every_layer_and_restores_it(monkeypatch, capsys):
     metrics = tracer.metrics()
     assert metrics["exactsolve.self_s"] > 0
     assert metrics["interpolation.oracle.queries"] == 4
+
+
+def test_tracer_sees_the_images_work_in_the_interpolation_layer(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["images", "--h", f"{G}/c5.graph"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.functions()["interpolation.image_encodings"]["calls"] == 1
