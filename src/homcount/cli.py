@@ -231,6 +231,16 @@ def _cmd_recover(args) -> int:
     return EXIT_OK if all(t["match"] for t in report["targets"]) else EXIT_INTERNAL
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative int: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homcount",
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="target graph file, or - for stdin")
     p.add_argument("--force-bruteforce", action="store_true",
                    help="skip the closed-form path even when the target allows it")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
                    help="brute-force budget: the most dynamic-program states the "
                    "counting kernel may build (for --kind aut, a cap on n! for the "
                    "target's n vertices)")

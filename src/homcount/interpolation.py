@@ -35,9 +35,13 @@ Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class.  image_encodings keeps each class's images, as
 least encodings with their partition and automorphism counts, in a cache
 bounded by IMAGES_CACHE_SIZE, so closed_set, lovasz_matrix and verify
-walk the set partitions of each class once.  homomorphic_images decodes
-them into (key, Graph) pairs; the images command prints each image's key
-and text straight from its encoding, with no Graph.
+walk the set partitions of each class once.  The walk packs each partial
+quotient into a few ints and keys every distinct labelled quotient
+through one memo shared by all classes, bounded by QUOTIENT_CACHE_SIZE:
+the same labelled quotient recurs across classes, and is searched once
+while it stays in the memo.  homomorphic_images decodes the images into
+(key, Graph) pairs; the images command prints each image's key and text
+straight from its encoding, with no Graph.
 """
 
 from __future__ import annotations
@@ -73,6 +77,14 @@ from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
 QUOTIENT_MAX_VERTICES = 8
+# The partition walk packs a quotient's adjacency rows _STRIDE bits apart in
+# one int, and the block of each placed vertex likewise in another.  A row
+# has at most QUOTIENT_MAX_VERTICES bits, so rows cannot overlap.
+_STRIDE = QUOTIENT_MAX_VERTICES
+_ROW = (1 << _STRIDE) - 1
+# Labelled quotients whose least encoding and automorphism count are kept,
+# shared by all classes (about 280 bytes each: 1.2 MB when full).
+QUOTIENT_CACHE_SIZE = 1 << 12
 # Classes whose homomorphic images are kept, as least encodings with
 # their partition and automorphism counts (plain ints, about 140 bytes per
 # image: 41 KB for an 8-vertex class with 290).
@@ -122,48 +134,68 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
     the class, and automorphisms is the class's own count.
 
     Set partitions are grown one vertex at a time, depth first on an
-    explicit stack, with the quotient kept in bitmask form and blocks
-    indexed by their first member.  When vertex v joins block b, only v's
-    lower-numbered neighbours are visited: one in b loops b, one in another
-    block c joins b and c.  Placing the last vertex then gives exactly the
-    quotient by the partition as (block count, loop mask, adjacency masks),
-    which is counted rather than pushed; the distinct ones are canonicalized
-    once each by min_encoding, which also counts their automorphisms.
+    explicit stack, with blocks indexed by their first member.  Each node
+    packs its partial quotient into three ints: block count, loop mask, and
+    adjacency bits with row b at bits b*_STRIDE on; the blocks of the
+    placed vertices go into a fourth, _STRIDE bits apart.  Vertex v's
+    lower-numbered neighbours are read once per node, as the mask of their
+    blocks and the same blocks as a column; joining block b then loops b if
+    one of them is in b and sets row b and column b to the others, a few
+    int operations per child.
+    Placing the last vertex gives exactly the quotient by the partition as
+    (block count, loop mask, adjacency bits), which is counted rather than
+    pushed; each distinct one is keyed by _quotient_class, whose memo is
+    shared by all classes, so a labelled quotient that recurs across
+    classes is searched once.
     """
     if n == 0:
         return ((0, 0, 1, 1),)
     h_loops, adj = _masks(n, enc)
-    lower = [[u for u in range(v) if (adj[v] >> u) & 1] for v in range(n)]
-    quotients: dict[tuple, int] = {}
-    # (next vertex, block of each placed vertex, loop mask, adjacency masks)
-    stack = [(0, (), 0, ())]
+    lower = [[u * _STRIDE for u in range(v) if (adj[v] >> u) & 1] for v in range(n)]
+    last = n - 1
+    quotients: dict[tuple[int, int, int], int] = {}
+    # (next vertex, block of each placed vertex, block count, loop mask,
+    # adjacency bits)
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        v, blocks, loops, q_adj = stack.pop()
-        k = len(q_adj)
+        v, blocks, k, loops, bits = stack.pop()
+        near = column = 0
+        for shift in lower[v]:
+            c = (blocks >> shift) & _ROW
+            near |= 1 << c
+            column |= 1 << c * _STRIDE
+        looped = (h_loops >> v) & 1
         for b in range(k + 1):
-            q_loops = loops | (((h_loops >> v) & 1) << b)
-            row = list(q_adj) + [0] if b == k else list(q_adj)
-            for u in lower[v]:
-                c = blocks[u]
-                if c == b:
-                    q_loops |= 1 << b
-                else:
-                    row[b] |= 1 << c
-                    row[c] |= 1 << b
-            if v + 1 < n:
-                stack.append((v + 1, blocks + (b,), q_loops, tuple(row)))
+            q_bits = bits | near << b * _STRIDE | column << b
+            if (near >> b) & 1:
+                # The diagonal bit both terms set stands for b's loop.
+                q_bits ^= 1 << b * _STRIDE + b
+                q_loops = loops | 1 << b
             else:
-                leaf = (len(row), q_loops, tuple(row))
+                q_loops = loops | looped << b
+            q_k = k + 1 if b == k else k
+            if v < last:
+                stack.append((v + 1, blocks | b << v * _STRIDE, q_k, q_loops, q_bits))
+            else:
+                leaf = (q_k, q_loops, q_bits)
                 quotients[leaf] = quotients.get(leaf, 0) + 1
     classes: dict[tuple[int, int], list[int]] = {}
-    for (k, loops, q_adj), count in quotients.items():
-        e, aut = kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], q_adj)
+    for (k, loops, bits), count in quotients.items():
+        e, aut = _quotient_class(k, loops, bits)
         if (k, e) in classes:
             classes[k, e][0] += count
         else:
             classes[k, e] = [count, aut]
     return tuple(sorted(((k, e, c, a) for (k, e), (c, a) in classes.items()),
                         key=lambda image: _key(image[0], image[1])))
+
+
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
+def _quotient_class(k: int, loops: int, bits: int) -> tuple[int, int]:
+    """Least encoding and automorphism count of the labelled quotient with k
+    blocks, loop mask loops and _image_encodings' packed adjacency bits."""
+    rows = [(bits >> b * _STRIDE) & _ROW for b in range(k)]
+    return kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], rows)
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:

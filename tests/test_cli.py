@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -18,6 +19,9 @@ from .conftest import random_graph
 DATA = Path(__file__).parent / "data"
 G = DATA / "graphs"
 GOLDEN = DATA / "golden"
+# SHA-256 of test_images_output_is_pinned_on_random_looped_graphs' stdout,
+# taken before the partition walk was packed and its quotients memoized.
+IMAGES_PINNED_SHA256 = "20c77acf1916e1758d217f6ab30f052e76745c819ee648f9aea335d42bef2b7d"
 
 GOLDEN_CASES = [
     ("01_count_hom_poly.json",
@@ -371,6 +375,25 @@ def test_aut_budget_is_judged_without_building_n_factorial(tmp_path, capsys):
         assert capsys.readouterr().out == f"{count}\n"
 
 
+def test_budget_must_be_nonnegative(tmp_path, capsys):
+    k1 = _graph_file(tmp_path, "k1", 1, [])
+    k3 = _graph_file(tmp_path, "k3", 3, [(0, 1), (0, 2), (1, 2)])
+    aut = ["count", "--kind", "aut", "--h", k3]
+    brute = ["count", "--kind", "hom", "--g", k3, "--h", k3, "--force-bruteforce"]
+    for argv in (aut, brute, ["count", "--kind", "aut", "--h", k1]):
+        assert cli.main(argv + ["--budget", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--budget: must be a nonnegative int" in err
+    # A zero budget is judged as before: K1 has one vertex order, and K3 is
+    # refused on both paths.
+    assert cli.main(["count", "--kind", "aut", "--h", k1, "--budget", "0",
+                     "--format", "plain"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    for argv in (aut, brute):
+        assert cli.main(argv + ["--budget", "0"]) == 4
+        assert "over the budget of 0" in capsys.readouterr().err
+
+
 def test_images_output_matches_a_rendering_of_homomorphic_images(tmp_path, capsys):
     # Every class with at most 4 vertices, then 20 random looped graphs on
     # 6-8 vertices.
@@ -409,6 +432,23 @@ def test_images_builds_no_graph_but_its_input(monkeypatch, tmp_path, capsys):
         out = capsys.readouterr().out
         assert len(json.loads(out) if fmt == "json" else out.splitlines()) == 89
         assert built == [8]
+
+
+def test_images_output_is_pinned_on_random_looped_graphs(tmp_path, capsys):
+    # 20 random looped graphs on 7-8 vertices in one process, JSON then
+    # plain: later inputs read quotient classes that earlier ones keyed.  An
+    # 8-vertex input's identity partition fills every packed block row.
+    rng = random.Random(127)
+    inputs = [random_graph(rng, 8, n_min=7) for _ in range(20)]
+    assert any(h.n == 8 for h in inputs)
+    digest = hashlib.sha256()
+    for i, h in enumerate(inputs):
+        path = tmp_path / f"h{i}.graph"
+        path.write_text(to_text(h))
+        for fmt in ("json", "plain"):
+            assert cli.main(["images", "--h", str(path), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == IMAGES_PINNED_SHA256
 
 
 def _refuse_hom_polytime(g, h, shapes):

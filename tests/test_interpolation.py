@@ -35,6 +35,8 @@ from homcount.graphs import (
 )
 from homcount.interpolation import (
     IMAGES_CACHE_SIZE,
+    QUOTIENT_CACHE_SIZE,
+    QUOTIENT_MAX_VERTICES,
     CountingOracle,
     ExternalCommandOracle,
     alpha_for_vesurj,
@@ -158,6 +160,70 @@ def test_images_of_relabeled_graph_are_a_cache_hit(monkeypatch):
     assert homomorphic_images(relabel(g, perm)) == want
     assert cache.cache_info().misses == misses
     assert calls == [g.n]
+
+
+def _bell(n):
+    """Bell number by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def test_image_encodings_match_naive_quotients_with_a_warm_memo():
+    # Every class with at most 4 vertices, then 25 random looped graphs on
+    # 5-6 vertices, walked in one sequence from cleared caches: later walks
+    # read labelled quotients that earlier ones left in the memo.
+    rng = random.Random(131)
+    graphs = [rep for _, rep in enumerate_graphs(4)]
+    graphs += [random_graph(rng, 6, n_min=5) for _ in range(25)]
+    interpolation._image_encodings.cache_clear()
+    interpolation._quotient_class.cache_clear()
+    for g in graphs:
+        want = {}
+        for partition in naive_set_partitions(g.n):
+            q = naive_quotient(g, partition)
+            image = (q.n, naive_min_encoding(q))
+            if image in want:
+                want[image][0] += 1
+            else:
+                want[image] = [1, naive_aut(q)]
+        got = interpolation.image_encodings(g)
+        assert {(k, e): [c, a] for k, e, c, a in got} == want, g
+        assert sum(c for _, _, c, _ in got) == _bell(g.n)
+    assert interpolation._quotient_class.cache_info().hits > 0
+
+
+def test_quotient_memo_is_bounded_and_shared_across_classes(monkeypatch):
+    memo = interpolation._quotient_class
+    assert memo.cache_info().maxsize == QUOTIENT_CACHE_SIZE
+    # Packed block rows are _STRIDE bits wide, so the largest quotient fits.
+    assert interpolation._STRIDE >= QUOTIENT_MAX_VERTICES
+    interpolation._image_encodings.cache_clear()
+    memo.cache_clear()
+    rng = random.Random(137)
+    while memo.cache_info().misses <= QUOTIENT_CACHE_SIZE:
+        interpolation.image_encodings(random_graph(rng, 8, n_min=8))
+        assert memo.cache_info().currsize <= QUOTIENT_CACHE_SIZE
+    # The loop at 0 is implied whenever 0 shares a block with its neighbour
+    # 1, so the second class has many labelled quotients of the first.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)]
+    first, second = Graph(6, [], edges), Graph(6, [0], edges)
+    interpolation.image_encodings(first)
+    labelled = {naive_quotient(second, p) for p in naive_set_partitions(6)}
+    calls = []
+    encode = kernels.min_encoding
+
+    def counting(*args):
+        calls.append(args[0])
+        return encode(*args)
+
+    monkeypatch.setattr(kernels, "min_encoding", counting)
+    interpolation._image_encodings(6, naive_min_encoding(second))
+    assert 0 < len(calls) < len(labelled)
 
 
 def test_verify_keys_images_once_per_class():
