@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import kernels
 from .errors import SizeLimitError
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph, adjacency_masks, loops_mask
 
 ENUMERATE_MAX_VERTICES = 6
 # Entries kept by canonical_form's cache; each holds two small Graphs.
@@ -118,8 +118,7 @@ def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
 def _min_encoding(g: Graph) -> tuple[int, int]:
     """min_encoding's pair for g: its least encoding over all vertex orders,
     which its key packs, and its number of automorphisms."""
-    loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
-    return kernels.min_encoding(g.n, loop_flags, adjacency_masks(g))
+    return kernels.min_encoding(g.n, loops_mask(g), adjacency_masks(g))
 
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
@@ -162,11 +161,10 @@ def enumerate_graphs(n_max: int) -> tuple[tuple[GraphKey, Graph], ...]:
         grown = set()
         for enc in level:
             loops, adj = _masks(n - 1, enc)
-            flags = [(loops >> v) & 1 for v in range(n - 1)]
-            for looped in (0, 1):
+            for looped in (loops, loops | 1 << (n - 1)):
                 for nbrs in range(1 << (n - 1)):
                     joined = [a | ((nbrs >> v) & 1) << (n - 1) for v, a in enumerate(adj)]
-                    grown.add(kernels.min_encoding(n, flags + [looped], joined + [nbrs])[0])
+                    grown.add(kernels.min_encoding(n, looped, joined + [nbrs])[0])
         level = grown
         classes += [_form(n, enc) for enc in level]
     return tuple(sorted(classes))

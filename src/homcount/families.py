@@ -116,14 +116,6 @@ def _shapes(h: Graph) -> list[ComponentShape]:
     return [_shape(*profile) for profile in _component_profiles(h)]
 
 
-def component_shape(c: Graph) -> ComponentShape:
-    """Classify one connected graph; a disconnected one is unrecognized."""
-    if c.n == 0:
-        raise ValueError("components are nonempty")
-    shapes = _shapes(c)
-    return shapes[0] if len(shapes) == 1 else ComponentShape.unrecognized()
-
-
 def classify_F(h: Graph) -> tuple[bool, list[ComponentShape]]:
     """Membership in F plus the per-component shapes (component order
     follows smallest original vertex)."""

@@ -59,9 +59,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def has_loop(self, v: int) -> bool:
-        return v in self.loops
-
 
 def adjacency_masks(g: Graph) -> list[int]:
     """Non-loop adjacency as one bitmask per vertex (bit u of masks[v] set iff u~v)."""
@@ -176,18 +173,6 @@ def component_vertex_sets(g: Graph) -> list[list[int]]:
 def connected_components(g: Graph) -> list[Graph]:
     """Connected components as graphs, reindexed, ordered by smallest original vertex."""
     return [induced_subgraph(g, comp) for comp in component_vertex_sets(g)]
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply the vertex bijection perm (perm[old] = new)."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a bijection on 0..n-1")
-    return Graph(
-        g.n,
-        (perm[v] for v in g.loops),
-        ((perm[u], perm[v]) for u, v in g.edges),
-    )
 
 
 # Text format: a header line "vertices <n>", then one "edge <u> <v>" or

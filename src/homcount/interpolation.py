@@ -32,10 +32,13 @@ per class and keeps the row of the inverse matrix at each target: a
 recovery is then one query set plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
-on the input's class.  image_encodings keeps each class's images, as
-least encodings with their partition and automorphism counts, in a cache
-bounded by IMAGES_CACHE_SIZE, so closed_set, lovasz_matrix and verify
-walk the set partitions of each class once.  The walk packs each partial
+on the input's class, so they are closed over classes given as least
+encodings: closed_set keys each input graph once, lovasz_matrix and
+build_system read the encodings their keys hold, and no member is keyed
+again.  image_encodings keeps each class's images, as least encodings
+with their partition and automorphism counts, in a cache bounded by
+IMAGES_CACHE_SIZE, so verify walks the set partitions of each class
+once.  The walk packs each partial
 quotient into a few ints and keys every distinct labelled quotient
 through one memo shared by all classes, bounded by QUOTIENT_CACHE_SIZE:
 the same labelled quotient recurs across classes, and is searched once
@@ -60,7 +63,6 @@ from .canonical import (
     _masks,
     _min_encoding,
     _unpack,
-    canonical_form,
     canonical_key,
     graph_from_key,
 )
@@ -115,12 +117,18 @@ def image_encodings(h: Graph) -> tuple[tuple[int, int, int, int], ...]:
     encoding, in a cache of IMAGES_CACHE_SIZE classes, so a repeated class
     costs one min_encoding.  The CLI prints images from these encodings
     without building a Graph for any of them."""
-    _check_quotient_size(h)
-    return _image_encodings(h.n, _min_encoding(h)[0])
+    return _image_encodings(*_class_of(h))
 
 
-def _check_quotient_size(h: Graph) -> None:
-    if h.n > QUOTIENT_MAX_VERTICES:
+def _class_of(h: Graph) -> tuple[int, int]:
+    """h's vertex count and least encoding.  h is refused before the search
+    when quotient enumeration would refuse it."""
+    _check_quotient_size(h.n)
+    return h.n, _min_encoding(h)[0]
+
+
+def _check_quotient_size(n: int) -> None:
+    if n > QUOTIENT_MAX_VERTICES:
         raise SizeLimitError(
             f"quotient enumeration is limited to {QUOTIENT_MAX_VERTICES} vertices"
         )
@@ -195,42 +203,39 @@ def _quotient_class(k: int, loops: int, bits: int) -> tuple[int, int]:
     """Least encoding and automorphism count of the labelled quotient with k
     blocks, loop mask loops and _image_encodings' packed adjacency bits."""
     rows = [(bits >> b * _STRIDE) & _ROW for b in range(k)]
-    return kernels.min_encoding(k, [(loops >> b) & 1 for b in range(k)], rows)
+    return kernels.min_encoding(k, loops, rows)
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
     """Union of the homomorphic images of the given graphs, deduplicated and
-    sorted in matrix order.  Closure is verified, not assumed: images of
-    members must add nothing.  A given graph's own class is the one image
-    with as many vertices, and its images are already merged, so each
-    member's images are computed once.  A union that passes
-    SYSTEM_MAX_SIZE classes is refused as soon as it does, before the
-    images of the remaining inputs or any member."""
-    return _closure(graphs)[0]
+    sorted in matrix order.  Each graph is keyed once, and refused before
+    its key search when it is too large for quotient enumeration.  Closure
+    is verified, not assumed: images of members must add nothing.  A union
+    that passes SYSTEM_MAX_SIZE classes is refused as soon as it does,
+    before the images of the remaining inputs or any member."""
+    return _closure(map(_class_of, graphs))[0]
 
 
-def _closure(graphs):
-    """closed_set's members, and a map from each member's key to its
-    _image_encodings, for _system_over."""
-    acc: dict[GraphKey, Graph] = {}
-    images = {}
-    for g in graphs:
-        for key, rep in homomorphic_images(g):
-            acc.setdefault(key, rep)
-            if rep.n == g.n:
-                # Read back from the cache entry the call above made.
-                images[key] = _image_encodings(*_unpack(key.data))
-        if len(acc) > SYSTEM_MAX_SIZE:
+def _closure(classes):
+    """closed_set over classes given as (vertex count, least encoding), each
+    checked against QUOTIENT_MAX_VERTICES before any is walked, and a map
+    from each member's class to its _image_encodings, for _system_over.
+    Closure is checked on those encodings, so each member is walked once,
+    decoded once into its (key, Graph) pair, and never keyed."""
+    classes = list(classes)
+    for n, _ in classes:
+        _check_quotient_size(n)
+    union, images = set(), {}
+    for c in classes:
+        images[c] = _image_encodings(*c)
+        union.update((k, e) for k, e, _, _ in images[c])
+        if len(union) > SYSTEM_MAX_SIZE:
             raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    members = sorted(acc.items())
-    for key, rep in members:
-        if key in images:
-            continue
-        for image, _ in homomorphic_images(rep):
-            if image not in acc:
-                raise InternalCheckError("image closure failed to close")
-        images[key] = _image_encodings(*_unpack(key.data))
-    return members, images
+    for c in union.difference(images):
+        images[c] = _image_encodings(*c)
+        if any((k, e) not in union for k, e, _, _ in images[c]):
+            raise InternalCheckError("image closure failed to close")
+    return sorted(_form(*c) for c in union), images
 
 
 @dataclass
@@ -279,9 +284,9 @@ class LovaszSystem:
 def _system_over(ordered, images=None) -> LovaszSystem:
     """Matrix, factors and checked determinant of the system over members
     already known to be distinct, closed and in matrix order, each keyed by
-    its least encoding.  images, when given, maps each member's key to its
-    _image_encodings, as closed_set found them; otherwise they are read
-    from the cache.
+    its least encoding.  images, when given, maps each member's (vertex
+    count, least encoding) to its _image_encodings, as _closure found them;
+    otherwise they are read from the cache.
 
     Entries come from counting.hom_table, which counts hom only between the
     classes of the members' connected components.
@@ -300,12 +305,12 @@ def _system_over(ordered, images=None) -> LovaszSystem:
     """
     matrix = hom_table(ordered)
     # N's rows and the automorphism counts, from the members' images.
-    position = {_unpack(key.data): i for i, (key, _) in enumerate(ordered)}
+    classes = [_unpack(key.data) for key, _ in ordered]
+    position = {c: i for i, c in enumerate(classes)}
     lower, autos = [], []
-    for i, (key, _) in enumerate(ordered):
+    for i, c in enumerate(classes):
         below = []
-        found = images[key] if images is not None else _image_encodings(*_unpack(key.data))
-        for k, e, partitions, aut in found:
+        for k, e, partitions, aut in images[c] if images is not None else _image_encodings(*c):
             j = position.get((k, e))
             if j == i and partitions == 1:
                 autos.append(aut)
@@ -344,20 +349,18 @@ def lovasz_matrix(members) -> LovaszSystem:
     """Build the homomorphism-count matrix over a closed set, with its
     checked triangular factors.
 
-    Accepts (key, rep) pairs or plain graphs; the input must already be
-    closed under homomorphic images, so that its closure (closed_set's)
-    adds no member, and contain no duplicate classes.  The
+    Accepts (key, rep) pairs, whose keys already hold the classes and are
+    not searched again, or plain graphs, each keyed once; the input must
+    already be closed under homomorphic images, so that its closure
+    (closed_set's) adds no member, and contain no duplicate classes.  The
     matrix is invertible for closed sets: its determinant is the product of
     the members' automorphism counts, which the factors check.
     """
-    norm: dict[GraphKey, Graph] = {}
-    for m in members:
-        key, rep = canonical_form(m) if isinstance(m, Graph) else m
-        if key in norm:
-            raise ValueError("duplicate isomorphism class in the input set")
-        norm[key] = rep
-    members, images = _closure(norm.values())
-    if len(members) > len(norm):
+    classes = [_class_of(m) if isinstance(m, Graph) else _unpack(m[0].data) for m in members]
+    if len(set(classes)) < len(classes):
+        raise ValueError("duplicate isomorphism class in the input set")
+    members, images = _closure(classes)
+    if len(members) > len(classes):
         raise ValueError("input set is not closed under homomorphic images")
     return _system_over(members, images)
 
@@ -427,9 +430,10 @@ class ExternalCommandOracle:
 def build_system(alpha: CoeffVector) -> LovaszSystem:
     """Closed set spanning the support of alpha, with matrix and alpha attached.
 
-    closed_set verifies closure, so the matrix is built over its members
-    from the images it computed, without walking them a second time."""
-    system = _system_over(*_closure(rep for _, rep, _ in alpha.items()))
+    The support's keys already hold its classes, so no member is keyed;
+    _closure verifies closure, and the matrix is built over its members
+    from the images it read, without walking them a second time."""
+    system = _system_over(*_closure(_unpack(key.data) for key in alpha.support()))
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:
         raise InternalCheckError("closure lost part of the coefficient support")
@@ -506,7 +510,7 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     """
     if mode not in ("vsurj", "vesurj"):
         raise ValueError("mode must be 'vsurj' or 'vesurj'")
-    _check_quotient_size(h)
+    _check_quotient_size(h.n)
     if oracle is None:
         oracle = CountingOracle(mode, h)
     h_key = canonical_key(h)

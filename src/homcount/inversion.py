@@ -73,18 +73,6 @@ class CoeffVector:
                 store[key] = (rep, int(coeff))
         self._entries = store
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "CoeffVector":
-        """Aggregate (graph, coefficient) pairs by isomorphism class."""
-        store = {}
-        for g, coeff in pairs:
-            key, rep = canonical_form(g)
-            if key in store:
-                store[key] = (store[key][0], store[key][1] + coeff)
-            else:
-                store[key] = (rep, coeff)
-        return cls(store)
-
     def coeff(self, key: GraphKey) -> int:
         entry = self._entries.get(key)
         return entry[1] if entry else 0
@@ -184,25 +172,29 @@ def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, Graph, int, i
     return tuple((k, *acc[k]) for k in sorted(acc))
 
 
-def _check_pair_limit(h: Graph) -> None:
-    """Refuse h above DSUB_PAIR_LIMIT labeled deletion pairs.  Call it before
-    canonicalizing h, which is itself exponential in h's vertex count.  Each
-    vertex subset keeps at least one pair, so h is refused at once when 2^n
-    alone passes the limit.  Otherwise the exact total is summed only when
-    the bound for h's vertex count exceeds the limit (never up to 6
-    vertices), so cached lookups stay cheap, and only until it passes."""
+def _check_pair_limit(h: Graph, deletions: bool) -> None:
+    """Refuse h when its walk, with or without deletions, would pass
+    DSUB_PAIR_LIMIT leaves.  Call it before canonicalizing h, which is
+    itself exponential in h's vertex count.  Each vertex subset is at least
+    one leaf, so h is refused at once when 2^n alone passes the limit; that
+    is the induced walk's whole count.  With deletions a leaf is a labeled
+    deletion pair, and their exact total is summed only when the bound for
+    h's vertex count exceeds the limit (never up to 6 vertices), so cached
+    lookups stay cheap, and only until it passes."""
     if h.n >= DSUB_PAIR_LIMIT.bit_length() or (
-        _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
+        deletions
+        and _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
         and _deletion_pair_total(h, DSUB_PAIR_LIMIT) > DSUB_PAIR_LIMIT
     ):
+        kind, leaves = ("deletion", "pairs") if deletions else ("induced", "vertex subsets")
         raise SizeLimitError(
-            f"deletion-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} pairs"
+            f"{kind}-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} {leaves}"
         )
 
 
 def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
     """All classes f with dsub(f, h) > 0, with those counts, in matrix order."""
-    _check_pair_limit(h)
+    _check_pair_limit(h, True)
     return tuple((key, rep, copies) for key, rep, copies, _ in _walk(canonical_key(h), True))
 
 
@@ -217,7 +209,7 @@ def dsub_count(f: Graph, h: Graph) -> int:
 def dsub_inverse_column(h: Graph) -> CoeffVector:
     """Column of the inverse of the dsub matrix at h: the signed deletion
     subgraphs of h, aggregated by isomorphism class."""
-    _check_pair_limit(h)
+    _check_pair_limit(h, True)
     return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), True)})
 
 
@@ -225,7 +217,9 @@ def ind_inverse_column(h: Graph) -> CoeffVector:
     """Column of the inverse of the ind matrix at h: the induced subgraphs
     of h, signed by the number of deleted vertices and aggregated by
     isomorphism class.  Every copy of a class deletes as many vertices, so
-    each entry's absolute value is ind(f, h)."""
+    each entry's absolute value is ind(f, h).  h is refused, before it is
+    canonicalized, when its 2^n vertex subsets pass DSUB_PAIR_LIMIT."""
+    _check_pair_limit(h, False)
     return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), False)})
 
 

@@ -335,9 +335,10 @@ def _count_surjective(g, h, edges_too):
     return total
 
 
-def min_encoding(n, loop_flags, adj):
+def min_encoding(n, loops, adj):
     """Lexicographically smallest encoding over all vertex orders, and the
-    number of automorphisms.
+    number of automorphisms, of the graph on n vertices with loop mask loops
+    (bit v set iff v is looped) and adjacency masks adj.
 
     The loop bits are the most significant, so every least order lists the
     loopless vertices first.  The search fixes one position at a time and
@@ -359,18 +360,14 @@ def min_encoding(n, loop_flags, adj):
     """
     if n == 0:
         return 0, 1
-    loopless = 0
-    for v in range(n):
-        if not loop_flags[v]:
-            loopless |= 1 << v
-    looped = ((1 << n) - 1) & ~loopless
+    loopless = ((1 << n) - 1) & ~loops
     # Bits of the encoding from row i on; rows are n-1-i bits long.
     rest = [(n - i) * (n - 1 - i) // 2 for i in range(n)]
     best = None
     autos = 0
     # Depth first on an explicit stack: (position, cells, rows so far,
     # least orders each leaf below stands for).
-    stack = [(0, [c for c in (loopless, looped) if c], 0, 1)]
+    stack = [(0, [c for c in (loopless, loops) if c], 0, 1)]
     while stack:
         i, cells, prefix, weight = stack.pop()
         if best is not None and prefix > best >> rest[i]:
@@ -420,4 +417,4 @@ def min_encoding(n, loop_flags, adj):
                 if c & a:
                     split.append(c & a)
             stack.append((i + 1, split, prefix, weight * twins[v]))
-    return (((1 << looped.bit_count()) - 1) << (n * (n - 1) // 2)) | best, autos
+    return (((1 << loops.bit_count()) - 1) << (n * (n - 1) // 2)) | best, autos

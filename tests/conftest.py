@@ -31,6 +31,11 @@ def random_graph(rng: random.Random, n_max: int, loops_allowed: bool = True,
     return Graph(n, loops, edges)
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """g with each vertex v renamed perm[v]."""
+    return Graph(g.n, (perm[v] for v in g.loops), ((perm[u], perm[v]) for u, v in g.edges))
+
+
 @pytest.fixture
 def named():
     return {

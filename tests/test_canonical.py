@@ -20,12 +20,11 @@ from homcount.graphs import (
     complete_graph,
     cycle_graph,
     loops_mask,
-    relabel,
     to_text,
 )
 from homcount.interpolation import image_encodings
 
-from .conftest import random_graph
+from .conftest import random_graph, relabel
 from .oracles import (
     naive_all_graphs,
     naive_aut,
@@ -67,12 +66,12 @@ def test_key_invariant_under_relabeling():
 
 
 def _masks(g):
-    loop_flags = [1 if v in g.loops else 0 for v in range(g.n)]
+    loops = sum(1 << v for v in g.loops)
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return g.n, loop_flags, adj
+    return g.n, loops, adj
 
 
 def test_loopless_first_search_matches_min_over_all_permutations():

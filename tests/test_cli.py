@@ -290,7 +290,7 @@ def test_count_prints_counts_past_the_int_digit_limit(tmp_path, capsys):
             sys.set_int_max_str_digits(limit)
 
 
-def _refuse_canonicalization(n, loop_flags, adj):
+def _refuse_canonicalization(n, loops, adj):
     raise InternalCheckError(f"canonicalized a {n}-vertex graph")
 
 

@@ -10,7 +10,6 @@ from homcount.families import (
     classification_json,
     classify_C,
     classify_F,
-    component_shape,
     find_hard_edge,
     hom_polytime,
     vesurj_polytime,
@@ -25,28 +24,31 @@ from homcount.graphs import (
     disjoint_union,
     path_graph,
     reflexive_clique,
-    relabel,
 )
 
-from .conftest import random_graph
+from .conftest import random_graph, relabel
 from .oracles import naive_vesurj, naive_vsurj
 
 
 def test_component_shapes():
-    assert component_shape(Graph(1)) == ComponentShape.biclique(1, 0)
-    assert component_shape(complete_graph(2)) == ComponentShape.biclique(1, 1)
-    assert component_shape(path_graph(3)) == ComponentShape.biclique(2, 1)
-    assert component_shape(biclique(3, 2)) == ComponentShape.biclique(3, 2)
-    assert component_shape(Graph(1, loops=frozenset({0}))) == ComponentShape.reflexive_clique(1)
-    assert component_shape(reflexive_clique(3)) == ComponentShape.reflexive_clique(3)
-    assert component_shape(complete_graph(3)) == ComponentShape.unrecognized()
-    assert component_shape(cycle_graph(4)) == ComponentShape.biclique(2, 2)
-    assert component_shape(cycle_graph(6)) == ComponentShape.unrecognized()
-    assert component_shape(path_graph(4)) == ComponentShape.unrecognized()
+    assert classify_F(Graph(1))[1] == [ComponentShape.biclique(1, 0)]
+    assert classify_F(complete_graph(2))[1] == [ComponentShape.biclique(1, 1)]
+    assert classify_F(path_graph(3))[1] == [ComponentShape.biclique(2, 1)]
+    assert classify_F(biclique(3, 2))[1] == [ComponentShape.biclique(3, 2)]
+    assert classify_F(Graph(1, loops=frozenset({0})))[1] == [ComponentShape.reflexive_clique(1)]
+    assert classify_F(reflexive_clique(3))[1] == [ComponentShape.reflexive_clique(3)]
+    assert classify_F(complete_graph(3))[1] == [ComponentShape.unrecognized()]
+    assert classify_F(cycle_graph(4))[1] == [ComponentShape.biclique(2, 2)]
+    assert classify_F(cycle_graph(6))[1] == [ComponentShape.unrecognized()]
+    assert classify_F(path_graph(4))[1] == [ComponentShape.unrecognized()]
     half_loop = Graph(2, loops=frozenset({0}), edges=frozenset({(0, 1)}))
-    assert component_shape(half_loop) == ComponentShape.unrecognized()
-    missing_edge = Graph(3, loops=frozenset({0, 1, 2}), edges=frozenset({(0, 1)}))
-    assert component_shape(missing_edge) == ComponentShape.unrecognized()
+    assert classify_F(half_loop)[1] == [ComponentShape.unrecognized()]
+    missing_edge = Graph(3, loops=frozenset({0, 1, 2}), edges=frozenset({(0, 1), (1, 2)}))
+    assert classify_F(missing_edge)[1] == [ComponentShape.unrecognized()]
+    # Shapes are per component: two edges short, the looped triangle splits.
+    split = Graph(3, loops=frozenset({0, 1, 2}), edges=frozenset({(0, 1)}))
+    assert classify_F(split)[1] == [ComponentShape.reflexive_clique(2),
+                                    ComponentShape.reflexive_clique(1)]
 
 
 def test_shape_labels():

@@ -14,7 +14,6 @@ from homcount.graphs import (
     path_graph,
     quotient,
     reflexive_clique,
-    relabel,
     to_text,
 )
 
@@ -100,13 +99,6 @@ def test_connected_components_ignore_loops():
     assert [c.n for c in comps] == [3, 1]
     assert comps[1].loops == frozenset({0})
     assert connected_components(Graph(0)) == []
-
-
-def test_relabel_roundtrip():
-    g = Graph(3, loops=frozenset({0}), edges=frozenset({(0, 1)}))
-    p = [2, 0, 1]
-    q = [p.index(i) for i in range(3)]
-    assert relabel(relabel(g, p), q) == g
 
 
 def test_text_roundtrip(named):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import homcount
-from homcount import interpolation, kernels
+from homcount import canonical, interpolation, kernels
 from homcount.canonical import canonical_form, canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
 from homcount.counting import hom_count, hom_table, vesurj_count, vsurj_count
@@ -30,7 +30,6 @@ from homcount.graphs import (
     delete_nonloop_edge,
     disjoint_union,
     path_graph,
-    relabel,
     to_text,
 )
 from homcount.interpolation import (
@@ -49,7 +48,7 @@ from homcount.interpolation import (
     reduction_demo,
 )
 
-from .conftest import random_graph
+from .conftest import random_graph, relabel
 from .oracles import (
     naive_aut,
     naive_classes,
@@ -251,7 +250,7 @@ def test_images_and_keys_leave_no_reference_cycles():
         interpolation._image_encodings.cache_clear()
         homomorphic_images(_looped_cube())
         assert gc.collect() == 0
-        kernels.min_encoding(c12.n, [0] * c12.n, adjacency_masks(c12))
+        kernels.min_encoding(c12.n, 0, adjacency_masks(c12))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -268,38 +267,75 @@ def test_closed_set_is_closed_under_images():
 
 def test_build_system_computes_images_once_per_member(monkeypatch, named):
     calls = []
-    images = interpolation.homomorphic_images
+    images = interpolation._image_encodings
 
-    def counting(h):
-        calls.append(h)
-        return images(h)
+    def counting(n, enc):
+        calls.append((n, enc))
+        return images(n, enc)
 
-    monkeypatch.setattr(interpolation, "homomorphic_images", counting)
+    monkeypatch.setattr(interpolation, "_image_encodings", counting)
     for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"]),
                   alpha_for_vesurj(named["r3"])):
         calls.clear()
         system = build_system(alpha)
-        assert len(calls) <= len(alpha) + len(system.members)
+        assert len(set(calls)) == len(calls) == len(system.members)
+
+
+def _count_key_searches(monkeypatch):
+    """The graphs canonical._min_encoding keys from now on, through every
+    homcount module that binds it."""
+    calls = []
+    search = canonical._min_encoding
+
+    def counting(g):
+        calls.append(g)
+        return search(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homcount") and getattr(module, "_min_encoding", None) is search:
+            monkeypatch.setattr(module, "_min_encoding", counting)
+    return calls
 
 
 def test_closed_set_computes_images_once_per_member(monkeypatch, named):
-    calls = []
-    images = interpolation.homomorphic_images
-
-    def counting(h):
-        calls.append(h)
-        return images(h)
-
-    monkeypatch.setattr(interpolation, "homomorphic_images", counting)
+    searches = _count_key_searches(monkeypatch)
+    walks = interpolation._image_encodings
     for graphs in ([named["c5"]], [named["k1"], named["l1"], named["k2"]],
                    [named["k22"], named["star3"], named["r2"]]):
-        calls.clear()
+        searches.clear()
+        walks.cache_clear()
         members = closed_set(graphs)
-        assert len(calls) == len(members), graphs
-    for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"])):
-        calls.clear()
-        system = build_system(alpha)
-        assert len(calls) == len(system.members)
+        assert len(searches) == len(graphs), graphs
+        assert (walks.cache_info().misses, walks.cache_info().hits) == (len(members), 0)
+    for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"]),
+                  alpha_for_vesurj(biclique(2, 3))):
+        # hom_table keys the components of disconnected members through
+        # canonical_form's cache, warm from here on, so any search left
+        # would key a member.
+        members = build_system(alpha).members
+        for build, arg in ((build_system, alpha), (lovasz_matrix, members)):
+            searches.clear()
+            walks.cache_clear()
+            system = build(arg)
+            assert searches == []
+            assert (walks.cache_info().misses, walks.cache_info().hits) == (len(members), 0)
+            assert system.members == members
+
+
+def test_keyed_classes_are_size_checked_before_any_walk(monkeypatch):
+    c9 = cycle_graph(9)
+    alpha = alpha_for_vsurj(c9)
+
+    def refuse(*args):
+        raise AssertionError("walked the images of a class before the size guard")
+
+    # _image_encodings packs quotient rows _STRIDE bits apart: a 9-vertex
+    # class would overflow them, so it must be refused before any walk.
+    monkeypatch.setattr(interpolation, "_image_encodings", refuse)
+    with pytest.raises(SizeLimitError):
+        lovasz_matrix([canonical_form(c9)])
+    with pytest.raises(SizeLimitError):
+        build_system(alpha)
 
 
 def test_lovasz_matrix_small_example(named):

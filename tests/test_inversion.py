@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from homcount import counting, inversion
+from homcount import counting, inversion, kernels
 from homcount.canonical import canonical_key, enumerate_graphs
 from homcount.errors import SizeLimitError
+from homcount.interpolation import alpha_for_vsurj
 from homcount.graphs import (
     Graph,
     biclique,
@@ -51,21 +52,29 @@ def as_class_map(column):
     return {key: coeff for key, _, coeff in column.items()}
 
 
+def _vector(pairs):
+    """CoeffVector with coefficient c at the class of each (graph, c)."""
+    return CoeffVector({canonical_key(g): (g, c) for g, c in pairs})
+
+
 def test_coeffvector_aggregates_by_class():
     p3 = path_graph(3)
     p3_flipped = Graph(3, edges=frozenset({(0, 1), (0, 2)}))
-    vec = CoeffVector.from_pairs([(p3, 2), (p3_flipped, 3), (Graph(1), -1)])
+    vec = _vector([(p3, 5), (Graph(1), -1)])
     assert len(vec) == 2
-    assert vec.coeff(canonical_key(p3)) == 5
+    assert vec.coeff(canonical_key(p3_flipped)) == 5
     assert vec.coeff(canonical_key(Graph(1))) == -1
     assert vec.coeff(canonical_key(Graph(0))) == 0
+    # The signed induced column sums P3's eight vertex subsets by class.
+    assert as_class_map(ind_inverse_column(p3_flipped)) == as_class_map(_vector(
+        [(Graph(0), -1), (Graph(1), 3), (Graph(2), -1), (complete_graph(2), -2), (p3, 1)]))
 
 
 def test_coeffvector_drops_zeros_and_orders_items():
-    vec = CoeffVector.from_pairs([(Graph(1), 1), (Graph(1), -1), (Graph(2), 7)])
+    vec = _vector([(Graph(1), 0), (Graph(2), 7)])
     assert len(vec) == 1
     assert canonical_key(Graph(1)) not in vec
-    items = CoeffVector.from_pairs([(complete_graph(2), 1), (Graph(0), 4)]).items()
+    items = _vector([(complete_graph(2), 1), (Graph(0), 4)]).items()
     assert [coeff for _, _, coeff in items] == [4, 1]
     keys = [key for key, _, _ in items]
     assert keys == sorted(keys)
@@ -274,14 +283,26 @@ def test_pair_limit_verdict_matches_the_direct_sum():
         assert _direct_pair_total(h) == total
         if total > DSUB_PAIR_LIMIT:
             with pytest.raises(SizeLimitError):
-                inversion._check_pair_limit(h)
+                inversion._check_pair_limit(h, True)
         else:
-            inversion._check_pair_limit(h)
+            inversion._check_pair_limit(h, True)
     # 20 isolated vertices have exactly 2^20 pairs: accepted without a sum
     # over their subsets.
     start = time.perf_counter()
-    inversion._check_pair_limit(Graph(20))
+    inversion._check_pair_limit(Graph(20), True)
     assert time.perf_counter() - start < 0.05
+
+
+def test_induced_walk_refuses_before_canonicalization(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("canonicalized a graph the induced walk refuses")
+
+    # 21 isolated vertices have 2^21 vertex subsets, each one leaf.
+    monkeypatch.setattr(kernels, "min_encoding", refuse)
+    for walk in (ind_inverse_column, alpha_for_vsurj,
+                 lambda h: vsurj_via_inversion(Graph(1), h)):
+        with pytest.raises(SizeLimitError, match="induced-subgraph enumeration"):
+            walk(Graph(21))
 
 
 def test_via_inversion_matches_direct(named):

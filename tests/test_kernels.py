@@ -37,7 +37,7 @@ def test_kernels_take_graphs():
     assert kernels.count_maps(c5, k3, kernels.MODE_HOM) == 30
     assert kernels.count_maps(c5, k3, kernels.MODE_VSURJ) == 30
     assert kernels.count_maps(c5, k3, kernels.MODE_VESURJ) == 30
-    assert kernels.min_encoding(5, [0] * 5, adjacency_masks(c5))[1] == 10
+    assert kernels.min_encoding(5, 0, adjacency_masks(c5))[1] == 10
 
 
 def _agrees_with_oracles(g, h):
