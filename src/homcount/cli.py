@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
 def _cmd_recover(args) -> int:
     h = _read_graph(args.h)
     g = _read_graph(args.g)
+    # Every oracle query counts maps from g into a member of h's closed set.
+    _check_budget(args.mode, g, h, DEFAULT_BUDGET)
     report = reduction_demo(h, args.mode, g)
     if args.format == "json":
         _emit_json(report)
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_images)
 
     p = sub.add_parser("verify", help="replay the counting identities up to a size")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_nonnegative_int, default=2)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

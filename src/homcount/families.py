@@ -16,19 +16,18 @@ subgraphs of a target in F and over the deletion subgraphs of a target in
 C.  Every such subgraph stays in its family, and its count depends only on
 the multiset of component shapes it has, so each target component
 contributes its few shape outcomes with binomial multiplicities and the
-sum runs over distinct multisets, never over subsets.  The source is read
-once per count, in one pass over its components.  Everything here is
-polynomial in the source for a fixed target.
+sum runs over distinct multisets, never over subsets.  Shapes and the
+source's profile come from graphs._components, read once per count.
+Everything here is polynomial in the source for a fixed target.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalCheckError, SizeLimitError
-from .graphs import Graph, _adjacency_lists, delete_nonloop_edge
+from .graphs import Graph, _components, delete_nonloop_edge
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
@@ -70,39 +69,8 @@ class ComponentShape:
         return UNRECOGNIZED
 
 
-def _component_profiles(g: Graph) -> list[tuple[int, int, int, tuple[int, int] | None]]:
-    """Per connected component of g, ordered by smallest vertex: its vertex
-    count, looped vertex count, non-loop edge count and 2-coloring part
-    sizes (None when an odd cycle rules one out), all from one
-    breadth-first pass over the adjacency lists."""
-    adj = _adjacency_lists(g)
-    color = [-1] * g.n
-    out = []
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        dq = deque([start])
-        size = ones = loops = degrees = 0
-        bipartite = True
-        while dq:
-            v = dq.popleft()
-            size += 1
-            ones += color[v]
-            loops += v in g.loops
-            degrees += len(adj[v])
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    dq.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        out.append((size, loops, degrees // 2, (size - ones, ones) if bipartite else None))
-    return out
-
-
 def _shape(n: int, loops: int, edges: int, parts) -> ComponentShape:
-    """Shape of a connected component from its _component_profiles entry."""
+    """Shape of a connected component from its graphs._components counts."""
     if loops == n:
         if edges == n * (n - 1) // 2:
             return ComponentShape.reflexive_clique(n)
@@ -113,7 +81,7 @@ def _shape(n: int, loops: int, edges: int, parts) -> ComponentShape:
 
 
 def _shapes(h: Graph) -> list[ComponentShape]:
-    return [_shape(*profile) for profile in _component_profiles(h)]
+    return [_shape(len(vs), *counts) for vs, *counts in _components(h)]
 
 
 def classify_F(h: Graph) -> tuple[bool, list[ComponentShape]]:
@@ -161,7 +129,7 @@ def _source_components(g: Graph) -> list[tuple[int, tuple[int, int] | None]]:
     """Per connected component of g, its vertex count and its 2-coloring
     part sizes (None when a loop or an odd cycle rules one out): all the
     closed forms need of the source, computed once per count."""
-    return [(n, None if loops else parts) for n, loops, _, parts in _component_profiles(g)]
+    return [(len(vs), None if loops else parts) for vs, loops, _, parts in _components(g)]
 
 
 def _hom_closed_form(comps, shapes: list[ComponentShape]) -> int:

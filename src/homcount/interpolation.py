@@ -281,12 +281,11 @@ class LovaszSystem:
         return row
 
 
-def _system_over(ordered, images=None) -> LovaszSystem:
+def _system_over(ordered, images) -> LovaszSystem:
     """Matrix, factors and checked determinant of the system over members
     already known to be distinct, closed and in matrix order, each keyed by
-    its least encoding.  images, when given, maps each member's (vertex
-    count, least encoding) to its _image_encodings, as _closure found them;
-    otherwise they are read from the cache.
+    its least encoding.  images maps each member's (vertex count, least
+    encoding) to its _image_encodings, as _closure found them.
 
     Entries come from counting.hom_table, which counts hom only between the
     classes of the members' connected components.
@@ -310,7 +309,7 @@ def _system_over(ordered, images=None) -> LovaszSystem:
     lower, autos = [], []
     for i, c in enumerate(classes):
         below = []
-        for k, e, partitions, aut in images[c] if images is not None else _image_encodings(*c):
+        for k, e, partitions, aut in images[c]:
             j = position.get((k, e))
             if j == i and partitions == 1:
                 autos.append(aut)

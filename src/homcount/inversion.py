@@ -111,9 +111,15 @@ class CoeffVector:
 
 
 def ind_count(f: Graph, h: Graph) -> int:
-    """Number of vertex subsets S of h with h[S] isomorphic to f."""
+    """Number of vertex subsets S of h with h[S] isomorphic to f.  h is
+    refused, before f is keyed, when those C(n, k) subsets pass
+    DSUB_PAIR_LIMIT."""
     if f.size > h.size or f.n > h.n:
         return 0
+    if comb(h.n, f.n) > DSUB_PAIR_LIMIT:
+        raise SizeLimitError(
+            f"induced-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} vertex subsets"
+        )
     kf = canonical_key(f)
     return sum(
         1

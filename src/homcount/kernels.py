@@ -20,7 +20,9 @@ vesurj the mask of target non-loop edges covered so far, so they count
 surjective maps directly, not as signed sums of hom counts.  A state that
 can no longer cover what is left of the target is dropped, and a source
 with fewer components than the target has no surjective map at all: each
-source component lands inside one target component.  The work is
+source component lands inside one target component, as counted by
+graphs._components.  _plan keeps _bfs_order over masks: fed from that list
+walk, a plan of a 2-8-vertex source took 21 µs instead of 16.  The work is
 bounded by state_bound, which the CLI budget charges.  hom and the
 surjective modes run separate loops, so the hom loop keys a state by the
 frontier images alone and tests no mode per candidate.  The per-source
@@ -43,7 +45,7 @@ sets skipped on its path.
 from functools import lru_cache
 from operator import itemgetter
 
-from .graphs import adjacency_masks, loops_mask
+from .graphs import _components, adjacency_masks, loops_mask
 
 MODE_HOM = 0
 MODE_VSURJ = 1
@@ -194,12 +196,7 @@ def _tables(h):
     pairs = [[0] * h.n for _ in range(h.n)]
     for i, (c, d) in enumerate(sorted(h.edges)):
         pairs[c][d] = pairs[d][c] = 1 << i
-    seen = parts = 0
-    for start in range(h.n):
-        if not (seen >> start) & 1:
-            seen |= _bfs_order(adj, start)[1]
-            parts += 1
-    return nbr, tuple(map(tuple, pairs)), h_loops, parts
+    return nbr, tuple(map(tuple, pairs)), h_loops, len(_components(h))
 
 
 def state_bound(g, h, mode):

@@ -167,6 +167,37 @@ def naive_classes(graphs):
     return list(zip(reps, counts))
 
 
+def naive_components(g: Graph):
+    """Per connected component, from its smallest vertex up: its sorted
+    vertices, looped vertex count, non-loop edge count, and the numbers of
+    its vertices at even and odd distance from its smallest vertex, or None
+    when some edge joins two vertices of equal parity (an odd cycle).
+    Distances come from relaxing every edge until nothing changes."""
+    out = []
+    placed = set()
+    for root in range(g.n):
+        if root in placed:
+            continue
+        dist = {root: 0}
+        changed = True
+        while changed:
+            changed = False
+            for u, v in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    if a in dist and (b not in dist or dist[a] + 1 < dist[b]):
+                        dist[b] = dist[a] + 1
+                        changed = True
+        comp = sorted(dist)
+        placed.update(comp)
+        edges = [(u, v) for u, v in g.edges if u in dist]
+        even = sum(1 for v in comp if dist[v] % 2 == 0)
+        parts = (even, len(comp) - even)
+        if any(dist[u] % 2 == dist[v] % 2 for u, v in edges):
+            parts = None
+        out.append((comp, sum(1 for v in comp if v in g.loops), len(edges), parts))
+    return out
+
+
 def naive_all_graphs(n: int):
     """Every labeled graph with loops on exactly n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -337,6 +337,14 @@ def test_verify_size_guard_runs_before_enumeration(monkeypatch, capsys):
     assert "verify is limited to 5 vertices" in capsys.readouterr().err
 
 
+def test_verify_n_max_must_be_nonnegative(capsys):
+    assert cli.main(["verify", "--n-max", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--n-max: must be a nonnegative int" in err
+    assert cli.main(["verify", "--n-max", "6"]) == 4
+    assert "verify is limited to 5 vertices" in capsys.readouterr().err
+
+
 def test_aut_counts_highly_symmetric_targets(tmp_path, capsys):
     k12 = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     k66 = [(u, v) for u in range(6) for v in range(6, 12)]
@@ -513,6 +521,21 @@ def test_recover_size_guard_runs_before_the_coefficients(monkeypatch, tmp_path, 
     assert cli.main(["recover", "--mode", "vsurj", "--h", _cycle_file(tmp_path, 20),
                      "--g", f"{G}/p3.graph"]) == 4
     assert "quotient enumeration is limited to 8 vertices" in capsys.readouterr().err
+
+
+def test_recover_budget_runs_before_any_oracle_query(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise InternalCheckError("counted maps for a source over the budget")
+
+    monkeypatch.setattr(kernels, "count_maps", refuse)
+    monkeypatch.setattr(interpolation.CountingOracle, "eval", refuse)
+    grid = [(20 * i + j, 20 * i + j + 1) for i in range(20) for j in range(19)]
+    grid += [(20 * i + j, 20 * i + 20 + j) for i in range(19) for j in range(20)]
+    start = time.perf_counter()
+    assert cli.main(["recover", "--mode", "vsurj", "--h", f"{G}/k3.graph",
+                     "--g", _graph_file(tmp_path, "grid20", 400, grid)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "over the budget" in capsys.readouterr().err
 
 
 def test_recover_vesurj_serves_the_hard_targets(tmp_path, capsys):

@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+from homcount import kernels
+from homcount.canonical import enumerate_graphs
 from homcount.errors import GraphParseError
 from homcount.graphs import (
     Graph,
+    _components,
     biclique,
     complete_graph,
+    component_vertex_sets,
     connected_components,
     cycle_graph,
     delete_nonloop_edge,
@@ -16,6 +22,8 @@ from homcount.graphs import (
     reflexive_clique,
     to_text,
 )
+
+from .oracles import naive_components
 
 
 def test_edge_normalization():
@@ -99,6 +107,31 @@ def test_connected_components_ignore_loops():
     assert [c.n for c in comps] == [3, 1]
     assert comps[1].loops == frozenset({0})
     assert connected_components(Graph(0)) == []
+
+
+def test_component_walk_matches_naive_components():
+    # Every class with at most 5 vertices, then random looped graphs on
+    # 0-40 vertices, from nearly empty (isolated vertices) to dense enough
+    # for odd cycles.
+    rng = random.Random(2301)
+    graphs = [rep for _, rep in enumerate_graphs(5)]
+    for _ in range(300):
+        n, p = rng.randint(0, 40), rng.choice((0.02, 0.05, 0.1, 0.3))
+        graphs.append(Graph(n, [v for v in range(n) if rng.random() < 0.2],
+                            [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p]))
+    seen = set()
+    for g in graphs:
+        naive = naive_components(g)
+        comps = _components(g)
+        assert [(sorted(vs), loops, edges, parts) for vs, loops, edges, parts in comps] == naive, g
+        assert all(vs[0] == min(vs) for vs, _, _, _ in comps)
+        assert component_vertex_sets(g) == [vs for vs, _, _, _ in naive]
+        assert kernels._tables(g)[3] == len(naive)
+        for vs, loops, edges, parts in naive:
+            seen.add("isolated" if len(vs) == 1 else "odd cycle" if parts is None else "bipartite")
+            seen.add("looped" if loops else "loopless")
+    assert seen == {"isolated", "odd cycle", "bipartite", "looped", "loopless"}
 
 
 def test_text_roundtrip(named):

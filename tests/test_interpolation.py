@@ -398,7 +398,9 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     # Members are keyed by their least encodings, and the images walk has
     # already counted their automorphisms.
     monkeypatch.setattr(kernels, "min_encoding", refuse)
-    again = interpolation._system_over(system.members)
+    classes = [interpolation._unpack(key.data) for key, _ in system.members]
+    again = interpolation._system_over(
+        system.members, {c: interpolation._image_encodings(*c) for c in classes})
     assert (again.matrix, again.lower, again.upper) == (system.matrix, system.lower, system.upper)
 
 
@@ -501,8 +503,10 @@ def test_lovasz_matrix_rejects_non_closed_input(named):
     with pytest.raises(ValueError):
         lovasz_matrix([named["k2"]])
     # _system_over trusts its caller, but K2's partition counts reach L1.
+    key, rep = canonical_form(named["k2"])
+    c = interpolation._unpack(key.data)
     with pytest.raises(InternalCheckError, match="unit lower triangular"):
-        interpolation._system_over([canonical_form(named["k2"])])
+        interpolation._system_over([(key, rep)], {c: interpolation._image_encodings(*c)})
 
 
 def test_lovasz_matrix_rejects_duplicates(named):

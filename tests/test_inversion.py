@@ -305,6 +305,23 @@ def test_induced_walk_refuses_before_canonicalization(monkeypatch):
             walk(Graph(21))
 
 
+def test_ind_count_refuses_past_the_subset_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("keyed a pattern ind_count refuses")
+
+    # P10 in P40 has C(40, 10) = 847,660,528 vertex subsets to key.
+    monkeypatch.setattr(kernels, "min_encoding", refuse)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="induced-subgraph enumeration"):
+        ind_count(path_graph(10), path_graph(40))
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    # Small patterns in large targets still answer, past the induced walk's
+    # 20-vertex limit.
+    assert ind_count(Graph(1), path_graph(30)) == 30
+    assert ind_count(complete_graph(2), path_graph(30)) == 29
+
+
 def test_via_inversion_matches_direct(named):
     from homcount.counting import vesurj_count, vsurj_count
 

@@ -9,13 +9,12 @@ from homcount.graphs import (
     adjacency_masks,
     biclique,
     complete_graph,
-    component_vertex_sets,
     cycle_graph,
     path_graph,
 )
 from homcount.inversion import verify_expansions
 
-from .oracles import naive_hom, naive_vesurj, naive_vsurj
+from .oracles import naive_components, naive_hom, naive_vesurj, naive_vsurj
 
 
 def test_backend_name_is_pure():
@@ -112,7 +111,7 @@ def test_surjective_modes_are_zero_onto_targets_with_more_components():
     fewer = 0
     for g, h in pairs:
         _agrees_with_oracles(g, h)
-        if len(component_vertex_sets(g)) < len(component_vertex_sets(h)) and h.n <= g.n:
+        if len(naive_components(g)) < len(naive_components(h)) and h.n <= g.n:
             fewer += 1
             assert kernels.count_maps(g, h, kernels.MODE_VSURJ) == 0, (g, h)
             assert kernels.count_maps(g, h, kernels.MODE_VESURJ) == 0, (g, h)
