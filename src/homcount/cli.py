@@ -14,7 +14,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .canonical import _key, _text, enumerate_graphs
+from .canonical import _key, _text, _unpack, enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     BudgetExceededError,
@@ -32,18 +32,8 @@ from .families import (
     vsurj_polytime,
 )
 from .graphs import Graph, load_graph, parse_graph, to_text
-from .interpolation import (
-    homomorphic_images,
-    image_encodings,
-    lovasz_matrix,
-    reduction_demo,
-)
-from .inversion import (
-    dsub_downset,
-    dsub_inverse_column,
-    ind_inverse_column,
-    verify_expansions,
-)
+from .interpolation import _closure, _system_over, image_encodings, reduction_demo
+from .inversion import _expansions, _walk, dsub_inverse_column
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
 
 EXIT_OK = 0
@@ -157,29 +147,33 @@ def _cmd_images(args) -> int:
 
 
 def _run_verify(n_max: int) -> dict:
+    """Replay the counting identities over every class up to n_max.  Each
+    class pair is counted once: the diagonal and interpolation sections
+    read the hom, vsurj and vesurj tables the expansions section built,
+    and every walk and closed set is reached by the class's own key."""
     sections = {}
-    sections["expansions"] = verify_expansions(n_max)
+    sections["expansions"], index, hom, vsurj, vesurj = _expansions(n_max)
     classes = enumerate_graphs(n_max)
 
     diag = []
-    for _, h in classes:
+    for i, (_, h) in enumerate(classes):
         a = aut_count(h)
-        if vsurj_count(h, h) != a or vesurj_count(h, h) != a:
+        if vsurj[i][i] != a or vesurj[i][i] != a:
             diag.append({"h": to_text(h), "aut": str(a)})
     sections["diagonal"] = {"classes": len(classes), "violations": diag}
 
     fam = []
-    for _, h in classes:
+    for key, h in classes:
         in_f, _ = classify_F(h)
         in_c, _ = classify_C(h)
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
-            for _, sub, _ in ind_inverse_column(h).items():
+            for _, sub, _, _ in _walk(key, False):
                 if not classify_F(sub)[0]:
                     fam.append({"h": to_text(h), "check": "F induced-closed"})
         if in_c:
-            for _, rep, _ in dsub_downset(h):
+            for _, rep, _, _ in _walk(key, True):
                 if not classify_C(rep)[0]:
                     fam.append({"h": to_text(h), "check": "C deletion-closed"})
         if in_f and not in_c:
@@ -190,9 +184,12 @@ def _run_verify(n_max: int) -> dict:
     sections["families"] = {"classes": len(classes), "violations": fam}
 
     inter = []
-    for _, h in classes:
+    for key, h in classes:
         try:
-            lovasz_matrix(homomorphic_images(h))
+            # h's images form a closed set; its matrix is read off hom.
+            members, images = _closure([_unpack(key.data)])
+            at = [index[k] for k, _ in members]
+            _system_over(members, images, [[hom[f][j] for j in at] for f in at])
         except SingularSystemError:
             inter.append({"h": to_text(h), "check": "closed-set matrix invertible"})
         except InternalCheckError:

@@ -23,13 +23,16 @@ and dividing the entry at a target by alpha(target) recovers
 hom(G, target) from oracle access to f alone.  The matrix is filled from
 hom counts between the classes of the members' connected components,
 since hom is multiplicative over the source's components and additive
-over a connected source's target components.  N is read off the walk
-that finds the members' images, so each row of the inverse matrix costs
-two triangular solves and no elimination.  The system depends only on
-the counter and the target's isomorphism class, so reduction_demo, which
-wires this up end to end against the in-process counters, builds it once
-per class and keeps the row of the inverse matrix at each target: a
-recovery is then one query set plus one dot product per target.
+over a connected source's target components (counting.hom_table); the
+verify command reads it off the class table its expansions section
+built, whose classes include every closed set's members.  N is read off
+the walk that finds the members' images, so each row of the inverse
+matrix costs two triangular solves and no elimination.  The system
+depends only on the counter and the target's isomorphism class, so
+reduction_demo, which wires this up end to end against the in-process
+counters, builds it once per class and keeps the row of the inverse
+matrix at each target: a recovery is then one query set plus one dot
+product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class, so they are closed over classes given as least
@@ -281,14 +284,14 @@ class LovaszSystem:
         return row
 
 
-def _system_over(ordered, images) -> LovaszSystem:
-    """Matrix, factors and checked determinant of the system over members
-    already known to be distinct, closed and in matrix order, each keyed by
-    its least encoding.  images maps each member's (vertex count, least
-    encoding) to its _image_encodings, as _closure found them.
-
-    Entries come from counting.hom_table, which counts hom only between the
-    classes of the members' connected components.
+def _system_over(ordered, images, matrix) -> LovaszSystem:
+    """Factors and checked determinant of the system over members already
+    known to be distinct, closed and in matrix order, each keyed by its
+    least encoding.  images maps each member's (vertex count, least
+    encoding) to its _image_encodings, as _closure found them, and matrix
+    holds hom(F, H) over the members, rows and columns in their order:
+    lovasz_matrix and build_system pass counting.hom_table's, and verify a
+    submatrix of the class table its expansions section built.
 
     Every homomorphism is a quotient by its fibers followed by an injective
     map, so M = N U with N[i][k] the number of set partitions of member i
@@ -302,7 +305,6 @@ def _system_over(ordered, images) -> LovaszSystem:
     independently, so U coming out triangular with the images walk's
     automorphism counts on its diagonal checks both.
     """
-    matrix = hom_table(ordered)
     # N's rows and the automorphism counts, from the members' images.
     classes = [_unpack(key.data) for key, _ in ordered]
     position = {c: i for i, c in enumerate(classes)}
@@ -361,7 +363,7 @@ def lovasz_matrix(members) -> LovaszSystem:
     members, images = _closure(classes)
     if len(members) > len(classes):
         raise ValueError("input set is not closed under homomorphic images")
-    return _system_over(members, images)
+    return _system_over(members, images, hom_table(members))
 
 
 def alpha_for_vsurj(h: Graph) -> CoeffVector:
@@ -432,7 +434,8 @@ def build_system(alpha: CoeffVector) -> LovaszSystem:
     The support's keys already hold its classes, so no member is keyed;
     _closure verifies closure, and the matrix is built over its members
     from the images it read, without walking them a second time."""
-    system = _system_over(*_closure(_unpack(key.data) for key in alpha.support()))
+    members, images = _closure(_unpack(key.data) for key in alpha.support())
+    system = _system_over(members, images, hom_table(members))
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:
         raise InternalCheckError("closure lost part of the coefficient support")

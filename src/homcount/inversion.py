@@ -29,6 +29,13 @@ compared with the packed left column; only a column that differs is
 recomputed entry by entry to report its violations.  There the counters
 run on canonical representatives only; counting on other labelings is
 checked against naive counters by the test suite.
+
+The three tables are shared: _expansions returns them, indexed by class,
+with the report, and the verify command reads the rest of its checks off
+them, the diagonal vsurj(h, h) and vesurj(h, h) and each closed set's
+Lovász matrix as a submatrix of the hom table, so each class pair is
+counted once per counter.  Both walks of a class are read by the key
+enumerate_graphs holds, with no key search on the representative first.
 """
 
 from __future__ import annotations
@@ -37,8 +44,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from . import kernels
 from .canonical import (
     GraphKey,
+    _min_encoding,
     canonical_form,
     canonical_key,
     enumerate_graphs,
@@ -46,7 +55,7 @@ from .canonical import (
 )
 from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import SizeLimitError
-from .graphs import Graph, induced_subgraph, to_text
+from .graphs import Graph, adjacency_masks, induced_subgraph, loops_mask, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
 # Subgraph walks kept, one per (class, kind); verify --n-max 5 makes 1,326.
@@ -113,19 +122,32 @@ class CoeffVector:
 def ind_count(f: Graph, h: Graph) -> int:
     """Number of vertex subsets S of h with h[S] isomorphic to f.  h is
     refused, before f is keyed, when those C(n, k) subsets pass
-    DSUB_PAIR_LIMIT."""
+    DSUB_PAIR_LIMIT.  h's adjacency and loop masks are read once; a subset
+    is searched for its least encoding only when it has as many loops and
+    edges as f, and its subgraph is built from the chosen vertices' masks
+    alone."""
     if f.size > h.size or f.n > h.n:
         return 0
     if comb(h.n, f.n) > DSUB_PAIR_LIMIT:
         raise SizeLimitError(
             f"induced-subgraph enumeration would exceed {DSUB_PAIR_LIMIT} vertex subsets"
         )
-    kf = canonical_key(f)
-    return sum(
-        1
-        for s in combinations(range(h.n), f.n)
-        if canonical_key(induced_subgraph(h, s)) == kf
-    )
+    enc = _min_encoding(f)[0]
+    loops, adj = loops_mask(h), adjacency_masks(h)
+    f_loops, f_ends = len(f.loops), 2 * len(f.edges)
+    found = 0
+    for s in combinations(range(h.n), f.n):
+        chosen = 0
+        for v in s:
+            chosen |= 1 << v
+        if (loops & chosen).bit_count() != f_loops or sum(
+            (adj[v] & chosen).bit_count() for v in s
+        ) != f_ends:
+            continue
+        rows = [sum(1 << j for j, u in enumerate(s) if (adj[v] >> u) & 1) for v in s]
+        looped = sum(1 << j for j, v in enumerate(s) if (loops >> v) & 1)
+        found += kernels.min_encoding(f.n, looped, rows)[0] == enc
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -259,6 +281,17 @@ def verify_expansions(n_max: int) -> dict:
     target and identity, in that order.  n_max above VERIFY_MAX_VERTICES is
     refused before any class is enumerated.
     """
+    return _expansions(n_max)[0]
+
+
+def _expansions(n_max: int):
+    """verify_expansions' report, the index of each class of
+    enumerate_graphs(n_max) by key, and the hom, vsurj and vesurj tables
+    the report checked, rows by source and columns by target in that
+    index, so that verify reads every class pair's counts from one pass.
+    Each target's columns come from its two walks, read by the keys
+    enumerate_graphs holds, with no key search on the representative
+    first; VERIFY_MAX_VERTICES bounds every walk."""
     if n_max > VERIFY_MAX_VERTICES:
         raise SizeLimitError(
             f"verify is limited to {VERIFY_MAX_VERTICES} vertices; the tables for "
@@ -271,16 +304,13 @@ def verify_expansions(n_max: int) -> dict:
     vsurj = [[vsurj_count(g, h) for h in reps] for g in reps]
     vesurj = [[vesurj_count(g, h) for h in reps] for g in reps]
 
-    def on_classes(entries):
-        return [(index[key], c) for key, _, c in entries]
-
     signed, ind, down, inv = [], [], [], []
-    for h in reps:
-        col = on_classes(ind_inverse_column(h).items())
-        signed.append(col)
-        ind.append([(f, abs(c)) for f, c in col])
-        down.append(on_classes(dsub_downset(h)))
-        inv.append(on_classes(dsub_inverse_column(h).items()))
+    for key, _ in classes:
+        induced, deletion = _walk(key, False), _walk(key, True)
+        signed.append([(index[k], c) for k, _, _, c in induced])
+        ind.append([(index[k], copies) for k, _, copies, _ in induced])
+        down.append([(index[k], copies) for k, _, copies, _ in deletion])
+        inv.append([(index[k], c) for k, _, _, c in deletion if c])
 
     # Each table column packed into one integer, entry i in slot i of
     # `width` bytes.  At every source, |left| + |right| <= top * (weight + 1)
@@ -323,13 +353,14 @@ def verify_expansions(n_max: int) -> dict:
         for i, j, _, name, left, right in found
     ]
     pairs = len(reps) ** 2
-    return {
+    report = {
         "n_max": n_max,
         "classes": len(classes),
         "pairs": pairs,
         "checks": 4 * pairs,
         "violations": violations,
     }
+    return report, index, hom, vsurj, vesurj
 
 
 def _pack(column, width: int) -> int:

@@ -21,11 +21,15 @@ surjective maps directly, not as signed sums of hom counts.  A state that
 can no longer cover what is left of the target is dropped, and a source
 with fewer components than the target has no surjective map at all: each
 source component lands inside one target component, as counted by
-graphs._components.  _plan keeps _bfs_order over masks: fed from that list
-walk, a plan of a 2-8-vertex source took 21 µs instead of 16.  The work is
-bounded by state_bound, which the CLI budget charges.  hom and the
-surjective modes run separate loops, so the hom loop keys a state by the
-frontier images alone and tests no mode per candidate.  The per-source
+graphs._components.  Nor has a source with as many vertices as the
+target but more edges or more loops: a vertex-surjective map between
+equal vertex counts is a bijection, which sends edges to distinct edges
+and loops to distinct loops, so count_maps answers such pairs in O(1).
+_plan keeps _bfs_order over masks: fed from that list walk, a plan of a
+2-8-vertex source took 21 µs instead of 16.  The work is bounded by
+state_bound, which the CLI budget charges.  hom and the surjective modes
+run separate loops, so the hom loop keys a state by the frontier images
+alone and tests no mode per candidate.  The per-source
 schedule fixes, for each step, how a state's frontier shrinks (nothing to
 do when every entry stays, else one itemgetter call) and holds the last
 step apart.  The surjective loop reads its coverage thresholds once per
@@ -188,15 +192,16 @@ def _schedule(g):
 def _tables(h):
     """count_maps' tables for target h: nbr[c], where a neighbour of a
     vertex mapped to c may go; pairs[c][d], the bit of non-loop edge cd
-    (0 when c and d are not adjacent); the loop mask; the number of
-    components."""
+    for each d in nbr[c] (0 for c's own loop); the loop mask; the number of
+    components.  pairs holds one dict per vertex and one entry per loop
+    and edge end, so its size is O(n + |E|), not n^2."""
     h_loops = loops_mask(h)
     adj = adjacency_masks(h)
     nbr = tuple(m | (1 << c) if (h_loops >> c) & 1 else m for c, m in enumerate(adj))
-    pairs = [[0] * h.n for _ in range(h.n)]
+    pairs = tuple({c: 0} if (h_loops >> c) & 1 else {} for c in range(h.n))
     for i, (c, d) in enumerate(sorted(h.edges)):
         pairs[c][d] = pairs[d][c] = 1 << i
-    return nbr, tuple(map(tuple, pairs)), h_loops, len(_components(h))
+    return nbr, pairs, h_loops, len(_components(h))
 
 
 def state_bound(g, h, mode):
@@ -219,6 +224,10 @@ def count_maps(g, h, mode):
     if mode == MODE_HOM:
         return _count_homs(g, h)
     if h.n > g.n or (mode == MODE_VESURJ and len(h.edges) > len(g.edges)):
+        return 0
+    if h.n == g.n and (len(g.edges) > len(h.edges) or len(g.loops) > len(h.loops)):
+        # A vertex-surjective map between equal vertex counts is a bijection,
+        # which sends edges to distinct edges and loops to distinct loops.
         return 0
     return _count_surjective(g, h, mode == MODE_VESURJ)
 

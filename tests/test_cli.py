@@ -5,11 +5,12 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from homcount import cli, families, interpolation, inversion, kernels
+from homcount import cli, counting, families, interpolation, inversion, kernels
 from homcount.canonical import enumerate_graphs
 from homcount.errors import InternalCheckError
 from homcount.graphs import Graph, to_text
@@ -227,12 +228,45 @@ def test_internal_errors_exit_5(monkeypatch, capsys):
 
 def test_verify_exit_5_on_violation(monkeypatch, capsys):
     def fake_verify(n_max):
-        return {"n_max": n_max, "classes": 0, "pairs": 0, "checks": 0,
-                "violations": [{"identity": "made-up"}]}
+        # The empty graph's report, with a made-up violation, and its
+        # one-entry tables, which the other sections read.
+        report = {"n_max": n_max, "classes": 1, "pairs": 1, "checks": 4,
+                  "violations": [{"identity": "made-up"}]}
+        key = cli.enumerate_graphs(0)[0][0]
+        return report, {key: 0}, [[1]], [[1]], [[1]]
 
-    monkeypatch.setattr(cli, "verify_expansions", fake_verify)
+    monkeypatch.setattr(cli, "_expansions", fake_verify)
     assert cli.main(["verify", "--n-max", "0", "--format", "plain"]) == 5
     assert capsys.readouterr().out.endswith("FAIL\n")
+
+
+def test_verify_counts_each_class_pair_once(monkeypatch):
+    tables = []
+    real_table = counting.hom_table
+
+    def counted_table(members):
+        tables.append(len(members))
+        return real_table(members)
+
+    for module in (counting, inversion, interpolation):
+        monkeypatch.setattr(module, "hom_table", counted_table)
+    counted = Counter()
+    real_maps = kernels.count_maps
+
+    def counted_maps(g, h, mode):
+        counted[g, h, mode] += 1
+        return real_maps(g, h, mode)
+
+    monkeypatch.setattr(kernels, "count_maps", counted_maps)
+    report = cli._run_verify(3)
+    assert report["ok"] and report["sections"]["diagonal"]["classes"] == 29
+    assert tables == [29]
+    # The expansions' tables count each diagonal entry once in each
+    # surjective mode, and the diagonal section counts none again.
+    for _, h in enumerate_graphs(3):
+        for mode in (kernels.MODE_VSURJ, kernels.MODE_VESURJ):
+            assert counted[h, h, mode] == 1, (h, mode)
+    assert max(counted.values()) == 1
 
 
 def test_verify_n4_end_to_end(capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import homcount
-from homcount import canonical, interpolation, kernels
+from homcount import canonical, interpolation, inversion, kernels
 from homcount.canonical import canonical_form, canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
 from homcount.counting import hom_count, hom_table, vesurj_count, vsurj_count
@@ -400,7 +400,8 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     monkeypatch.setattr(kernels, "min_encoding", refuse)
     classes = [interpolation._unpack(key.data) for key, _ in system.members]
     again = interpolation._system_over(
-        system.members, {c: interpolation._image_encodings(*c) for c in classes})
+        system.members, {c: interpolation._image_encodings(*c) for c in classes},
+        hom_table(system.members))
     assert (again.matrix, again.lower, again.upper) == (system.matrix, system.lower, system.upper)
 
 
@@ -488,10 +489,11 @@ def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
 
 def test_verify_reports_determinant_mismatch(monkeypatch):
     # The empty graph's system has no hom entries to get wrong; K1's and
-    # L1's have one each.
+    # L1's have one each.  verify reads every system's matrix from the
+    # class table its expansions section builds, so that table is shifted.
     for shift, check in ((1, "closed-set determinant is the product of aut"),
                          (-1, "closed-set matrix invertible")):
-        monkeypatch.setattr(interpolation, "hom_table", _shifted_hom_table(
+        monkeypatch.setattr(inversion, "hom_table", _shifted_hom_table(
             lambda f, h: shift * (f.n == h.n == 1)))
         report = _run_verify(1)
         checks = [v["check"] for v in report["sections"]["interpolation"]["violations"]]
@@ -506,7 +508,8 @@ def test_lovasz_matrix_rejects_non_closed_input(named):
     key, rep = canonical_form(named["k2"])
     c = interpolation._unpack(key.data)
     with pytest.raises(InternalCheckError, match="unit lower triangular"):
-        interpolation._system_over([(key, rep)], {c: interpolation._image_encodings(*c)})
+        interpolation._system_over([(key, rep)], {c: interpolation._image_encodings(*c)},
+                                   hom_table([(key, rep)]))
 
 
 def test_lovasz_matrix_rejects_duplicates(named):

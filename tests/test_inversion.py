@@ -322,6 +322,13 @@ def test_ind_count_refuses_past_the_subset_limit(monkeypatch):
     assert ind_count(complete_graph(2), path_graph(30)) == 29
 
 
+def test_ind_count_reads_the_target_masks_once():
+    # 499,500 vertex subsets of P1000; only the 999 edges are searched.
+    start = time.perf_counter()
+    assert ind_count(complete_graph(2), path_graph(1000)) == 999
+    assert time.perf_counter() - start < 6.0
+
+
 def test_via_inversion_matches_direct(named):
     from homcount.counting import vesurj_count, vsurj_count
 

@@ -1,8 +1,12 @@
 import random
 import time
+import tracemalloc
+
+import pytest
 
 import homcount
 from homcount import kernels
+from homcount.canonical import enumerate_graphs
 from homcount.counting import hom_count
 from homcount.graphs import (
     Graph,
@@ -232,6 +236,49 @@ def test_long_paths_are_planned_in_linear_time():
     start = time.perf_counter()
     assert hom_count(g, complete_graph(3)) == 3 * 2 ** 19999
     assert time.perf_counter() - start < 2.0
+
+
+def test_surjective_modes_match_oracles_on_equal_size_pairs():
+    # Equal vertex counts make a vertex-surjective map a bijection; the
+    # zero rule for such pairs must not drop one with a map.
+    classes = [rep for _, rep in enumerate_graphs(3)]
+    pairs = [(g, h) for g in classes for h in classes if g.n == h.n]
+    rng = random.Random(25)
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        pairs.append((_random_looped(rng, n, rng.random(), rng.random()),
+                      _random_looped(rng, n, rng.random(), rng.random())))
+    for g, h in pairs:
+        assert kernels.count_maps(g, h, kernels.MODE_VSURJ) == naive_vsurj(g, h), (g, h)
+        assert kernels.count_maps(g, h, kernels.MODE_VESURJ) == naive_vesurj(g, h), (g, h)
+
+
+def test_equal_size_pairs_with_more_source_edges_or_loops_run_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ran the dynamic program on a pair with no bijection")
+
+    monkeypatch.setattr(kernels, "_count_surjective", refuse)
+    k3, p3 = complete_graph(3), path_graph(3)
+    looped = Graph(3, [0, 1], [(0, 1), (1, 2)])
+    for g, h in ((k3, p3), (looped, p3), (Graph(3, [0]), Graph(3)),
+                 (Graph(4, [0, 1, 2, 3]), Graph(4, [0, 1, 2], [(0, 1), (2, 3)]))):
+        for mode in (kernels.MODE_VSURJ, kernels.MODE_VESURJ):
+            assert kernels.count_maps(g, h, mode) == 0, (g, h, mode)
+    with pytest.raises(AssertionError, match="dynamic program"):
+        kernels.count_maps(p3, k3, kernels.MODE_VSURJ)
+
+
+def test_edgeless_target_tables_stay_linear():
+    # Only vesurj reads the edge bits; they take one entry per loop and
+    # edge end, not a table over every vertex pair.
+    kernels._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert hom_count(Graph(1), Graph(3000)) == 3000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_kernel_caches_are_bounded():
