@@ -47,17 +47,19 @@ def aut_count(h: Graph) -> int:
     return _min_encoding(h)[1]
 
 
-def hom_table(members) -> list[list[int]]:
-    """hom(F, H) for every ordered pair of the given (key, representative)
-    pairs, rows and columns in their order; each key must be the canonical
-    key of its representative.
+def hom_table(members, columns=None) -> list[list[int]]:
+    """hom(F, H) for F over the given (key, representative) pairs and H
+    over those at the given positions (all by default): row i lists
+    hom(member i, H) for H in columns' order.  Each key must be the
+    canonical key of its representative.
 
-    hom_count runs only between the classes of the members' connected
-    components (a connected member is its own): hom(F1 + F2, H) =
-    hom(F1, H) * hom(F2, H) for any F1, F2, and hom(F, H1 + H2) =
-    hom(F, H1) + hom(F, H2) for connected F (Lovasz, Large Networks and
-    Graph Limits, 2012).  The empty graph has no components, so its row is
-    all ones and its column is zero except at itself.
+    hom_count runs only from the classes of the members' connected
+    components into those of the columns' members (a connected member is
+    its own): hom(F1 + F2, H) = hom(F1, H) * hom(F2, H) for any F1, F2,
+    and hom(F, H1 + H2) = hom(F, H1) + hom(F, H2) for connected F (Lovasz,
+    Large Networks and Graph Limits, 2012).  The empty graph has no
+    components, so its row is all ones and its column is zero except at
+    itself.
     """
     # Component classes, and each member's components as indices into them.
     index = {}
@@ -73,14 +75,14 @@ def hom_table(members) -> list[list[int]]:
                 index[k] = len(reps)
                 reps.append(r)
         parts.append([index[k] for k, _ in forms])
-    # sums[c][j] = hom(c, member j), a sum over member j's components.
-    sums = [
-        [sum(hom_c[d] for d in h_parts) for h_parts in parts]
-        for hom_c in ([hom_count(c, d) for d in reps] for c in reps)
-    ]
+    targets = parts if columns is None else [parts[j] for j in columns]
+    into = {d for h_parts in targets for d in h_parts}
+    # sums[c][j] = hom(c, column j's member), a sum over its components.
+    sums = [[sum(hom_c[d] for d in h_parts) for h_parts in targets]
+            for hom_c in ({d: hom_count(c, reps[d]) for d in into} for c in reps)]
     table = []
     for f_parts in parts:
-        row = [1] * len(parts)
+        row = [1] * len(targets)
         for c in f_parts:
             row = [x * y for x, y in zip(row, sums[c])]
         table.append(row)

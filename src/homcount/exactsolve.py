@@ -1,17 +1,14 @@
-"""Exact integer triangular solves, with the unknowns as a row vector.
+"""Exact integer solve through a unit lower triangular factor, with the
+unknowns as a row vector.
 
-A Lovász system's matrix comes factored as M = N U, with N unit lower
-triangular and U upper triangular (see interpolation._system_over), so a
-row of M^-1 = U^-1 N^-1 costs two triangular solves and no elimination:
-y U = b, then z N = y.  row_solve_upper divides by U's diagonal at each
-step, exactly whenever the solution is integral; row_solve_unit_lower
-only multiplies and subtracts, over N's sparse rows.  No float and no
-fraction appears.
+A Lovász system's matrix factors as M = N U, with N unit lower triangular
+and U upper triangular (see interpolation.LovaszSystem), so a row of
+M^-1 = U^-1 N^-1 costs y U = b over U's trailing columns, then z N = y
+here, which only multiplies and subtracts over N's sparse rows.  No float
+and no fraction appears.
 """
 
 from __future__ import annotations
-
-from .errors import SingularSystemError
 
 
 def _as_int(x) -> int:
@@ -19,23 +16,6 @@ def _as_int(x) -> int:
     if value != x or isinstance(x, float):
         raise ValueError(f"exact arithmetic needs integer entries, got {x!r}")
     return value
-
-
-def row_solve_upper(upper: list[list[int]], rhs) -> list[int]:
-    """The integer row vector x with x U = rhs, for U upper triangular,
-    given as its dense rows.  Raises ValueError when x is not integral."""
-    r = [_as_int(b) for b in rhs]
-    x = []
-    for j, row in enumerate(upper):
-        if row[j] == 0:
-            raise SingularSystemError("triangular matrix has a zero on its diagonal")
-        q, rest = divmod(r[j], row[j])
-        if rest:
-            raise ValueError("the triangular system has no integer solution")
-        x.append(q)
-        if q:
-            r = [a - q * b for a, b in zip(r, row)]
-    return x
 
 
 def row_solve_unit_lower(lower: list[list[tuple[int, int]]], rhs) -> list[int]:

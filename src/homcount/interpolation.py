@@ -17,22 +17,20 @@ whose matrix M = hom(F, H) over S x S is invertible.  On a closed set it
 factors as M = N U into triangular integer factors (Lovasz, Large
 Networks and Graph Limits, 2012): N counts the set partitions of each
 member by the class of their quotient, and U counts injective maps, with
-the members' automorphism counts on its diagonal.  Every system computes
-U = N^-1 M and checks that it comes out so.  Solving the system exactly
-and dividing the entry at a target by alpha(target) recovers
-hom(G, target) from oracle access to f alone.  The matrix is filled from
-hom counts between the classes of the members' connected components,
-since hom is multiplicative over the source's components and additive
-over a connected source's target components (counting.hom_table); the
-verify command reads it off the class table its expansions section
-built, whose classes include every closed set's members.  N is read off
-the walk that finds the members' images, so each row of the inverse
-matrix costs two triangular solves and no elimination.  The system
-depends only on the counter and the target's isomorphism class, so
-reduction_demo, which wires this up end to end against the in-process
-counters, builds it once per class and keeps the row of the inverse
-matrix at each target: a recovery is then one query set plus one dot
-product per target.
+the members' automorphism counts on its diagonal.  Solving the system
+exactly and dividing the entry at a target by alpha(target) recovers
+hom(G, target) from oracle access to f alone.  N is read off the walk
+that finds the members' images.  U is upper triangular, so a target's
+row of the inverse matrix reads only U's columns from the target on (h
+itself comes last), each N^-1 times the same column of M, filled from
+hom counts between the classes of the members' connected components
+(counting.hom_table) and checked to come out triangular with the
+automorphism count on its diagonal; the row then costs two triangular
+solves.  lovasz_matrix and the verify command, which reads M off its
+expansions' class table, check every column.  The system depends only
+on the counter and the target's class, so reduction_demo builds it once
+per class and keeps each target's row: a recovery is then one query set
+plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class, so they are closed over classes given as least
@@ -57,6 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from . import kernels
 from .canonical import (
@@ -76,7 +75,7 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .exactsolve import _as_int, row_solve_unit_lower, row_solve_upper
+from .exactsolve import _as_int, row_solve_unit_lower
 from .families import classify_C, classify_F, find_hard_edge
 from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
@@ -94,7 +93,7 @@ QUOTIENT_CACHE_SIZE = 1 << 12
 # their partition and automorphism counts (plain ints, about 140 bytes per
 # image: 41 KB for an 8-vertex class with 290).
 IMAGES_CACHE_SIZE = 128
-SYSTEM_MAX_SIZE = 256
+SYSTEM_MAX_SIZE = 1024
 # Systems kept by reduction_demo's cache, one per (mode, target class).
 SYSTEM_CACHE_SIZE = 64
 # Seconds one external oracle query may take before it counts as failed.
@@ -243,24 +242,23 @@ def _closure(classes):
 
 @dataclass
 class LovaszSystem:
-    """Closed set with its homomorphism-count matrix M (rows and columns
-    both follow matrix order), its triangular factors M = N U, and
-    optionally the coefficients being inverted.
+    """Closed set with the triangular factors M = N U of its
+    homomorphism-count matrix (matrix order), and optionally the
+    coefficients being inverted.
 
     lower holds N's entries below its unit diagonal, row by row, as
-    (column, partition count) pairs; upper holds U's dense rows, with the
-    members' automorphism counts on the diagonal and det = det M their
-    product.  Each row of the inverse matrix costs two triangular solves
-    on first use and is then kept.
+    (column, partition count) pairs; autos holds U's diagonal, the
+    automorphism counts, and det = det M their product.  U's columns and
+    the rows of the inverse matrix are kept as they are first needed.
     """
 
     members: list[tuple[GraphKey, Graph]]
-    matrix: list[list[int]]
     det: int
     lower: list[list[tuple[int, int]]] = field(repr=False)
-    upper: list[list[int]] = field(repr=False)
+    autos: list[int] = field(repr=False)
     alpha: CoeffVector | None = None
     _index: dict = field(default_factory=dict, repr=False)
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
     _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -271,27 +269,64 @@ class LovaszSystem:
             raise ValueError("graph is not a member of the system")
         return self._index[key]
 
-    def _inverse_row(self, idx: int) -> list[int]:
-        """det times row idx of the inverse matrix M^-1 = U^-1 N^-1: first
-        y U = det e_idx, then z N = y, both over the integers (det U^-1 is
-        integral, since det = det U)."""
-        row = self._inverse_rows.get(idx)
+    def _fill(self, columns, table) -> None:
+        """Check and keep U's columns at the given positions from the same
+        columns of M, table (hom_table's rows).  U = N^-1 M by forward
+        substitution over N's sparse rows.  M and N are computed
+        independently, so each column coming out zero below its diagonal,
+        with the images walk's automorphism count on it, checks both."""
+        rows = []
+        for m_row, below in zip(table, self.lower):
+            for k, c in below:
+                m_row = [a - c * b for a, b in zip(m_row, rows[k])]
+            rows.append(m_row)
+        filled = list(zip(columns, zip(*rows)))
+        if any(any(col[j + 1:]) for j, col in filled):
+            raise InternalCheckError("homomorphism matrix of a closed set has no upper "
+                                     "triangular injective-count factor")
+        diagonal = [col[j] for j, col in filled]
+        if 0 in diagonal:
+            raise SingularSystemError("homomorphism matrix of a closed set is singular")
+        autos = [self.autos[j] for j in columns]
+        if diagonal != autos:
+            c = next(c for c, (d, a) in enumerate(zip(diagonal, autos)) if d != a)
+            raise InternalCheckError(
+                "homomorphism matrix of a closed set has determinant "
+                f"{self.det // prod(autos) * prod(diagonal)}: member {columns[c]} has "
+                f"{diagonal[c]} injective maps to itself, not its {autos[c]} automorphisms")
+        self._columns.update((j, col[:j + 1]) for j, col in filled)
+
+    def _inverse_row(self, t: int) -> list[int]:
+        """det times row t of M^-1 = U^-1 N^-1: y U = det e_t, then z N = y,
+        over the integers (det = det U, so det U^-1 is integral).  y is
+        zero before t and reads only U's columns from t on, filling those
+        not yet kept through one hom_table call."""
+        row = self._inverse_rows.get(t)
         if row is None:
-            scaled_unit = [0] * len(self.members)
-            scaled_unit[idx] = self.det
-            row = row_solve_unit_lower(self.lower, row_solve_upper(self.upper, scaled_unit))
-            self._inverse_rows[idx] = row
+            n = len(self.members)
+            missing = [j for j in range(t, n) if j not in self._columns]
+            if missing:
+                self._fill(missing, hom_table(self.members, missing))
+            y = [0] * n
+            for j in range(t, n):
+                col = self._columns[j]
+                r = (self.det if j == t else 0) - sum(map(mul, y[t:j], col[t:j]))
+                y[j], rest = divmod(r, col[j])
+                if rest:
+                    raise InternalCheckError("det U^-1 is not integral")
+            row = row_solve_unit_lower(self.lower, y)
+            self._inverse_rows[t] = row
         return row
 
 
-def _system_over(ordered, images, matrix) -> LovaszSystem:
+def _system_over(ordered, images, matrix=None) -> LovaszSystem:
     """Factors and checked determinant of the system over members already
     known to be distinct, closed and in matrix order, each keyed by its
     least encoding.  images maps each member's (vertex count, least
-    encoding) to its _image_encodings, as _closure found them, and matrix
-    holds hom(F, H) over the members, rows and columns in their order:
-    lovasz_matrix and build_system pass counting.hom_table's, and verify a
-    submatrix of the class table its expansions section built.
+    encoding) to its _image_encodings, as _closure found them.  Every
+    column of U is checked against matrix, hom(F, H) over the members,
+    when it is given: lovasz_matrix passes counting.hom_table's, and
+    verify a submatrix of the class table its expansions section built.
 
     Every homomorphism is a quotient by its fibers followed by an injective
     map, so M = N U with N[i][k] the number of set partitions of member i
@@ -301,9 +336,7 @@ def _system_over(ordered, images, matrix) -> LovaszSystem:
     each, so in matrix order N is unit lower triangular and U upper
     triangular with the automorphism counts on its diagonal.  N and those
     counts are read from the members' cached images, with no canonical
-    search; U = N^-1 M by forward substitution.  M and N are computed
-    independently, so U coming out triangular with the images walk's
-    automorphism counts on its diagonal checks both.
+    search.
     """
     # N's rows and the automorphism counts, from the members' images.
     classes = [_unpack(key.data) for key, _ in ordered]
@@ -322,33 +355,15 @@ def _system_over(ordered, images, matrix) -> LovaszSystem:
                     "partition counts of a closed set are not unit lower triangular"
                 )
         lower.append(below)
-    # U = N^-1 M, row by row, since N's diagonal is all ones.
-    upper = []
-    for m_row, below in zip(matrix, lower):
-        for k, c in below:
-            m_row = [a - c * b for a, b in zip(m_row, upper[k])]
-        upper.append(m_row)
-    if any(any(row[:i]) for i, row in enumerate(upper)):
-        raise InternalCheckError(
-            "homomorphism matrix of a closed set has no upper triangular "
-            "injective-count factor"
-        )
-    diagonal = [row[i] for i, row in enumerate(upper)]
-    if 0 in diagonal:
-        raise SingularSystemError("homomorphism matrix of a closed set is singular")
-    if diagonal != autos:
-        i = next(i for i, (d, a) in enumerate(zip(diagonal, autos)) if d != a)
-        raise InternalCheckError(
-            f"homomorphism matrix of a closed set has determinant {prod(diagonal)}: "
-            f"member {i} has {diagonal[i]} injective maps to itself, "
-            f"not its {autos[i]} automorphisms"
-        )
-    return LovaszSystem(list(ordered), matrix, prod(autos), lower, upper)
+    system = LovaszSystem(list(ordered), prod(autos), lower, autos)
+    if matrix is not None:
+        system._fill(range(len(ordered)), matrix)
+    return system
 
 
 def lovasz_matrix(members) -> LovaszSystem:
-    """Build the homomorphism-count matrix over a closed set, with its
-    checked triangular factors.
+    """Fill the homomorphism-count matrix over a closed set and check all
+    of it against the triangular factors the system keeps.
 
     Accepts (key, rep) pairs, whose keys already hold the classes and are
     not searched again, or plain graphs, each keyed once; the input must
@@ -429,13 +444,14 @@ class ExternalCommandOracle:
 
 
 def build_system(alpha: CoeffVector) -> LovaszSystem:
-    """Closed set spanning the support of alpha, with matrix and alpha attached.
+    """Closed set spanning the support of alpha, with alpha attached.
 
     The support's keys already hold its classes, so no member is keyed;
-    _closure verifies closure, and the matrix is built over its members
-    from the images it read, without walking them a second time."""
+    _closure verifies closure, and N is read off the images it walked,
+    without walking them a second time.  No hom count is made: U's
+    columns are filled, and checked, when a recovery first needs them."""
     members, images = _closure(_unpack(key.data) for key in alpha.support())
-    system = _system_over(members, images, hom_table(members))
+    system = _system_over(members, images)
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:
         raise InternalCheckError("closure lost part of the coefficient support")
@@ -477,12 +493,11 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
     """Recover hom(g, target) using exactly one oracle query per member.
 
     Queries f(g + F) for every member F and takes the dot product of the
-    answers with the inverse matrix's row at the target.  The system was
-    factored into triangular N and U when it was built; the row is solved
-    through them on first use, in O(n^2), and kept, so no recovery
-    eliminates.  The entry is divided by alpha(target).  A non-integer or
-    negative outcome means the oracle does not match the declared
-    coefficients.
+    answers with the inverse matrix's row at the target, solved on first
+    use through N and U's columns from the target on, which are filled
+    and checked then, and kept, so no recovery eliminates.  The entry is
+    divided by alpha(target).  A non-integer or negative outcome means the
+    oracle does not match the declared coefficients.
     """
     return _recover(system, oracle, g, [target])[0]
 

@@ -572,7 +572,7 @@ def test_recover_budget_runs_before_any_oracle_query(monkeypatch, tmp_path, caps
     assert "over the budget" in capsys.readouterr().err
 
 
-def test_recover_vesurj_serves_the_hard_targets(tmp_path, capsys):
+def test_recover_vesurj_serves_the_hard_targets(monkeypatch, tmp_path, capsys):
     targets = {
         "k33": _graph_file(tmp_path, "k33", 6, [(i, j) for i in range(3) for j in range(3, 6)]),
         "k24": _graph_file(tmp_path, "k24", 6, [(i, j) for i in range(2) for j in range(2, 6)]),
@@ -586,6 +586,9 @@ def test_recover_vesurj_serves_the_hard_targets(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert len(report["closed_set"]) == report["oracle_queries"] == members[name]
         assert report["targets"] and all(t["match"] for t in report["targets"]), name
+    # C7's closed set has 278 members: a cap below that refuses it (exit 4).
+    monkeypatch.setattr(interpolation, "SYSTEM_MAX_SIZE", 256)
+    interpolation._reduction_system.cache_clear()
     assert cli.main(["recover", "--mode", "vesurj", "--h", _cycle_file(tmp_path, 7),
                      "--g", f"{G}/p3.graph"]) == 4
     assert "systems are limited to 256 members" in capsys.readouterr().err

@@ -313,6 +313,7 @@ def test_closed_set_computes_images_once_per_member(monkeypatch, named):
         # canonical_form's cache, warm from here on, so any search left
         # would key a member.
         members = build_system(alpha).members
+        hom_table(members)
         for build, arg in ((build_system, alpha), (lovasz_matrix, members)):
             searches.clear()
             walks.cache_clear()
@@ -341,7 +342,7 @@ def test_keyed_classes_are_size_checked_before_any_walk(monkeypatch):
 def test_lovasz_matrix_small_example(named):
     members = closed_set([named["k1"], named["l1"], named["k2"]])
     system = lovasz_matrix(members)
-    assert system.matrix == [[1, 1, 2], [0, 1, 0], [0, 1, 2]]
+    assert hom_table(system.members) == [[1, 1, 2], [0, 1, 0], [0, 1, 2]]
     assert system.det == 2
 
 
@@ -373,9 +374,13 @@ def test_component_table_matrix_matches_hom_counts(named):
     assert any(rep.n == 0 for system in systems for _, rep in system.members)
     for system in systems:
         reps = [rep for _, rep in system.members]
-        for f, row in zip(reps, system.matrix):
+        table = hom_table(system.members)
+        for f, row in zip(reps, table):
             for h, entry in zip(reps, row):
                 assert entry == hom_count(f, h), (f, h)
+        # Asked for some columns, in any order, it fills just those.
+        columns = list(range(len(reps)))[::-3]
+        assert hom_table(system.members, columns) == [[row[j] for j in columns] for row in table]
 
 
 def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypatch):
@@ -390,7 +395,11 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     monkeypatch.setattr(kernels, "count_maps", counting_maps)
     system = build_system(alpha)
     assert len(system.members) == 62
+    assert calls == []
+    table = hom_table(system.members)
     assert len(calls) <= 30**2
+    oracle = CountingOracle("vesurj", biclique(2, 3))
+    recover_hom(system, oracle, path_graph(3), canonical_key(biclique(2, 3)))
 
     def refuse(*args):
         raise AssertionError("keyed a member whose images are cached")
@@ -400,9 +409,10 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     monkeypatch.setattr(kernels, "min_encoding", refuse)
     classes = [interpolation._unpack(key.data) for key, _ in system.members]
     again = interpolation._system_over(
-        system.members, {c: interpolation._image_encodings(*c) for c in classes},
-        hom_table(system.members))
-    assert (again.matrix, again.lower, again.upper) == (system.matrix, system.lower, system.upper)
+        system.members, {c: interpolation._image_encodings(*c) for c in classes}, table)
+    assert (again.lower, again.autos) == (system.lower, system.autos)
+    assert system._columns and all(
+        again._columns[j] == col for j, col in system._columns.items())
 
 
 def test_k33_vesurj_system_walks_each_member_once():
@@ -415,17 +425,26 @@ def test_k33_vesurj_system_walks_each_member_once():
     assert interpolation._image_encodings.cache_info().misses <= len(system.members)
 
 
-def test_closed_set_refuses_c7_while_it_grows():
-    # C7's vesurj closed set has 278 members; it is refused as soon as the
-    # union passes SYSTEM_MAX_SIZE, before every member's images are walked.
+def test_closed_set_refuses_c7_while_it_grows(monkeypatch):
+    # C7's vesurj closed set has 278 members; under a cap of 256 it is
+    # refused as soon as the union passes SYSTEM_MAX_SIZE, before every
+    # member's images are walked.
+    monkeypatch.setattr(interpolation, "SYSTEM_MAX_SIZE", 256)
     alpha = alpha_for_vesurj(cycle_graph(7))
     for build in (lambda: closed_set(rep for _, rep, _ in alpha.items()),
                   lambda: reduction_demo(cycle_graph(7), "vesurj", path_graph(3))):
         interpolation._image_encodings.cache_clear()
         interpolation._reduction_system.cache_clear()
-        with pytest.raises(SizeLimitError, match="systems are limited"):
+        with pytest.raises(SizeLimitError, match="systems are limited to 256 members"):
             build()
         assert interpolation._image_encodings.cache_info().misses < 278
+
+
+def test_c7_vesurj_recovers_p3():
+    # 278 members, past the former cap of 256.
+    report = reduction_demo(cycle_graph(7), "vesurj", path_graph(3))
+    assert len(report["closed_set"]) == report["oracle_queries"] == 278
+    assert [t["match"] for t in report["targets"]] == [True]
 
 
 def test_factors_match_naive_partitions_and_automorphisms():
@@ -451,24 +470,101 @@ def test_factors_match_naive_partitions_and_automorphisms():
             row = {members[k]: c for k, c in system.lower[i]}
             row[member] = 1
             assert row == partitions[member], (h, i)
-            assert system.upper[i][i] == autos[member], (h, i)
+            assert system.autos[i] == system._columns[i][i] == autos[member], (h, i)
 
 
 def test_inverse_rows_match_fraction_elimination(named):
     for system in _image_and_recover_mix_systems(named):
         n = len(system.members)
-        inverse = naive_solve(system.matrix, [[int(i == j) for j in range(n)] for i in range(n)])
+        inverse = naive_solve(hom_table(system.members),
+                              [[int(i == j) for j in range(n)] for i in range(n)])
         for t in range(n):
             assert system._inverse_row(t) == [system.det * x for x in inverse[t]], t
 
 
+def test_inverse_rows_at_targets_match_fraction_inverse_of_direct_counts():
+    # The matrix comes from one kernel count per pair, not from hom_table,
+    # and the rows from build_system's systems, whose columns of U are
+    # filled only from each target's position on.
+    homs = {}
+    for _, h in enumerate_graphs(4):
+        for alpha in (alpha_for_vsurj(h), alpha_for_vesurj(h)):
+            system = build_system(alpha)
+            matrix = [[homs[f, k] if (f, k) in homs else
+                       homs.setdefault((f, k), hom_count(f_rep, k_rep))
+                       for k, k_rep in system.members] for f, f_rep in system.members]
+            targets = [system.index_of(key) for key in alpha.support()]
+            # Row t of the inverse solves x M = e_t, a column of M^T x = I.
+            inverse = naive_solve([list(col) for col in zip(*matrix)],
+                                  [[int(i == t) for t in targets] for i in range(len(matrix))])
+            for c, t in enumerate(targets):
+                assert system._inverse_row(t) == [system.det * x[c] for x in inverse], (h, t)
+
+
+def test_build_system_counts_no_maps(monkeypatch, named):
+    def refuse(*args):
+        raise AssertionError("counted maps while building a system")
+
+    alphas = [alpha_for(h) for h in (named["k22"], biclique(2, 3), named["r3"])
+              for alpha_for in (alpha_for_vsurj, alpha_for_vesurj)]
+    monkeypatch.setattr(kernels, "count_maps", refuse)
+    for alpha in alphas:
+        assert build_system(alpha).members
+
+
+def test_recovery_fills_the_columns_from_the_target_on(monkeypatch):
+    h = biclique(2, 3)
+    alpha = alpha_for_vesurj(h)
+    system = build_system(alpha)
+    filled = []
+
+    def counting(members, columns=None):
+        filled.append(list(columns))
+        return hom_table(members, columns)
+
+    monkeypatch.setattr(interpolation, "hom_table", counting)
+    t = system.index_of(canonical_key(h))
+    assert t == len(system.members) - 1
+    assert recover_hom(system, CountingOracle("vesurj", h), path_graph(3),
+                       canonical_key(h)) == hom_count(path_graph(3), h)
+    assert filled == [[t]] and sorted(system._columns) == [t]
+    # The hard-edge deletion sits just before h and fills one more column.
+    sub = canonical_key(delete_nonloop_edge(h, find_hard_edge(h)))
+    assert system.index_of(sub) == t - 1
+    recover_hom(system, CountingOracle("vesurj", h), path_graph(3), sub)
+    assert filled == [[t], [t - 1]]
+
+
+def test_shifted_trailing_entry_is_caught_before_any_query(monkeypatch, named):
+    # hom(K2,2, K2,2) off by one changes the last diagonal entry of U.
+    h = named["k22"]
+    system = build_system(alpha_for_vesurj(h))
+    k22 = canonical_key(h)
+    monkeypatch.setattr(interpolation, "hom_table", _shifted_hom_table(
+        lambda f, g: int(canonical_key(f) == canonical_key(g) == k22)))
+    oracle = CountingOracle("vesurj", h)
+    with pytest.raises(InternalCheckError, match="injective maps to itself"):
+        recover_hom(system, oracle, named["p3"], k22)
+    assert oracle.calls == 0 and not system._columns
+
+
+def test_inexact_division_through_u_is_an_internal_error(named):
+    system = lovasz_matrix(closed_set([named["k1"], named["l1"], named["k2"]]))
+    assert system.det == 2
+    # A kept diagonal of 3 where det is 2 leaves det U^-1 fractional.
+    system._columns[2] = (*system._columns[2][:2], 3)
+    with pytest.raises(InternalCheckError, match="not integral"):
+        system._inverse_row(2)
+
+
 def _shifted_hom_table(shift):
     """counting.hom_table with shift(f, h) added to the entry at each pair."""
-    def shifted(members):
-        table = hom_table(members)
+    def shifted(members, columns=None):
+        columns = range(len(members)) if columns is None else columns
+        table = hom_table(members, columns)
         for (_, f), row in zip(members, table):
-            for j, (_, h) in enumerate(members):
-                row[j] += shift(f, h)
+            for c, j in enumerate(columns):
+                row[c] += shift(f, members[j][1])
         return table
 
     return shifted
@@ -485,6 +581,15 @@ def test_lovasz_matrix_rejects_wrong_determinant(monkeypatch, named):
             lovasz_matrix(members)
         assert not isinstance(raised.value, SingularSystemError)
         assert message in str(raised.value)
+
+
+def test_column_fill_rejects_singular_matrix(monkeypatch, named):
+    members = closed_set([named["k1"], named["l1"], named["k2"]])
+    # hom(K2, K2) two short leaves a zero on U's diagonal.
+    monkeypatch.setattr(interpolation, "hom_table", _shifted_hom_table(
+        lambda f, h: -2 * (f.n == h.n == 2 and not h.loops)))
+    with pytest.raises(SingularSystemError, match="singular"):
+        lovasz_matrix(members)
 
 
 def test_verify_reports_determinant_mismatch(monkeypatch):
@@ -569,32 +674,42 @@ def test_recover_hom_from_vesurj_oracle_hits_edge_deleted_target(named):
 
 
 def test_factored_recovery_matches_full_solve(monkeypatch, named):
-    solves = []
-    solve = interpolation.row_solve_upper
+    filled, solves = [], []
+    solve = interpolation.row_solve_unit_lower
 
-    def counting(upper, rhs):
+    def counting(members, columns=None):
+        filled.extend(columns)
+        return hom_table(members, columns)
+
+    def counting_solve(lower, rhs):
         solves.append(len(rhs))
-        return solve(upper, rhs)
+        return solve(lower, rhs)
 
-    monkeypatch.setattr(interpolation, "row_solve_upper", counting)
+    monkeypatch.setattr(interpolation, "hom_table", counting)
+    monkeypatch.setattr(interpolation, "row_solve_unit_lower", counting_solve)
     for mode, h in (("vsurj", named["k3"]), ("vsurj", named["star3"]),
                     ("vesurj", named["k22"]), ("vesurj", named["r2"])):
         alpha = alpha_for_vsurj(h) if mode == "vsurj" else alpha_for_vesurj(h)
+        filled.clear()
         solves.clear()
         system = build_system(alpha)
-        assert solves == []
+        assert filled == solves == []
+        matrix = hom_table(system.members)
         for g in (named["p3"], named["c5"]):
             oracle = CountingOracle(mode, h)
             rhs = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
-            beta = [x for (x,) in naive_solve(system.matrix, [[b] for b in rhs])]
+            beta = [x for (x,) in naive_solve(matrix, [[b] for b in rhs])]
             for key, rep, coeff in alpha.items():
                 got = recover_hom(system, oracle, g, key)
                 assert Fraction(got) == beta[system.index_of(key)] / coeff
                 assert got == hom_count(g, rep)
         for key in alpha.support():
             recover_hom(system, CountingOracle(mode, h), named["p4"], key)
-        # One row solve per target, kept for every later recovery.
+        # One row solve per target, and each column of U from the first
+        # target's on filled once, both kept for every later recovery.
         assert solves == [len(system.members)] * len(alpha)
+        first = min(system.index_of(key) for key in alpha.support())
+        assert sorted(filled) == list(range(first, len(system.members)))
 
 
 def test_recover_rejects_target_outside_support(named):
