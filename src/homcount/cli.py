@@ -23,15 +23,13 @@ from .errors import (
     SingularSystemError,
 )
 from .families import (
+    _classify,
+    _closed_form_count,
     classification_json,
     classify_C,
     classify_F,
-    find_hard_edge,
-    hom_polytime,
-    vesurj_polytime,
-    vsurj_polytime,
 )
-from .graphs import Graph, load_graph, parse_graph, to_text
+from .graphs import Graph, delete_nonloop_edge, load_graph, parse_graph, to_text
 from .interpolation import _closure, _system_over, image_encodings, reduction_demo
 from .inversion import _expansions, _walk, dsub_inverse_column
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
@@ -88,17 +86,10 @@ def _cmd_count(args) -> int:
         _check_budget("aut", None, h, args.budget)
         count = aut_count(h)
     else:
-        if not args.force_bruteforce:
-            if args.kind == "vesurj":
-                if classify_C(h)[0]:
-                    path, count = "polytime", vesurj_polytime(g, h)
-            else:
-                in_f, shapes = classify_F(h)
-                if in_f and args.kind == "hom":
-                    path, count = "polytime", hom_polytime(g, h, shapes)
-                elif in_f:
-                    path, count = "polytime", vsurj_polytime(g, h)
-        if path == "bruteforce":
+        count = None if args.force_bruteforce else _closed_form_count(args.kind, g, h)
+        if count is not None:
+            path = "polytime"
+        else:
             _check_budget(args.kind, g, h, args.budget)
             counter = {"hom": hom_count, "vsurj": vsurj_count, "vesurj": vesurj_count}
             count = counter[args.kind](g, h)
@@ -164,8 +155,7 @@ def _run_verify(n_max: int) -> dict:
 
     fam = []
     for key, h in classes:
-        in_f, _ = classify_F(h)
-        in_c, _ = classify_C(h)
+        _, in_f, in_c, hard = _classify(h)
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
@@ -176,11 +166,9 @@ def _run_verify(n_max: int) -> dict:
             for _, rep, _, _ in _walk(key, True):
                 if not classify_C(rep)[0]:
                     fam.append({"h": to_text(h), "check": "C deletion-closed"})
-        if in_f and not in_c:
-            try:
-                find_hard_edge(h)
-            except InternalCheckError:
-                fam.append({"h": to_text(h), "check": "hard edge exists"})
+        # The hard edge is read off h's shapes; deleting it must take h out of F.
+        if in_f and not in_c and classify_F(delete_nonloop_edge(h, hard))[0]:
+            fam.append({"h": to_text(h), "check": "hard edge exists"})
     sections["families"] = {"classes": len(classes), "violations": fam}
 
     inter = []

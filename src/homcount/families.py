@@ -6,8 +6,9 @@ complete graph with every loop present (a reflexive clique).  Family C is
 the subset where every biclique is a star (one side of size at most 1)
 and every reflexive clique has at most 2 vertices.  C sits inside F, and
 C is exactly the part of F that stays in F under arbitrary vertex and
-non-loop-edge deletions; for a target in F but not in C some single edge
-deletion already leaves F, and find_hard_edge locates one.
+non-loop-edge deletions; deleting any edge of a component outside C
+already leaves F.  _classify reads a target's shapes, both memberships
+and that hard edge off one graphs._components walk, for every reader.
 
 Against targets in F, homomorphism counts have a closed form (a product
 over source components of sums over target components).  The two
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InternalCheckError, SizeLimitError
-from .graphs import Graph, _components, delete_nonloop_edge
+from .errors import SizeLimitError
+from .graphs import Graph, _components
 
 BICLIQUE = "biclique"
 REFLEXIVE_CLIQUE = "reflexive_clique"
@@ -80,17 +81,6 @@ def _shape(n: int, loops: int, edges: int, parts) -> ComponentShape:
     return ComponentShape.biclique(*parts)
 
 
-def _shapes(h: Graph) -> list[ComponentShape]:
-    return [_shape(len(vs), *counts) for vs, *counts in _components(h)]
-
-
-def classify_F(h: Graph) -> tuple[bool, list[ComponentShape]]:
-    """Membership in F plus the per-component shapes (component order
-    follows smallest original vertex)."""
-    shapes = _shapes(h)
-    return all(s.kind != UNRECOGNIZED for s in shapes), shapes
-
-
 def _in_C(shape: ComponentShape) -> bool:
     if shape.kind == BICLIQUE:
         return shape.b <= 1
@@ -99,30 +89,47 @@ def _in_C(shape: ComponentShape) -> bool:
     return False
 
 
+def _classify(h: Graph) -> tuple[list[ComponentShape], bool, bool, tuple[int, int] | None]:
+    """h's component shapes, membership in F and in C, and hard edge (None
+    unless h is in F but not in C), from one graphs._components walk.
+
+    The hard edge is the least edge of the first component outside C (a
+    biclique with both sides of size 2 or more, or a reflexive clique on 3
+    or more vertices), which has no bridge: deleting it leaves one
+    component that is not complete.  _components lists a component's
+    vertices breadth first from its smallest over sorted adjacency lists,
+    so its first two vertices form its least edge.
+    """
+    comps = _components(h)
+    shapes = [_shape(len(vs), *counts) for vs, *counts in comps]
+    in_f = all(s.kind != UNRECOGNIZED for s in shapes)
+    outside_c = [vs for (vs, *_), s in zip(comps, shapes) if not _in_C(s)]
+    hard = outside_c[0][:2] if in_f and outside_c else None
+    return shapes, in_f, not outside_c, hard
+
+
+def classify_F(h: Graph) -> tuple[bool, list[ComponentShape]]:
+    """Membership in F plus the per-component shapes (component order
+    follows smallest original vertex)."""
+    shapes, in_f, _, _ = _classify(h)
+    return in_f, shapes
+
+
 def classify_C(h: Graph) -> tuple[bool, list[ComponentShape]]:
     """Membership in C (stars and reflexive cliques of size at most 2)."""
-    shapes = _shapes(h)
-    return all(_in_C(s) for s in shapes), shapes
+    shapes, _, in_c, _ = _classify(h)
+    return in_c, shapes
 
 
 def find_hard_edge(h: Graph) -> tuple[int, int]:
-    """Lexicographically smallest non-loop edge whose deletion leaves F.
-
-    Defined for targets in F but not in C; such an edge always exists there
-    (deleting one cross edge of a fat biclique or one edge of a reflexive
-    clique on 3 or more vertices breaks completeness without splitting the
-    component).
-    """
-    in_f, _ = classify_F(h)
+    """Least non-loop edge of a component of h outside C, whose deletion
+    leaves F; defined for targets in F but not in C, which have one."""
+    _, in_f, in_c, hard = _classify(h)
     if not in_f:
         raise ValueError("hard edges are defined only for targets in F")
-    in_c, _ = classify_C(h)
     if in_c:
         raise ValueError("targets in C have no hard edge")
-    for e in sorted(h.edges):
-        if not classify_F(delete_nonloop_edge(h, e))[0]:
-            return e
-    raise InternalCheckError("no hard edge found for a target in F minus C")
+    return hard
 
 
 def _source_components(g: Graph) -> list[tuple[int, tuple[int, int] | None]]:
@@ -157,14 +164,9 @@ def _hom_closed_form(comps, shapes: list[ComponentShape]) -> int:
     return result
 
 
-def hom_polytime(g: Graph, h: Graph, shapes: list[ComponentShape]) -> int:
-    """Homomorphism count via closed forms; shapes must describe h's
-    components as returned by classify_F."""
-    if any(s.kind == UNRECOGNIZED for s in shapes):
-        raise ValueError("target is not in F")
-    if _shapes(h) != list(shapes):
-        raise ValueError("shape list does not match the target's components")
-    return _hom_closed_form(_source_components(g), shapes)
+def hom_polytime(g: Graph, h: Graph) -> int:
+    """Homomorphism count via closed forms, for targets in F."""
+    return _in_family(_closed_form_count("hom", g, h), "F")
 
 
 _K1 = ComponentShape.biclique(1, 0)
@@ -240,17 +242,38 @@ def _signed_shape_sum(g: Graph, shapes: list[ComponentShape], outcomes) -> int:
     )
 
 
+def _closed_form_count(kind: str, g: Graph, h: Graph) -> int | None:
+    """The hom, vsurj or vesurj count from g into h by closed forms, from
+    one classification of h; None when h is outside the kind's family (C
+    for vesurj, F for the others)."""
+    shapes, in_f, in_c, _ = _classify(h)
+    if kind == "vesurj":
+        if not in_c:
+            return None
+        if g.n < h.n or len(g.edges) < len(h.edges):
+            return 0
+        return _signed_shape_sum(g, shapes, _vesurj_outcomes)
+    if not in_f:
+        return None
+    if kind == "hom":
+        return _hom_closed_form(_source_components(g), shapes)
+    if g.n < h.n:
+        return 0
+    return _signed_shape_sum(g, shapes, _vsurj_outcomes)
+
+
+def _in_family(count: int | None, family: str) -> int:
+    if count is None:
+        raise ValueError(f"target is not in {family}")
+    return count
+
+
 def vsurj_polytime(g: Graph, h: Graph) -> int:
     """Vertex-surjective count for targets in F: the signed sum of
     hom(g, h[S]) over vertex subsets S, grouped by the multiset of
     component shapes h[S] has, so each distinct multiset costs one
     closed-form count."""
-    in_f, shapes = classify_F(h)
-    if not in_f:
-        raise ValueError("target is not in F")
-    if g.n < h.n:
-        return 0
-    return _signed_shape_sum(g, shapes, _vsurj_outcomes)
+    return _in_family(_closed_form_count("vsurj", g, h), "F")
 
 
 def vesurj_polytime(g: Graph, h: Graph) -> int:
@@ -258,25 +281,16 @@ def vesurj_polytime(g: Graph, h: Graph) -> int:
     hom(g, h - A - B) over sets B of non-loop edges and sets A of vertices
     on no such edge, grouped by the multiset of component shapes left, so
     each distinct multiset costs one closed-form count."""
-    in_c, shapes = classify_C(h)
-    if not in_c:
-        raise ValueError("target is not in C")
-    if g.n < h.n or len(g.edges) < len(h.edges):
-        return 0
-    return _signed_shape_sum(g, shapes, _vesurj_outcomes)
+    return _in_family(_closed_form_count("vesurj", g, h), "C")
 
 
 def classification_json(h: Graph) -> dict:
     """Classification record: family memberships, component shape labels,
     and the hard edge when one exists."""
-    in_f, shapes = classify_F(h)
-    in_c, _ = classify_C(h)
-    hard = None
-    if in_f and not in_c:
-        hard = list(find_hard_edge(h))
+    shapes, in_f, in_c, hard = _classify(h)
     return {
         "in_F": in_f,
         "in_C": in_c,
         "components": [s.label() for s in shapes],
-        "hard_edge": hard,
+        "hard_edge": list(hard) if hard else None,
     }

@@ -150,7 +150,8 @@ def _adjacency_lists(g: Graph) -> list[list[int]]:
 
 def _components(g: Graph) -> list[tuple[tuple[int, ...], int, int, tuple[int, int] | None]]:
     """Per connected component of g, ordered by smallest vertex: its
-    vertices in breadth-first order, its looped vertex count, its non-loop
+    vertices in breadth-first order from the smallest, each vertex's
+    neighbours in increasing order, its looped vertex count, its non-loop
     edge count and its 2-coloring part sizes (None when an odd cycle rules
     one out), all from one pass over the adjacency lists.  Loops do not
     affect connectivity."""

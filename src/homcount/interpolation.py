@@ -76,7 +76,7 @@ from .errors import (
     SizeLimitError,
 )
 from .exactsolve import _as_int, row_solve_unit_lower
-from .families import classify_C, classify_F, find_hard_edge
+from .families import _classify
 from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
@@ -475,11 +475,14 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
         a_t = system.alpha[key]
         if a_t == 0:
             raise ValueError("target lies outside the coefficient support")
-        targets.append((system._inverse_row(system.index_of(key)), a_t))
+        targets.append((system.index_of(key), a_t))
+    # The first row solved fills every column of U that the later ones
+    # read, so the trailing columns cost one hom_table call.
+    rows = {t: system._inverse_row(t) for t, _ in sorted(targets)}
     rhs = [_as_int(oracle.eval(disjoint_union(g, rep))) for _, rep in system.members]
     values = []
-    for row, a_t in targets:
-        value = Fraction(sum(r * b for r, b in zip(row, rhs)), system.det * a_t)
+    for t, a_t in targets:
+        value = Fraction(sum(r * b for r, b in zip(rows[t], rhs)), system.det * a_t)
         if value.denominator != 1 or value < 0:
             raise OracleMismatchError(
                 "recovered value is not a nonnegative integer; "
@@ -534,13 +537,9 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     alpha, system = _reduction_system(mode, h_key)
 
     targets = [h_key]
-    hard = None
-    if mode == "vesurj":
-        in_f, _ = classify_F(h)
-        in_c, _ = classify_C(h)
-        if in_f and not in_c:
-            hard = find_hard_edge(h)
-            targets.append(canonical_key(delete_nonloop_edge(h, hard)))
+    hard = _classify(h)[3] if mode == "vesurj" else None
+    if hard:
+        targets.append(canonical_key(delete_nonloop_edge(h, hard)))
 
     calls_before = getattr(oracle, "calls", None)
     recovered = _recover(system, oracle, g, targets)

@@ -150,13 +150,6 @@ def ind_count(f: Graph, h: Graph) -> int:
     return found
 
 
-@lru_cache(maxsize=None)
-def _deletion_pair_bound(n: int) -> int:
-    """Labeled deletion pairs of the complete graph on n vertices: an upper
-    bound on _deletion_pair_total for every graph on n vertices."""
-    return sum(comb(n, r) << comb(r, 2) for r in range(n + 1))
-
-
 def _deletion_pair_total(h: Graph, limit: int) -> int:
     """Labeled deletion pairs of h, summed over its vertex subsets until the
     sum passes limit.  A vertex on no non-loop edge doubles the total, so
@@ -206,13 +199,9 @@ def _check_pair_limit(h: Graph, deletions: bool) -> None:
     itself exponential in h's vertex count.  Each vertex subset is at least
     one leaf, so h is refused at once when 2^n alone passes the limit; that
     is the induced walk's whole count.  With deletions a leaf is a labeled
-    deletion pair, and their exact total is summed only when the bound for
-    h's vertex count exceeds the limit (never up to 6 vertices), so cached
-    lookups stay cheap, and only until it passes."""
+    deletion pair, and their exact total is summed until it passes."""
     if h.n >= DSUB_PAIR_LIMIT.bit_length() or (
-        deletions
-        and _deletion_pair_bound(h.n) > DSUB_PAIR_LIMIT
-        and _deletion_pair_total(h, DSUB_PAIR_LIMIT) > DSUB_PAIR_LIMIT
+        deletions and _deletion_pair_total(h, DSUB_PAIR_LIMIT) > DSUB_PAIR_LIMIT
     ):
         kind, leaves = ("deletion", "pairs") if deletions else ("induced", "vertex subsets")
         raise SizeLimitError(

@@ -167,28 +167,42 @@ def naive_classes(graphs):
     return list(zip(reps, counts))
 
 
+def _naive_distances(g: Graph, root: int) -> dict:
+    """Distance from root to every vertex it reaches, from relaxing every
+    edge until nothing changes."""
+    dist = {root: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in dist and (b not in dist or dist[a] + 1 < dist[b]):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return dist
+
+
+def _naive_component_distances(g: Graph):
+    """Per connected component, from its smallest vertex up, the distances
+    of its vertices from that vertex."""
+    out = []
+    placed = set()
+    for root in range(g.n):
+        if root not in placed:
+            dist = _naive_distances(g, root)
+            placed.update(dist)
+            out.append(dist)
+    return out
+
+
 def naive_components(g: Graph):
     """Per connected component, from its smallest vertex up: its sorted
     vertices, looped vertex count, non-loop edge count, and the numbers of
     its vertices at even and odd distance from its smallest vertex, or None
-    when some edge joins two vertices of equal parity (an odd cycle).
-    Distances come from relaxing every edge until nothing changes."""
+    when some edge joins two vertices of equal parity (an odd cycle)."""
     out = []
-    placed = set()
-    for root in range(g.n):
-        if root in placed:
-            continue
-        dist = {root: 0}
-        changed = True
-        while changed:
-            changed = False
-            for u, v in g.edges:
-                for a, b in ((u, v), (v, u)):
-                    if a in dist and (b not in dist or dist[a] + 1 < dist[b]):
-                        dist[b] = dist[a] + 1
-                        changed = True
+    for dist in _naive_component_distances(g):
         comp = sorted(dist)
-        placed.update(comp)
         edges = [(u, v) for u, v in g.edges if u in dist]
         even = sum(1 for v in comp if dist[v] % 2 == 0)
         parts = (even, len(comp) - even)
@@ -196,6 +210,43 @@ def naive_components(g: Graph):
             parts = None
         out.append((comp, sum(1 for v in comp if v in g.loops), len(edges), parts))
     return out
+
+
+def naive_families(h: Graph):
+    """(in F, in C, component labels) straight from the definitions.  A
+    component is a reflexive clique when every vertex is looped and every
+    two are adjacent, and a biclique when no vertex is looped and two
+    vertices are adjacent exactly when their distances from the smallest
+    one differ in parity.  F asks every component to be one of these; C
+    asks each biclique to have a side of at most one vertex and each
+    reflexive clique at most two vertices."""
+    labels, in_c = [], True
+    for dist in _naive_component_distances(h):
+        comp = sorted(dist)
+        pairs = list(itertools.combinations(comp, 2))
+        if all(v in h.loops for v in comp) and all(p in h.edges for p in pairs):
+            labels.append(f"reflexive_clique({len(comp)})")
+            in_c = in_c and len(comp) <= 2
+        elif not any(v in h.loops for v in comp) and all(
+            ((u, v) in h.edges) == (dist[u] % 2 != dist[v] % 2) for u, v in pairs
+        ):
+            odd = sum(dist[v] % 2 for v in comp)
+            sides = sorted((odd, len(comp) - odd), reverse=True)
+            labels.append(f"biclique({sides[0]},{sides[1]})")
+            in_c = in_c and sides[1] <= 1
+        else:
+            labels.append("unrecognized")
+            in_c = False
+    return "unrecognized" not in labels, in_c, labels
+
+
+def naive_hard_edge(h: Graph):
+    """The least non-loop edge whose deletion takes h out of naive F, or
+    None when no deletion does."""
+    for e in sorted(h.edges):
+        if not naive_families(Graph(h.n, h.loops, h.edges - {e}))[0]:
+            return e
+    return None
 
 
 def naive_all_graphs(n: int):

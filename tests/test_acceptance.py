@@ -193,9 +193,8 @@ def test_criterion_6_polytime_equals_bruteforce():
     f_targets = [h for h in classes if classify_F(h)[0]]
     c_targets = [h for h in classes if classify_C(h)[0]]
     for h in f_targets:
-        shapes = classify_F(h)[1]
         for g in classes:
-            if hom_polytime(g, h, shapes) != hom_count(g, h):
+            if hom_polytime(g, h) != hom_count(g, h):
                 bad.append(("hom", g, h))
             if vsurj_polytime(g, h) != vsurj_count(g, h):
                 bad.append(("vsurj", g, h))
@@ -214,14 +213,14 @@ def test_criterion_6_polytime_equals_bruteforce():
     assert wide.n == 60
     target = disjoint_union(biclique(2, 3), reflexive_clique(2))
     start = time.perf_counter()
-    value = hom_polytime(wide, target, classify_F(target)[1])
+    value = hom_polytime(wide, target)
     wide_elapsed = time.perf_counter() - start
     if value <= 0:
         bad.append(("wide value", value))
     if wide_elapsed >= 1.0:
         bad.append(("wide runtime", wide_elapsed))
     loopfree_target = biclique(2, 3)
-    if hom_polytime(wide, loopfree_target, classify_F(loopfree_target)[1]) != 0:
+    if hom_polytime(wide, loopfree_target) != 0:
         bad.append(("wide zero case",))
     record(
         not bad,

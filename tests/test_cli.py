@@ -493,7 +493,7 @@ def test_images_output_is_pinned_on_random_looped_graphs(tmp_path, capsys):
     assert digest.hexdigest() == IMAGES_PINNED_SHA256
 
 
-def _refuse_hom_polytime(g, h, shapes):
+def _refuse_hom_polytime(g, h):
     raise InternalCheckError("a closed-form sum went through hom_polytime")
 
 
@@ -592,3 +592,44 @@ def test_recover_vesurj_serves_the_hard_targets(monkeypatch, tmp_path, capsys):
     assert cli.main(["recover", "--mode", "vesurj", "--h", _cycle_file(tmp_path, 7),
                      "--g", f"{G}/p3.graph"]) == 4
     assert "systems are limited to 256 members" in capsys.readouterr().err
+
+
+def test_each_request_walks_the_targets_components_once(monkeypatch, tmp_path, capsys):
+    walked = []
+    walk = families._components
+
+    def counting(g):
+        walked.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(families, "_components", counting)
+    # K2,3 is in F but not in C, so recover adds its hard-edge deletion.
+    k23_edges = [(i, 2 + j) for i in range(2) for j in range(3)]
+    k23, star3 = Graph(5, edges=k23_edges), Graph(4, edges=[(0, 1), (0, 2), (0, 3)])
+    files = {k23: _graph_file(tmp_path, "k23", 5, k23_edges),
+             star3: _graph_file(tmp_path, "star3", 4, sorted(star3.edges))}
+    c5 = f"{G}/c5.graph"
+    for h, argv in (
+        (k23, ["count", "--kind", "hom", "--g", c5]),
+        (k23, ["count", "--kind", "vsurj", "--g", c5]),
+        (star3, ["count", "--kind", "vesurj", "--g", c5]),
+        (k23, ["classify"]),
+        (k23, ["recover", "--mode", "vesurj", "--g", f"{G}/p3.graph"]),
+    ):
+        walked.clear()
+        assert cli.main(argv + ["--h", files[h]]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("path", "polytime") == "polytime"
+        assert walked.count(h) == 1, argv
+
+    # verify: one walk per class for its own classification and hard-edge
+    # check, plus one per subgraph class its closure checks classify.
+    expected = 0
+    for key, h in enumerate_graphs(3):
+        in_f, in_c = families.classify_F(h)[0], families.classify_C(h)[0]
+        expected += 1 + (in_f and not in_c)
+        expected += len(inversion._walk(key, False)) if in_f else 0
+        expected += len(inversion._walk(key, True)) if in_c else 0
+    walked.clear()
+    assert cli._run_verify(3)["sections"]["families"]["violations"] == []
+    assert len(walked) == expected

@@ -27,7 +27,7 @@ from homcount.graphs import (
 )
 
 from .conftest import random_graph, relabel
-from .oracles import naive_vesurj, naive_vsurj
+from .oracles import naive_families, naive_hard_edge, naive_vesurj, naive_vsurj
 
 
 def test_component_shapes():
@@ -114,17 +114,67 @@ def test_every_f_minus_c_graph_has_a_hard_edge():
             assert not classify_F(delete_nonloop_edge(h, e))[0], h
 
 
+def _check_against_naive(h):
+    in_f, in_c, labels = naive_families(h)
+    hard = naive_hard_edge(h) if in_f else None
+    assert classification_json(h) == {
+        "in_F": in_f, "in_C": in_c, "components": labels,
+        "hard_edge": list(hard) if hard else None,
+    }, h
+    # Every target in F but not in C has a hard edge, and no target in C has one.
+    assert (hard is not None) == (in_f and not in_c), h
+    if hard:
+        assert find_hard_edge(h) == hard, h
+
+
+def test_classification_matches_naive_oracles_up_to_five_vertices():
+    for _, h in enumerate_graphs(5):
+        _check_against_naive(h)
+
+
+def _random_family_target(rng):
+    """A relabelled union of 2-6 family components on at most 30 vertices,
+    one in four with a component outside F added."""
+    parts, n = [], 0
+    for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.5:
+            part = biclique(rng.randint(1, 4), rng.randint(0, 4))
+        else:
+            part = reflexive_clique(rng.randint(1, 4))
+        if n + part.n <= 30:
+            parts.append(part)
+            n += part.n
+    if rng.random() < 0.25:
+        parts.insert(rng.randrange(len(parts) + 1),
+                     rng.choice([complete_graph(3), path_graph(4), cycle_graph(6),
+                                 Graph(2, loops={0}, edges={(0, 1)})]))
+    h = Graph(0)
+    for part in parts:
+        h = disjoint_union(h, part)
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return relabel(h, perm)
+
+
+def test_classification_matches_naive_oracles_on_random_family_unions():
+    rng = random.Random(61)
+    targets = [_random_family_target(rng) for _ in range(1000)]
+    assert max(h.n for h in targets) > 20
+    assert sum(classify_F(h)[0] and not classify_C(h)[0] for h in targets) > 300
+    for h in targets:
+        _check_against_naive(h)
+
+
 def test_hom_polytime_matches_brute_force():
     rng = random.Random(31)
     targets = [rep for _, rep in enumerate_graphs(3) if classify_F(rep)[0]]
     sources = [rep for _, rep in enumerate_graphs(3)]
     for h in targets:
-        shapes = classify_F(h)[1]
         for g in sources:
-            assert hom_polytime(g, h, shapes) == hom_count(g, h), (g, h)
+            assert hom_polytime(g, h) == hom_count(g, h), (g, h)
         for _ in range(5):
             g = random_graph(rng, 5)
-            assert hom_polytime(g, h, shapes) == hom_count(g, h), (g, h)
+            assert hom_polytime(g, h) == hom_count(g, h), (g, h)
 
 
 def test_vsurj_polytime_matches_brute_force():
@@ -179,14 +229,13 @@ def test_polytime_preconditions(named):
     with pytest.raises(ValueError):
         vesurj_polytime(named["p3"], named["k22"])
     with pytest.raises(ValueError):
-        hom_polytime(named["p3"], named["k22"], classify_F(named["r3"])[1])
+        hom_polytime(named["p3"], named["k3"])
 
 
 def test_hom_polytime_scales_to_wide_sources(named):
     h = disjoint_union(biclique(2, 3), named["r2"])
-    shapes = classify_F(h)[1]
     g = disjoint_union(cycle_graph(31), path_graph(29))
-    got = hom_polytime(g, h, shapes)
+    got = hom_polytime(g, h)
     odd_cycle = 0 + 2**31
     path = (3**15 * 2**14 + 3**14 * 2**15) + 2**29
     assert got == odd_cycle * path

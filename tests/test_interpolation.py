@@ -535,6 +535,26 @@ def test_recovery_fills_the_columns_from_the_target_on(monkeypatch):
     assert filled == [[t], [t - 1]]
 
 
+def test_cold_vesurj_recovery_fills_both_targets_columns_in_one_call(monkeypatch):
+    # h sits last and its hard-edge deletion just before it: asking for the
+    # deletion's row first fills both columns through one hom_table call.
+    h = biclique(2, 3)
+    interpolation._reduction_system.cache_clear()
+    filled = []
+
+    def counting(members, columns=None):
+        filled.append(list(columns))
+        return hom_table(members, columns)
+
+    monkeypatch.setattr(interpolation, "hom_table", counting)
+    report = reduction_demo(h, "vesurj", path_graph(3))
+    t = len(report["closed_set"]) - 1
+    assert [target["key"] for target in report["targets"]] == [
+        report["closed_set"][t]["key"], report["closed_set"][t - 1]["key"]]
+    assert all(target["match"] for target in report["targets"])
+    assert filled == [[t - 1, t]]
+
+
 def test_shifted_trailing_entry_is_caught_before_any_query(monkeypatch, named):
     # hom(K2,2, K2,2) off by one changes the last diagonal entry of U.
     h = named["k22"]
