@@ -1,27 +1,29 @@
 """Canonical forms, isomorphism keys, and isomorphism-class enumeration.
 
-The key of a graph is built from a bit string: one loop bit per vertex,
-then the upper-triangle adjacency bits in row-major pair order.  The
-canonical form is the lexicographically smallest bit string over all
-vertex orderings; equal keys therefore mean isomorphic graphs, exactly.
-Packed keys are one byte holding n followed by the bit string.
+A graph's encoding is a bit string: one loop bit per vertex, then the
+upper-triangle adjacency bits in row-major pair order.  The canonical form
+is the lexicographically smallest bit string over all vertex orderings, so
+equal keys mean isomorphic graphs, exactly.  A key is the tuple (size, n,
+least encoding), with size |V| + |E|.  Its printed form, hex(), is n in one
+byte followed by the bit string; only this module knows that format.
 
 The least encoding is found by one search, kernels.min_encoding, which
 also counts automorphisms; every key, representative and automorphism
 count in the package comes from it.
 
-Keys sort by total size |V| + |E| first, then bytewise.  That order makes
-the subgraph-counting matrices triangular and is called matrix order
-throughout; enumerate_graphs yields classes in matrix order.  It grows
-the classes on n vertices from those on n - 1, adding a last vertex in
-every way and keying each result through the same search: 34,816
-searches on 6 vertices for the 5,759 classes with at most 6.
+Keys sort by size, then n, then encoding: the bytewise order of their
+printed forms within a size.  That order makes the subgraph-counting
+matrices triangular and is called matrix order throughout;
+enumerate_graphs yields classes in matrix order.  It grows the classes
+on n vertices from those on n - 1, adding a last vertex in every way and
+keying each result through the same search: 34,816 searches on 6
+vertices for the 5,759 classes with at most 6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .errors import SizeLimitError
@@ -32,31 +34,22 @@ ENUMERATE_MAX_VERTICES = 6
 CANONICAL_CACHE_SIZE = 1 << 12
 
 
-@dataclass(frozen=True, order=True)
-class GraphKey:
-    """Canonical identifier of an isomorphism class, totally ordered."""
+class GraphKey(NamedTuple):
+    """Canonical identifier of an isomorphism class, totally ordered: by
+    size |V| + |E|, then by vertex count n, then by least encoding enc."""
 
     size: int
-    data: bytes
+    n: int
+    enc: int
+
+    @property
+    def data(self) -> bytes:
+        """The packed key: n in one byte, then enc's bits, left aligned."""
+        m = self.n + self.n * (self.n - 1) // 2
+        return bytes([self.n]) + (self.enc << (-m % 8)).to_bytes((m + 7) // 8, "big")
 
     def hex(self) -> str:
         return self.data.hex()
-
-
-def _pack(n: int, enc: int) -> bytes:
-    if n > 255:
-        raise SizeLimitError("canonical keys support at most 255 vertices")
-    m = n + n * (n - 1) // 2
-    nbytes = (m + 7) // 8
-    return bytes([n]) + (enc << (nbytes * 8 - m)).to_bytes(nbytes, "big")
-
-
-def _unpack(data: bytes) -> tuple[int, int]:
-    n = data[0]
-    m = n + n * (n - 1) // 2
-    nbytes = (m + 7) // 8
-    enc = int.from_bytes(data[1:], "big") >> (nbytes * 8 - m)
-    return n, enc
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +100,11 @@ def _text(n: int, enc: int) -> str:
 
 def _key(n: int, enc: int) -> GraphKey:
     """Key of the class whose least encoding on n vertices is enc; the
-    encoding holds one bit per loop and per edge."""
-    return GraphKey(n + enc.bit_count(), _pack(n, enc))
+    encoding holds one bit per loop and per edge.  The packed form holds n
+    in one byte, so more than 255 vertices are refused."""
+    if n > 255:
+        raise SizeLimitError("canonical keys support at most 255 vertices")
+    return GraphKey(n + enc.bit_count(), n, enc)
 
 
 def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
@@ -117,7 +113,7 @@ def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
 
 def _min_encoding(g: Graph) -> tuple[int, int]:
     """min_encoding's pair for g: its least encoding over all vertex orders,
-    which its key packs, and its number of automorphisms."""
+    which its key holds, and its number of automorphisms."""
     return kernels.min_encoding(g.n, loops_mask(g), adjacency_masks(g))
 
 
@@ -132,8 +128,7 @@ def canonical_key(g: Graph) -> GraphKey:
 
 
 def graph_from_key(key: GraphKey) -> Graph:
-    n, enc = _unpack(key.data)
-    return _decode(n, enc)
+    return _decode(key.n, key.enc)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

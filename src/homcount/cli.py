@@ -14,7 +14,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .canonical import _key, _text, _unpack, enumerate_graphs
+from .canonical import _key, _text, canonical_key, enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     BudgetExceededError,
@@ -22,15 +22,10 @@ from .errors import (
     InternalCheckError,
     SingularSystemError,
 )
-from .families import (
-    _classify,
-    _closed_form_count,
-    classification_json,
-    classify_C,
-    classify_F,
-)
+from .families import _classify, _closed_form_count, classification_json, classify_F
 from .graphs import Graph, delete_nonloop_edge, load_graph, parse_graph, to_text
-from .interpolation import _closure, _system_over, image_encodings, reduction_demo
+from .interpolation import (_check_quotient_size, _closure, _reduction_system, _system_over,
+                            image_encodings, reduction_demo)
 from .inversion import _expansions, _walk, dsub_inverse_column
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
 
@@ -58,7 +53,8 @@ def _read_graph(spec: str) -> Graph:
     return load_graph(spec)
 
 
-def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
+def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> int | None:
+    """Refuse kind's brute-force count over budget; for maps, return its state bound."""
     if kind == "aut":
         # n! is multiplied out only until it passes the budget, so the
         # guard costs as much for a huge n as for the first n refused.
@@ -76,6 +72,7 @@ def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> None:
             f"brute force would build up to {work} dynamic-program states, "
             f"over the budget of {budget}"
         )
+    return work
 
 
 def _cmd_count(args) -> int:
@@ -153,18 +150,20 @@ def _run_verify(n_max: int) -> dict:
             diag.append({"h": to_text(h), "aut": str(a)})
     sections["diagonal"] = {"classes": len(classes), "violations": diag}
 
+    # Each class is classified once: its subgraphs' classes are enumerated too.
     fam = []
+    classified = {key: _classify(h) for key, h in classes}
     for key, h in classes:
-        _, in_f, in_c, hard = _classify(h)
+        _, in_f, in_c, hard = classified[key]
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
-            for _, sub, _, _ in _walk(key, False):
-                if not classify_F(sub)[0]:
+            for sub, _, _, _ in _walk(key, False):
+                if not classified[sub][1]:
                     fam.append({"h": to_text(h), "check": "F induced-closed"})
         if in_c:
-            for _, rep, _, _ in _walk(key, True):
-                if not classify_C(rep)[0]:
+            for sub, _, _, _ in _walk(key, True):
+                if not classified[sub][2]:
                     fam.append({"h": to_text(h), "check": "C deletion-closed"})
         # The hard edge is read off h's shapes; deleting it must take h out of F.
         if in_f and not in_c and classify_F(delete_nonloop_edge(h, hard))[0]:
@@ -175,7 +174,7 @@ def _run_verify(n_max: int) -> dict:
     for key, h in classes:
         try:
             # h's images form a closed set; its matrix is read off hom.
-            members, images = _closure([_unpack(key.data)])
+            members, images = _closure([key])
             at = [index[k] for k, _ in members]
             _system_over(members, images, [[hom[f][j] for j in at] for f in at])
         except SingularSystemError:
@@ -204,8 +203,14 @@ def _cmd_verify(args) -> int:
 def _cmd_recover(args) -> int:
     h = _read_graph(args.h)
     g = _read_graph(args.g)
-    # Every oracle query counts maps from g into a member of h's closed set.
-    _check_budget(args.mode, g, h, DEFAULT_BUDGET)
+    # The ground truth counts maps from g into h.  Each oracle query counts
+    # maps from g + F into h, F in h's closed set, placing g's vertices first.
+    work = _check_budget(args.mode, g, h, DEFAULT_BUDGET)
+    _check_quotient_size(h.n)
+    queries = len(_reduction_system(args.mode, canonical_key(h))[1].members)
+    if queries * work > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{queries} oracle queries would build at least {queries * work} "
+                                  f"dynamic-program states, over the budget of {DEFAULT_BUDGET}")
     report = reduction_demo(h, args.mode, g)
     if args.format == "json":
         _emit_json(report)

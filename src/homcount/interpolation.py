@@ -33,19 +33,19 @@ per class and keeps each target's row: a recovery is then one query set
 plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
-on the input's class, so they are closed over classes given as least
-encodings: closed_set keys each input graph once, lovasz_matrix and
-build_system read the encodings their keys hold, and no member is keyed
-again.  image_encodings keeps each class's images, as least encodings
-with their partition and automorphism counts, in a cache bounded by
+on the input's class, so they are closed over classes given by their
+keys: closed_set keys each input graph once, lovasz_matrix and
+build_system pass the keys they hold, and no member is searched again.
+image_encodings keeps each class's images, as least encodings with their
+partition and automorphism counts, in a cache bounded by
 IMAGES_CACHE_SIZE, so verify walks the set partitions of each class
-once.  The walk packs each partial
-quotient into a few ints and keys every distinct labelled quotient
-through one memo shared by all classes, bounded by QUOTIENT_CACHE_SIZE:
-the same labelled quotient recurs across classes, and is searched once
-while it stays in the memo.  homomorphic_images decodes the images into
-(key, Graph) pairs; the images command prints each image's key and text
-straight from its encoding, with no Graph.
+once.  The walk packs each partial quotient into a few ints and keys
+every distinct labelled quotient through one memo shared by all classes,
+bounded by QUOTIENT_CACHE_SIZE: the same labelled quotient recurs across
+classes, and is searched once while it stays in the memo.
+homomorphic_images decodes the images into (key, Graph) pairs; the
+images command prints each image's key and text straight from its
+encoding, with no Graph.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .canonical import (
     _key,
     _masks,
     _min_encoding,
-    _unpack,
     canonical_key,
     graph_from_key,
 )
@@ -119,14 +118,15 @@ def image_encodings(h: Graph) -> tuple[tuple[int, int, int, int], ...]:
     encoding, in a cache of IMAGES_CACHE_SIZE classes, so a repeated class
     costs one min_encoding.  The CLI prints images from these encodings
     without building a Graph for any of them."""
-    return _image_encodings(*_class_of(h))
+    key = _class_of(h)
+    return _image_encodings(key.n, key.enc)
 
 
-def _class_of(h: Graph) -> tuple[int, int]:
-    """h's vertex count and least encoding.  h is refused before the search
-    when quotient enumeration would refuse it."""
+def _class_of(h: Graph) -> GraphKey:
+    """h's key, from its least encoding with no Graph built.  h is refused
+    before the search when quotient enumeration would refuse it."""
     _check_quotient_size(h.n)
-    return h.n, _min_encoding(h)[0]
+    return _key(h.n, _min_encoding(h)[0])
 
 
 def _check_quotient_size(n: int) -> None:
@@ -218,26 +218,26 @@ def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
     return _closure(map(_class_of, graphs))[0]
 
 
-def _closure(classes):
-    """closed_set over classes given as (vertex count, least encoding), each
-    checked against QUOTIENT_MAX_VERTICES before any is walked, and a map
-    from each member's class to its _image_encodings, for _system_over.
-    Closure is checked on those encodings, so each member is walked once,
-    decoded once into its (key, Graph) pair, and never keyed."""
-    classes = list(classes)
-    for n, _ in classes:
-        _check_quotient_size(n)
+def _closure(keys):
+    """closed_set over classes given by their keys, each checked against
+    QUOTIENT_MAX_VERTICES before any is walked, and a map from each
+    member's key to its _image_encodings, for _system_over.  Closure is
+    checked on the images' keys, so each member is walked once, decoded
+    once into its (key, Graph) pair, and never searched."""
+    keys = list(keys)
+    for key in keys:
+        _check_quotient_size(key.n)
     union, images = set(), {}
-    for c in classes:
-        images[c] = _image_encodings(*c)
-        union.update((k, e) for k, e, _, _ in images[c])
+    for key in keys:
+        images[key] = _image_encodings(key.n, key.enc)
+        union.update(_key(k, e) for k, e, _, _ in images[key])
         if len(union) > SYSTEM_MAX_SIZE:
             raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    for c in union.difference(images):
-        images[c] = _image_encodings(*c)
-        if any((k, e) not in union for k, e, _, _ in images[c]):
+    for key in union.difference(images):
+        images[key] = _image_encodings(key.n, key.enc)
+        if any(_key(k, e) not in union for k, e, _, _ in images[key]):
             raise InternalCheckError("image closure failed to close")
-    return sorted(_form(*c) for c in union), images
+    return [(key, graph_from_key(key)) for key in sorted(union)], images
 
 
 @dataclass
@@ -248,21 +248,19 @@ class LovaszSystem:
 
     lower holds N's entries below its unit diagonal, row by row, as
     (column, partition count) pairs; autos holds U's diagonal, the
-    automorphism counts, and det = det M their product.  U's columns and
-    the rows of the inverse matrix are kept as they are first needed.
+    automorphism counts, and det = det M their product; _index maps each
+    member's key to its position.  U's columns and the rows of the inverse
+    matrix are kept as they are first needed.
     """
 
     members: list[tuple[GraphKey, Graph]]
     det: int
     lower: list[list[tuple[int, int]]] = field(repr=False)
     autos: list[int] = field(repr=False)
+    _index: dict = field(repr=False)
     alpha: CoeffVector | None = None
-    _index: dict = field(default_factory=dict, repr=False)
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
     _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index = {key: i for i, (key, _) in enumerate(self.members)}
 
     def index_of(self, key: GraphKey) -> int:
         if key not in self._index:
@@ -321,9 +319,8 @@ class LovaszSystem:
 
 def _system_over(ordered, images, matrix=None) -> LovaszSystem:
     """Factors and checked determinant of the system over members already
-    known to be distinct, closed and in matrix order, each keyed by its
-    least encoding.  images maps each member's (vertex count, least
-    encoding) to its _image_encodings, as _closure found them.  Every
+    known to be distinct, closed and in matrix order.  images maps each
+    member's key to its _image_encodings, as _closure found them.  Every
     column of U is checked against matrix, hom(F, H) over the members,
     when it is given: lovasz_matrix passes counting.hom_table's, and
     verify a submatrix of the class table its expansions section built.
@@ -339,13 +336,12 @@ def _system_over(ordered, images, matrix=None) -> LovaszSystem:
     search.
     """
     # N's rows and the automorphism counts, from the members' images.
-    classes = [_unpack(key.data) for key, _ in ordered]
-    position = {c: i for i, c in enumerate(classes)}
+    position = {key: i for i, (key, _) in enumerate(ordered)}
     lower, autos = [], []
-    for i, c in enumerate(classes):
+    for i, (key, _) in enumerate(ordered):
         below = []
-        for k, e, partitions, aut in images[c]:
-            j = position.get((k, e))
+        for k, e, partitions, aut in images[key]:
+            j = position.get(_key(k, e))
             if j == i and partitions == 1:
                 autos.append(aut)
             elif j is not None and j < i:
@@ -355,7 +351,7 @@ def _system_over(ordered, images, matrix=None) -> LovaszSystem:
                     "partition counts of a closed set are not unit lower triangular"
                 )
         lower.append(below)
-    system = LovaszSystem(list(ordered), prod(autos), lower, autos)
+    system = LovaszSystem(list(ordered), prod(autos), lower, autos, position)
     if matrix is not None:
         system._fill(range(len(ordered)), matrix)
     return system
@@ -372,11 +368,11 @@ def lovasz_matrix(members) -> LovaszSystem:
     matrix is invertible for closed sets: its determinant is the product of
     the members' automorphism counts, which the factors check.
     """
-    classes = [_class_of(m) if isinstance(m, Graph) else _unpack(m[0].data) for m in members]
-    if len(set(classes)) < len(classes):
+    keys = [_class_of(m) if isinstance(m, Graph) else m[0] for m in members]
+    if len(set(keys)) < len(keys):
         raise ValueError("duplicate isomorphism class in the input set")
-    members, images = _closure(classes)
-    if len(members) > len(classes):
+    members, images = _closure(keys)
+    if len(members) > len(keys):
         raise ValueError("input set is not closed under homomorphic images")
     return _system_over(members, images, hom_table(members))
 
@@ -450,7 +446,7 @@ def build_system(alpha: CoeffVector) -> LovaszSystem:
     _closure verifies closure, and N is read off the images it walked,
     without walking them a second time.  No hom count is made: U's
     columns are filled, and checked, when a recovery first needs them."""
-    members, images = _closure(_unpack(key.data) for key in alpha.support())
+    members, images = _closure(alpha.support())
     system = _system_over(members, images)
     member_keys = {key for key, _ in system.members}
     if not set(alpha.support()) <= member_keys:

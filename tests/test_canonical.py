@@ -215,7 +215,46 @@ def test_enumerate_guardrails():
 def test_graphkey_hex_roundtrips_through_bytes():
     key = canonical_key(Graph(3, edges=frozenset({(0, 1), (1, 2)})))
     assert isinstance(key, GraphKey)
+    assert (key.size, key.n) == (5, 3)
     assert bytes.fromhex(key.hex()) == key.data
+
+
+def _packed(n, enc):
+    """A key's printed bytes, packed bit by bit: n in one byte, then the
+    encoding's n + C(n, 2) bits from the highest, zero-padded to whole bytes."""
+    m = n + n * (n - 1) // 2
+    bits = "".join(str((enc >> k) & 1) for k in reversed(range(m))) + "0" * (-m % 8)
+    return bytes([n] + [int(bits[i:i + 8], 2) for i in range(0, len(bits), 8)])
+
+
+def test_key_order_and_printed_form_match_an_independent_packer():
+    keys = [key for key, _ in enumerate_graphs(6)]
+    assert len(keys) == 5759
+    rng = random.Random(28)
+
+    def encoding(n, ones):
+        return sum(1 << b for b in rng.sample(range(n + n * (n - 1) // 2), ones))
+
+    for _ in range(2000):
+        n = rng.randint(0, 40)
+        keys.append(canonical._key(n, encoding(n, rng.randint(0, n + n * (n - 1) // 2))))
+    # Equal sizes on different vertex counts: n vertices, size - n bits.
+    for size in range(25):
+        for n in range(size + 1):
+            if size - n <= n + n * (n - 1) // 2:
+                keys.append(canonical._key(n, encoding(n, size - n)))
+    for key in keys:
+        packed = _packed(key.n, key.enc)
+        assert key.size == key.n + bin(key.enc).count("1")
+        assert key.data == packed and key.hex() == packed.hex()
+        assert bytes.fromhex(key.hex()) == key.data
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.size, _packed(k.n, k.enc)))
+
+
+def test_key_on_256_vertices_is_refused():
+    assert canonical_key(Graph(255)).data[0] == 255
+    with pytest.raises(SizeLimitError, match="at most 255 vertices"):
+        canonical_key(Graph(256))
 
 
 def _decode_bit_by_bit(n, enc):
@@ -236,7 +275,7 @@ def _decode_bit_by_bit(n, enc):
 
 
 def test_bit_table_readers_match_a_bit_by_bit_decode():
-    encodings = [(key.data[0], kernels.min_encoding(*_masks(rep))[0])
+    encodings = [(key.n, kernels.min_encoding(*_masks(rep))[0])
                  for key, rep in enumerate_graphs(5)]
     rng = random.Random(97)
     for _ in range(30):

@@ -13,7 +13,7 @@ import pytest
 from homcount import cli, counting, families, interpolation, inversion, kernels
 from homcount.canonical import enumerate_graphs
 from homcount.errors import InternalCheckError
-from homcount.graphs import Graph, to_text
+from homcount.graphs import Graph, biclique, cycle_graph, to_text
 
 from .conftest import random_graph
 
@@ -572,6 +572,24 @@ def test_recover_budget_runs_before_any_oracle_query(monkeypatch, tmp_path, caps
     assert "over the budget" in capsys.readouterr().err
 
 
+def test_recover_budget_charges_every_oracle_query(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise InternalCheckError("queried the oracle over the budget")
+
+    monkeypatch.setattr(interpolation.CountingOracle, "eval", refuse)
+    # C16 into K3,3 is within the budget once, but not once per member of
+    # K3,3's 189-member vesurj closed set.
+    c16, k33 = cycle_graph(16), biclique(3, 3)
+    once = kernels.state_bound(c16, k33, kernels.MODE_VESURJ)
+    assert once <= cli.DEFAULT_BUDGET < 189 * once
+    k33_file = _graph_file(tmp_path, "k33", 6, sorted(k33.edges))
+    assert cli.main(["recover", "--mode", "vesurj", "--h", k33_file,
+                     "--g", _cycle_file(tmp_path, 16)]) == 4
+    err = capsys.readouterr().err
+    assert f"189 oracle queries would build at least {189 * once}" in err
+    assert "over the budget" in err
+
+
 def test_recover_vesurj_serves_the_hard_targets(monkeypatch, tmp_path, capsys):
     targets = {
         "k33": _graph_file(tmp_path, "k33", 6, [(i, j) for i in range(3) for j in range(3, 6)]),
@@ -622,14 +640,12 @@ def test_each_request_walks_the_targets_components_once(monkeypatch, tmp_path, c
         assert out.get("path", "polytime") == "polytime"
         assert walked.count(h) == 1, argv
 
-    # verify: one walk per class for its own classification and hard-edge
-    # check, plus one per subgraph class its closure checks classify.
+    # verify: one walk per class for its own classification, plus one per
+    # hard-edge deletion; the closure checks look subgraph classes up.
     expected = 0
-    for key, h in enumerate_graphs(3):
+    for _, h in enumerate_graphs(3):
         in_f, in_c = families.classify_F(h)[0], families.classify_C(h)[0]
         expected += 1 + (in_f and not in_c)
-        expected += len(inversion._walk(key, False)) if in_f else 0
-        expected += len(inversion._walk(key, True)) if in_c else 0
     walked.clear()
     assert cli._run_verify(3)["sections"]["families"]["violations"] == []
     assert len(walked) == expected

@@ -407,9 +407,8 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     # Members are keyed by their least encodings, and the images walk has
     # already counted their automorphisms.
     monkeypatch.setattr(kernels, "min_encoding", refuse)
-    classes = [interpolation._unpack(key.data) for key, _ in system.members]
-    again = interpolation._system_over(
-        system.members, {c: interpolation._image_encodings(*c) for c in classes}, table)
+    images = {key: interpolation._image_encodings(key.n, key.enc) for key, _ in system.members}
+    again = interpolation._system_over(system.members, images, table)
     assert (again.lower, again.autos) == (system.lower, system.autos)
     assert system._columns and all(
         again._columns[j] == col for j, col in system._columns.items())
@@ -631,10 +630,9 @@ def test_lovasz_matrix_rejects_non_closed_input(named):
         lovasz_matrix([named["k2"]])
     # _system_over trusts its caller, but K2's partition counts reach L1.
     key, rep = canonical_form(named["k2"])
-    c = interpolation._unpack(key.data)
+    images = {key: interpolation._image_encodings(key.n, key.enc)}
     with pytest.raises(InternalCheckError, match="unit lower triangular"):
-        interpolation._system_over([(key, rep)], {c: interpolation._image_encodings(*c)},
-                                   hom_table([(key, rep)]))
+        interpolation._system_over([(key, rep)], images, hom_table([(key, rep)]))
 
 
 def test_lovasz_matrix_rejects_duplicates(named):

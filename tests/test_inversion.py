@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -35,6 +36,7 @@ from homcount.inversion import (
     vsurj_via_inversion,
 )
 
+from .conftest import random_graph
 from .oracles import (
     naive_classes,
     naive_deletion_pairs,
@@ -291,6 +293,35 @@ def test_pair_limit_verdict_matches_the_direct_sum():
     start = time.perf_counter()
     inversion._check_pair_limit(Graph(20), True)
     assert time.perf_counter() - start < 0.05
+
+
+def test_pair_total_is_the_direct_sum_on_random_graphs():
+    rng = random.Random(41)
+    for i in range(80):
+        if i % 2:
+            h = random_graph(rng, 12)
+        else:
+            # Disconnected: up to three parts and some isolated vertices.
+            h = Graph(rng.randint(0, 3))
+            for _ in range(rng.randint(1, 3)):
+                h = disjoint_union(h, random_graph(rng, 3, n_min=1))
+        total = _direct_pair_total(h)
+        assert inversion._deletion_pair_total(h, 1 << 60) == total
+        for limit in (total - 1, total, total // 2):
+            assert (inversion._deletion_pair_total(h, limit) > limit) == (total > limit)
+
+
+def test_pair_limit_refuses_unions_of_small_components_at_once():
+    # 4 x C5 has 33^4 pairs and 10 x K2 has 5^10: each component's share
+    # is summed once and multiplied, not enumerated across components.
+    for part, copies in ((cycle_graph(5), 4), (path_graph(2), 10)):
+        h = Graph(0)
+        for _ in range(copies):
+            h = disjoint_union(h, part)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            inversion._check_pair_limit(h, True)
+        assert time.perf_counter() - start < 0.01
 
 
 def test_induced_walk_refuses_before_canonicalization(monkeypatch):
