@@ -100,10 +100,7 @@ def _text(n: int, enc: int) -> str:
 
 def _key(n: int, enc: int) -> GraphKey:
     """Key of the class whose least encoding on n vertices is enc; the
-    encoding holds one bit per loop and per edge.  The packed form holds n
-    in one byte, so more than 255 vertices are refused."""
-    if n > 255:
-        raise SizeLimitError("canonical keys support at most 255 vertices")
+    encoding holds one bit per loop and per edge."""
     return GraphKey(n + enc.bit_count(), n, enc)
 
 
@@ -119,7 +116,12 @@ def _min_encoding(g: Graph) -> tuple[int, int]:
 
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
-    """Key plus the canonically relabeled representative of g's class."""
+    """Key plus the canonically relabeled representative of g's class.  The
+    printed key holds n in one byte, so more than 255 vertices are refused,
+    before the search.  Every other caller of _key keys at most
+    interpolation.QUOTIENT_MAX_VERTICES vertices."""
+    if g.n > 255:
+        raise SizeLimitError("canonical keys support at most 255 vertices")
     return _form(g.n, _min_encoding(g)[0])
 
 

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .families import _classify, _closed_form_count, classification_json, classify_F
 from .graphs import Graph, delete_nonloop_edge, load_graph, parse_graph, to_text
-from .interpolation import (_check_quotient_size, _closure, _reduction_system, _system_over,
-                            image_encodings, reduction_demo)
+from .interpolation import (_check_quotient_size, _reduction_system, _system, image_encodings,
+                            reduction_demo)
 from .inversion import _expansions, _walk, dsub_inverse_column
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
 
@@ -174,9 +174,9 @@ def _run_verify(n_max: int) -> dict:
     for key, h in classes:
         try:
             # h's images form a closed set; its matrix is read off hom.
-            members, images = _closure([key])
-            at = [index[k] for k, _ in members]
-            _system_over(members, images, [[hom[f][j] for j in at] for f in at])
+            system = _system([key])
+            at = [index[k] for k, _ in system.members]
+            system._fill(range(len(at)), [[hom[f][j] for j in at] for f in at])
         except SingularSystemError:
             inter.append({"h": to_text(h), "check": "closed-set matrix invertible"})
         except InternalCheckError:
@@ -207,7 +207,7 @@ def _cmd_recover(args) -> int:
     # maps from g + F into h, F in h's closed set, placing g's vertices first.
     work = _check_budget(args.mode, g, h, DEFAULT_BUDGET)
     _check_quotient_size(h.n)
-    queries = len(_reduction_system(args.mode, canonical_key(h))[1].members)
+    queries = len(_reduction_system(args.mode, canonical_key(h)).members)
     if queries * work > DEFAULT_BUDGET:
         raise BudgetExceededError(f"{queries} oracle queries would build at least {queries * work} "
                                   f"dynamic-program states, over the budget of {DEFAULT_BUDGET}")

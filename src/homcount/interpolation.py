@@ -34,8 +34,10 @@ plus one dot product per target.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class, so they are closed over classes given by their
-keys: closed_set keys each input graph once, lovasz_matrix and
-build_system pass the keys they hold, and no member is searched again.
+keys, in one pass (_system) that also reads N and the automorphism
+counts off the same walk: each member's images are walked once and keyed
+once, and no member is searched.  closed_set keys each input graph once;
+lovasz_matrix, build_system and verify pass the keys they hold.
 image_encodings keeps each class's images, as least encodings with their
 partition and automorphism counts, in a cache bounded by
 IMAGES_CACHE_SIZE, so verify walks the set partitions of each class
@@ -215,29 +217,7 @@ def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
     is verified, not assumed: images of members must add nothing.  A union
     that passes SYSTEM_MAX_SIZE classes is refused as soon as it does,
     before the images of the remaining inputs or any member."""
-    return _closure(map(_class_of, graphs))[0]
-
-
-def _closure(keys):
-    """closed_set over classes given by their keys, each checked against
-    QUOTIENT_MAX_VERTICES before any is walked, and a map from each
-    member's key to its _image_encodings, for _system_over.  Closure is
-    checked on the images' keys, so each member is walked once, decoded
-    once into its (key, Graph) pair, and never searched."""
-    keys = list(keys)
-    for key in keys:
-        _check_quotient_size(key.n)
-    union, images = set(), {}
-    for key in keys:
-        images[key] = _image_encodings(key.n, key.enc)
-        union.update(_key(k, e) for k, e, _, _ in images[key])
-        if len(union) > SYSTEM_MAX_SIZE:
-            raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    for key in union.difference(images):
-        images[key] = _image_encodings(key.n, key.enc)
-        if any(_key(k, e) not in union for k, e, _, _ in images[key]):
-            raise InternalCheckError("image closure failed to close")
-    return [(key, graph_from_key(key)) for key in sorted(union)], images
+    return _system(map(_class_of, graphs)).members
 
 
 @dataclass
@@ -317,13 +297,13 @@ class LovaszSystem:
         return row
 
 
-def _system_over(ordered, images, matrix=None) -> LovaszSystem:
-    """Factors and checked determinant of the system over members already
-    known to be distinct, closed and in matrix order.  images maps each
-    member's key to its _image_encodings, as _closure found them.  Every
-    column of U is checked against matrix, hom(F, H) over the members,
-    when it is given: lovasz_matrix passes counting.hom_table's, and
-    verify a submatrix of the class table its expansions section built.
+def _system(keys) -> LovaszSystem:
+    """The closed set spanned by the classes given by their keys, with N
+    and the automorphism counts read off the same images walk.  Every key
+    is checked against QUOTIENT_MAX_VERTICES before any is walked, and the
+    union of the inputs' images is refused as soon as it passes
+    SYSTEM_MAX_SIZE.  Each member's images are walked once and keyed once,
+    so no member is searched, and each member is decoded once.
 
     Every homomorphism is a quotient by its fibers followed by an injective
     map, so M = N U with N[i][k] the number of set partitions of member i
@@ -331,30 +311,44 @@ def _system_over(ordered, images, matrix=None) -> LovaszSystem:
     (ibid.).  A partition that merges vertices leaves fewer vertices and no
     more edges and loops, and an injective map needs at least as many of
     each, so in matrix order N is unit lower triangular and U upper
-    triangular with the automorphism counts on its diagonal.  N and those
-    counts are read from the members' cached images, with no canonical
-    search.
+    triangular with the automorphism counts on its diagonal.  Closure and
+    N's shape are checked, not assumed, on the members' keyed images; U's
+    columns are left to LovaszSystem._fill.
     """
-    # N's rows and the automorphism counts, from the members' images.
-    position = {key: i for i, (key, _) in enumerate(ordered)}
+    keys = list(keys)
+    for key in keys:
+        _check_quotient_size(key.n)
+
+    def keyed(key):
+        return [(_key(k, e), p, a) for k, e, p, a in _image_encodings(key.n, key.enc)]
+
+    images, union = {}, set()
+    for key in keys:
+        images[key] = keyed(key)
+        union.update(image for image, _, _ in images[key])
+        if len(union) > SYSTEM_MAX_SIZE:
+            raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
+    images.update((key, keyed(key)) for key in union.difference(images))
+    order = sorted(union)
+    position = {key: i for i, key in enumerate(order)}
     lower, autos = [], []
-    for i, (key, _) in enumerate(ordered):
+    for i, key in enumerate(order):
         below = []
-        for k, e, partitions, aut in images[key]:
-            j = position.get(_key(k, e))
+        for image, partitions, aut in images[key]:
+            j = position.get(image)
+            if j is None:
+                raise InternalCheckError("image closure failed to close")
             if j == i and partitions == 1:
                 autos.append(aut)
-            elif j is not None and j < i:
+            elif j < i:
                 below.append((j, partitions))
             else:
                 raise InternalCheckError(
                     "partition counts of a closed set are not unit lower triangular"
                 )
         lower.append(below)
-    system = LovaszSystem(list(ordered), prod(autos), lower, autos, position)
-    if matrix is not None:
-        system._fill(range(len(ordered)), matrix)
-    return system
+    members = [(key, graph_from_key(key)) for key in order]
+    return LovaszSystem(members, prod(autos), lower, autos, position)
 
 
 def lovasz_matrix(members) -> LovaszSystem:
@@ -371,10 +365,11 @@ def lovasz_matrix(members) -> LovaszSystem:
     keys = [_class_of(m) if isinstance(m, Graph) else m[0] for m in members]
     if len(set(keys)) < len(keys):
         raise ValueError("duplicate isomorphism class in the input set")
-    members, images = _closure(keys)
-    if len(members) > len(keys):
+    system = _system(keys)
+    if len(system.members) > len(keys):
         raise ValueError("input set is not closed under homomorphic images")
-    return _system_over(members, images, hom_table(members))
+    system._fill(range(len(keys)), hom_table(system.members))
+    return system
 
 
 def alpha_for_vsurj(h: Graph) -> CoeffVector:
@@ -442,14 +437,12 @@ class ExternalCommandOracle:
 def build_system(alpha: CoeffVector) -> LovaszSystem:
     """Closed set spanning the support of alpha, with alpha attached.
 
-    The support's keys already hold its classes, so no member is keyed;
-    _closure verifies closure, and N is read off the images it walked,
-    without walking them a second time.  No hom count is made: U's
-    columns are filled, and checked, when a recovery first needs them."""
-    members, images = _closure(alpha.support())
-    system = _system_over(members, images)
-    member_keys = {key for key, _ in system.members}
-    if not set(alpha.support()) <= member_keys:
+    The support's keys already hold its classes, so no member is searched;
+    _system verifies closure and reads N off the images it walked.  No
+    hom count is made: U's columns are filled, and checked, when a
+    recovery first needs them."""
+    system = _system(alpha.support())
+    if not set(alpha.support()) <= system._index.keys():
         raise InternalCheckError("closure lost part of the coefficient support")
     system.alpha = alpha
     return system
@@ -502,11 +495,10 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
 
 
 @lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _reduction_system(mode: str, key: GraphKey) -> tuple[CoeffVector, LovaszSystem]:
-    """Coefficients and checked system for a mode and a target class."""
+def _reduction_system(mode: str, key: GraphKey) -> LovaszSystem:
+    """Checked system, with its coefficients, for a mode and a target class."""
     alpha_for = alpha_for_vsurj if mode == "vsurj" else alpha_for_vesurj
-    alpha = alpha_for(graph_from_key(key))
-    return alpha, build_system(alpha)
+    return build_system(alpha_for(graph_from_key(key)))
 
 
 def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
@@ -530,7 +522,7 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     if oracle is None:
         oracle = CountingOracle(mode, h)
     h_key = canonical_key(h)
-    alpha, system = _reduction_system(mode, h_key)
+    system = _reduction_system(mode, h_key)
 
     targets = [h_key]
     hard = _classify(h)[3] if mode == "vesurj" else None
@@ -561,7 +553,7 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
         "mode": mode,
         "g": to_text(g),
         "h": to_text(h),
-        "alpha": alpha.to_json_entries(),
+        "alpha": system.alpha.to_json_entries(),
         "closed_set": [
             {"key": key.hex(), "graph": to_text(rep)} for key, rep in system.members
         ],

@@ -218,11 +218,13 @@ def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
 
 
 def dsub_count(f: Graph, h: Graph) -> int:
-    """Number of deletion subgraphs of h isomorphic to f."""
+    """Number of deletion subgraphs of h isomorphic to f.  h is refused, before
+    f is keyed, when its deletion pairs pass DSUB_PAIR_LIMIT."""
     if f.size > h.size or f.n > h.n:
         return 0
+    _check_pair_limit(h, True)
     kf = canonical_key(f)
-    return next((mult for key, _, mult in dsub_downset(h) if key == kf), 0)
+    return next((copies for key, _, copies, _ in _walk(canonical_key(h), True) if key == kf), 0)
 
 
 def dsub_inverse_column(h: Graph) -> CoeffVector:

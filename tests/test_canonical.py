@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -255,6 +256,12 @@ def test_key_on_256_vertices_is_refused():
     assert canonical_key(Graph(255)).data[0] == 255
     with pytest.raises(SizeLimitError, match="at most 255 vertices"):
         canonical_key(Graph(256))
+    # The refusal comes before the key search, which on a long cycle
+    # explores every rotation and reflection of every tied branch.
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="at most 255 vertices"):
+        canonical_key(cycle_graph(300))
+    assert time.perf_counter() - start < 0.01
 
 
 def _decode_bit_by_bit(n, enc):

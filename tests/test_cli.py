@@ -2,7 +2,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -19,10 +21,20 @@ from .conftest import random_graph
 
 DATA = Path(__file__).parent / "data"
 G = DATA / "graphs"
+SRC = Path(__file__).parents[1] / "src"
 GOLDEN = DATA / "golden"
 # SHA-256 of test_images_output_is_pinned_on_random_looped_graphs' stdout,
 # taken before the partition walk was packed and its quotients memoized.
 IMAGES_PINNED_SHA256 = "20c77acf1916e1758d217f6ab30f052e76745c819ee648f9aea335d42bef2b7d"
+# SHA-256 of `verify --n-max 4` stdout in JSON and in plain form (MD5
+# b5b02888dfeee33d275983cfa6e58ede and fec9ef3a3af6ab9cc8b407968b908e1c),
+# and of test_recover_output_is_pinned's exit codes and stdout, all taken
+# before the closed-set walk and N's reading were merged into one pass.
+VERIFY_N4_PINNED_SHA256 = {
+    "json": "34074e07c0a83206d59e30b85dc9ff89bdbd40118c9e0939e3a2987adfc8aad6",
+    "plain": "631b54de0a575296bf16738a0b03d480f1f95014b1bab9d706f903a1a294e29b",
+}
+RECOVER_PINNED_SHA256 = "574e6f842414c933790cb845b5ed15fba36a7196edac0efa2de4cb8ae82f86bb"
 
 GOLDEN_CASES = [
     ("01_count_hom_poly.json",
@@ -279,6 +291,50 @@ def test_verify_n4_end_to_end(capsys):
         119, 14161, 56644)
     for name in ("diagonal", "families", "interpolation"):
         assert report["sections"][name]["classes"] == 119
+
+
+def test_verify_n4_output_is_pinned(capsys):
+    for fmt, want in VERIFY_N4_PINNED_SHA256.items():
+        assert cli.main(["verify", "--n-max", "4", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, fmt
+
+
+def test_recover_output_is_pinned(tmp_path, capsys):
+    # P3 into every test graph, K2,3 and K3,3 (189 vesurj members), both
+    # modes: the closed sets, determinants and recovered counts.
+    targets = sorted(G.glob("*.graph"))
+    for name, h in (("k23", biclique(2, 3)), ("k33", biclique(3, 3))):
+        targets.append(tmp_path / f"{name}.graph")
+        targets[-1].write_text(to_text(h))
+    digest = hashlib.sha256()
+    for h in targets:
+        for mode in ("vsurj", "vesurj"):
+            code = cli.main(["recover", "--h", str(h), "--g", f"{G}/p3.graph",
+                             "--mode", mode, "--format", "json"])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == RECOVER_PINNED_SHA256
+
+
+def test_module_entry_point_exit_codes():
+    # What a shell sees from `python -m homcount`: the output and the exit
+    # status main_entry passes to sys.exit.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "homcount", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    name, argv = GOLDEN_CASES[0]
+    done = run(*argv)
+    assert (done.returncode, done.stdout) == (0, (GOLDEN / name).read_text())
+    done = run("count", "--kind", "aut", "--g", f"{G}/p3.graph", "--h", f"{G}/k3.graph")
+    assert done.returncode == 2
+    assert "--g is not accepted with --kind aut" in done.stderr
+    # C5 into K3 builds 31 dynamic-program states.
+    done = run("count", "--kind", "hom", "--g", f"{G}/c5.graph", "--h", f"{G}/k3.graph",
+               "--force-bruteforce", "--budget", "30")
+    assert done.returncode == 4
+    assert "31 dynamic-program states" in done.stderr
 
 
 def test_count_plain_path_note_goes_to_stderr(capsys):

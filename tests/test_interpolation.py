@@ -407,21 +407,41 @@ def test_k23_vesurj_system_counts_component_classes_and_keys_no_member(monkeypat
     # Members are keyed by their least encodings, and the images walk has
     # already counted their automorphisms.
     monkeypatch.setattr(kernels, "min_encoding", refuse)
-    images = {key: interpolation._image_encodings(key.n, key.enc) for key, _ in system.members}
-    again = interpolation._system_over(system.members, images, table)
+    again = interpolation._system(key for key, _ in system.members)
+    again._fill(range(len(again.members)), table)
+    assert again.members == system.members
     assert (again.lower, again.autos) == (system.lower, system.autos)
     assert system._columns and all(
         again._columns[j] == col for j, col in system._columns.items())
 
 
 def test_k33_vesurj_system_walks_each_member_once():
-    # 189 members, more than the images cache keeps: closed_set hands the
-    # images it walked to the matrix build instead of reading them back.
+    # 189 members, more than the images cache keeps: the system reads N
+    # off the images it walked while closing the set, not off a second walk.
     alpha = alpha_for_vesurj(biclique(3, 3))
     interpolation._image_encodings.cache_clear()
     system = build_system(alpha)
     assert len(system.members) == 189 > IMAGES_CACHE_SIZE
     assert interpolation._image_encodings.cache_info().misses <= len(system.members)
+
+
+def test_build_system_keys_each_image_once(monkeypatch):
+    # 62 members, fewer than the images cache keeps: once the first build
+    # has walked them, a second turns each cached image into a key once.
+    alpha = alpha_for_vesurj(biclique(2, 3))
+    members = build_system(alpha).members
+    assert len(members) == 62 < IMAGES_CACHE_SIZE
+    entries = sum(len(interpolation._image_encodings(key.n, key.enc)) for key, _ in members)
+    calls = []
+    key_of = interpolation._key
+
+    def counting(n, enc):
+        calls.append((n, enc))
+        return key_of(n, enc)
+
+    monkeypatch.setattr(interpolation, "_key", counting)
+    assert build_system(alpha).members == members
+    assert len(calls) == entries
 
 
 def test_closed_set_refuses_c7_while_it_grows(monkeypatch):
@@ -625,14 +645,25 @@ def test_verify_reports_determinant_mismatch(monkeypatch):
         assert not report["ok"]
 
 
-def test_lovasz_matrix_rejects_non_closed_input(named):
-    with pytest.raises(ValueError):
+def test_lovasz_matrix_rejects_non_closed_input(monkeypatch, named):
+    with pytest.raises(ValueError, match="not closed"):
         lovasz_matrix([named["k2"]])
-    # _system_over trusts its caller, but K2's partition counts reach L1.
-    key, rep = canonical_form(named["k2"])
-    images = {key: interpolation._image_encodings(key.n, key.enc)}
-    with pytest.raises(InternalCheckError, match="unit lower triangular"):
-        interpolation._system_over([(key, rep)], images, hom_table([(key, rep)]))
+    # K2's images are L1 and K2.  A walk that gives L1 the image K3 leaves
+    # that set open; one that gives L1 the image K2, which comes after L1
+    # in matrix order, makes N upper triangular.  Either is caught before
+    # the input is found not closed.
+    k2, l1, k3 = (canonical_key(named[name]) for name in ("k2", "l1", "k3"))
+    walk = interpolation._image_encodings
+    for extra, message in ((k3, "image closure failed to close"),
+                           (k2, "not unit lower triangular")):
+        def broken(n, enc, extra=extra):
+            images = walk(n, enc)
+            return images + ((extra.n, extra.enc, 1, 1),) if (n, enc) == l1[1:] else images
+
+        monkeypatch.setattr(interpolation, "_image_encodings", broken)
+        for build in (lambda: lovasz_matrix([named["k2"]]), lambda: interpolation._system([k2])):
+            with pytest.raises(InternalCheckError, match=message):
+                build()
 
 
 def test_lovasz_matrix_rejects_duplicates(named):

@@ -324,6 +324,23 @@ def test_pair_limit_refuses_unions_of_small_components_at_once():
         assert time.perf_counter() - start < 0.01
 
 
+def test_dsub_count_refuses_before_keying_the_pattern(monkeypatch):
+    # 4 x C5 has 33^4 deletion pairs; keying it as the pattern would take
+    # seconds, so h is refused before f is searched.
+    h = Graph(0)
+    for _ in range(4):
+        h = disjoint_union(h, cycle_graph(5))
+
+    def refuse(*args):
+        raise AssertionError("keyed a pattern dsub_count refuses")
+
+    monkeypatch.setattr(kernels, "min_encoding", refuse)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="deletion-subgraph enumeration"):
+        dsub_count(h, h)
+    assert time.perf_counter() - start < 0.01
+
+
 def test_induced_walk_refuses_before_canonicalization(monkeypatch):
     def refuse(*args):
         raise AssertionError("canonicalized a graph the induced walk refuses")
