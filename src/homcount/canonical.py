@@ -9,7 +9,9 @@ byte followed by the bit string; only this module knows that format.
 
 The least encoding is found by one search, kernels.min_encoding, which
 also counts automorphisms; every key, representative and automorphism
-count in the package comes from it.
+count in the package comes from it.  The subgraph and partition walks
+pack each labelled leaf's adjacency rows _STRIDE bits apart in one int and
+key it through one bounded memo that they share, _leaf_class.
 
 Keys sort by size, then n, then encoding: the bytewise order of their
 printed forms within a size.  That order makes the subgraph-counting
@@ -32,6 +34,14 @@ from .graphs import Graph, adjacency_masks, loops_mask
 ENUMERATE_MAX_VERTICES = 6
 # Entries kept by canonical_form's cache; each holds two small Graphs.
 CANONICAL_CACHE_SIZE = 1 << 12
+# A labelled leaf's adjacency rows are packed _STRIDE bits apart in one
+# int.  The subgraph walks refuse more than 20 vertices, and quotients
+# have at most 8, so a row of either fits in _STRIDE bits.
+_STRIDE = 20
+_ROW = (1 << _STRIDE) - 1
+# Labelled leaves whose least encoding and automorphism count are kept,
+# shared by all walks (about 300 bytes each: 1.2 MB when full).
+LEAF_CACHE_SIZE = 1 << 12
 
 
 class GraphKey(NamedTuple):
@@ -114,12 +124,19 @@ def _min_encoding(g: Graph) -> tuple[int, int]:
     return kernels.min_encoding(g.n, loops_mask(g), adjacency_masks(g))
 
 
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _leaf_class(n: int, loops: int, bits: int) -> tuple[int, int]:
+    """min_encoding's pair for the labelled leaf on n vertices with loop
+    mask loops and adjacency rows packed in bits, _STRIDE bits apart."""
+    return kernels.min_encoding(n, loops, [(bits >> v * _STRIDE) & _ROW for v in range(n)])
+
+
 @lru_cache(maxsize=CANONICAL_CACHE_SIZE)
 def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
     """Key plus the canonically relabeled representative of g's class.  The
     printed key holds n in one byte, so more than 255 vertices are refused,
-    before the search.  Every other caller of _key keys at most
-    interpolation.QUOTIENT_MAX_VERTICES vertices."""
+    before the search.  Every other caller of _key keys at most 20
+    vertices, the subgraph walks' limit."""
     if g.n > 255:
         raise SizeLimitError("canonical keys support at most 255 vertices")
     return _form(g.n, _min_encoding(g)[0])

@@ -42,8 +42,8 @@ image_encodings keeps each class's images, as least encodings with their
 partition and automorphism counts, in a cache bounded by
 IMAGES_CACHE_SIZE, so verify walks the set partitions of each class
 once.  The walk packs each partial quotient into a few ints and keys
-every distinct labelled quotient through one memo shared by all classes,
-bounded by QUOTIENT_CACHE_SIZE: the same labelled quotient recurs across
+every distinct labelled quotient through canonical._leaf_class, the memo
+the subgraph walks share: the same labelled quotient recurs across
 classes, and is searched once while it stays in the memo.
 homomorphic_images decodes the images into (key, Graph) pairs; the
 images command prints each image's key and text straight from its
@@ -59,16 +59,8 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from . import kernels
-from .canonical import (
-    GraphKey,
-    _form,
-    _key,
-    _masks,
-    _min_encoding,
-    canonical_key,
-    graph_from_key,
-)
+from .canonical import (_ROW, _STRIDE, GraphKey, _form, _key, _leaf_class, _masks,
+                        _min_encoding, canonical_key, graph_from_key)
 from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
@@ -82,14 +74,6 @@ from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
 QUOTIENT_MAX_VERTICES = 8
-# The partition walk packs a quotient's adjacency rows _STRIDE bits apart in
-# one int, and the block of each placed vertex likewise in another.  A row
-# has at most QUOTIENT_MAX_VERTICES bits, so rows cannot overlap.
-_STRIDE = QUOTIENT_MAX_VERTICES
-_ROW = (1 << _STRIDE) - 1
-# Labelled quotients whose least encoding and automorphism count are kept,
-# shared by all classes (about 280 bytes each: 1.2 MB when full).
-QUOTIENT_CACHE_SIZE = 1 << 12
 # Classes whose homomorphic images are kept, as least encodings with
 # their partition and automorphism counts (plain ints, about 140 bytes per
 # image: 41 KB for an 8-vertex class with 290).
@@ -156,8 +140,8 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
     int operations per child.
     Placing the last vertex gives exactly the quotient by the partition as
     (block count, loop mask, adjacency bits), which is counted rather than
-    pushed; each distinct one is keyed by _quotient_class, whose memo is
-    shared by all classes, so a labelled quotient that recurs across
+    pushed; each distinct one is keyed by canonical._leaf_class, whose
+    memo is shared by all walks, so a labelled quotient that recurs across
     classes is searched once.
     """
     if n == 0:
@@ -193,21 +177,13 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
                 quotients[leaf] = quotients.get(leaf, 0) + 1
     classes: dict[tuple[int, int], list[int]] = {}
     for (k, loops, bits), count in quotients.items():
-        e, aut = _quotient_class(k, loops, bits)
+        e, aut = _leaf_class(k, loops, bits)
         if (k, e) in classes:
             classes[k, e][0] += count
         else:
             classes[k, e] = [count, aut]
     return tuple(sorted(((k, e, c, a) for (k, e), (c, a) in classes.items()),
                         key=lambda image: _key(image[0], image[1])))
-
-
-@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
-def _quotient_class(k: int, loops: int, bits: int) -> tuple[int, int]:
-    """Least encoding and automorphism count of the labelled quotient with k
-    blocks, loop mask loops and _image_encodings' packed adjacency bits."""
-    rows = [(bits >> b * _STRIDE) & _ROW for b in range(k)]
-    return kernels.min_encoding(k, loops, rows)
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:

@@ -14,7 +14,8 @@ counts into compaction counts; that of ind, the signed subset sum over
 induced subgraphs, into vertex-surjective counts.  One walk over the labeled
 subgraphs of h's class, cached per class and kind (induced or deletion),
 records per subgraph class its copies, the entry of ind or dsub, and their
-signed sum, the entry of the inverse column.
+signed sum, the entry of the inverse column.  Its leaves are packed masks
+keyed through canonical's leaf memo, and a Graph is built per class only.
 
 verify_expansions replays the two expansions that make this work, and their
 inverses, as identities between matrices over the classes up to a size:
@@ -45,17 +46,11 @@ from itertools import combinations
 from math import comb
 
 from . import kernels
-from .canonical import (
-    GraphKey,
-    _min_encoding,
-    canonical_form,
-    canonical_key,
-    enumerate_graphs,
-    graph_from_key,
-)
+from .canonical import (_STRIDE, GraphKey, _key, _leaf_class, _masks, _min_encoding,
+                        canonical_key, enumerate_graphs, graph_from_key)
 from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import SizeLimitError
-from .graphs import Graph, _components, adjacency_masks, induced_subgraph, loops_mask, to_text
+from .graphs import Graph, _components, adjacency_masks, loops_mask, to_text
 
 DSUB_PAIR_LIMIT = 1 << 20
 # Subgraph walks kept, one per (class, kind); verify --n-max 5 makes 1,326.
@@ -137,17 +132,21 @@ def ind_count(f: Graph, h: Graph) -> int:
     f_loops, f_ends = len(f.loops), 2 * len(f.edges)
     found = 0
     for s in combinations(range(h.n), f.n):
-        chosen = 0
-        for v in s:
-            chosen |= 1 << v
+        chosen = sum(1 << v for v in s)
         if (loops & chosen).bit_count() != f_loops or sum(
             (adj[v] & chosen).bit_count() for v in s
         ) != f_ends:
             continue
-        rows = [sum(1 << j for j, u in enumerate(s) if (adj[v] >> u) & 1) for v in s]
-        looped = sum(1 << j for j, v in enumerate(s) if (loops >> v) & 1)
-        found += kernels.min_encoding(f.n, looped, rows)[0] == enc
+        found += kernels.min_encoding(f.n, *_relabel(loops, adj, s, chosen))[0] == enc
     return found
+
+
+def _relabel(loops: int, adj: list[int], s, chosen: int) -> tuple[int, list[int]]:
+    """Loop mask and adjacency masks of the subgraph induced by the vertices
+    s, whose mask is chosen, with vertex s[j] relabelled j."""
+    looped = sum(1 << j for j, v in enumerate(s) if (loops >> v) & 1)
+    return looped, [sum(1 << j for j, u in enumerate(s) if (adj[v] >> u) & 1)
+                    if adj[v] & chosen else 0 for v in s]
 
 
 def _deletion_pair_total(h: Graph, limit: int) -> int:
@@ -176,23 +175,31 @@ def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, Graph, int, i
     labeled copies, signed sum).  A copy's sign is -1 to the number of
     vertices and edges it deletes; the deletion walk sums only copies that
     delete no vertex on a non-loop edge, since the inclusion-exclusion over
-    what a compaction covers cancels the others in pairs."""
-    h = graph_from_key(key)
-    on_edge = {v for e in h.edges for v in e}
-    acc: dict[GraphKey, list] = {}
-    for r in range(h.n + 1):
-        for s in combinations(range(h.n), r):
-            sub = induced_subgraph(h, s)
-            sign = 0 if deletions and not on_edge.issubset(s) else (-1) ** (h.n - r)
-            edges = sorted(sub.edges) if deletions else []
-            for b in range(len(edges) + 1):
-                for gone in combinations(edges, b):
-                    leaf = Graph(sub.n, sub.loops, sub.edges.difference(gone)) if gone else sub
-                    k, rep = canonical_form(leaf)
-                    entry = acc.setdefault(k, [rep, 0, 0])
-                    entry[1] += 1
-                    entry[2] += -sign if b % 2 else sign
-    return tuple((k, *acc[k]) for k in sorted(acc))
+    what a compaction covers cancels the others in pairs.  Each vertex
+    subset is relabelled once into canonical's packed rows, its edge sets
+    are visited in Gray-code order, one edge's two bits flipped per leaf,
+    and every leaf is keyed through canonical._leaf_class."""
+    n = key.n
+    loops, adj = _masks(n, key.enc)
+    on_edge = sum(1 << v for v in range(n) if adj[v])
+    acc: dict[tuple[int, int], list[int]] = {}
+    for r in range(n + 1):
+        for s in combinations(range(n), r):
+            chosen = sum(1 << v for v in s)
+            looped, rows = _relabel(loops, adj, s, chosen)
+            bits = sum(row << j * _STRIDE for j, row in enumerate(rows))
+            flips = [1 << j * _STRIDE + i | 1 << i * _STRIDE + j for j, row in enumerate(rows)
+                     for i in range(j) if (row >> i) & 1] if deletions else []
+            sign = 0 if deletions and on_edge & ~chosen else (-1) ** (n - r)
+            for g in range(1 << len(flips)):
+                if g:
+                    bits ^= flips[(g & -g).bit_length() - 1]
+                    sign = -sign
+                entry = acc.setdefault((r, _leaf_class(r, looped, bits)[0]), [0, 0])
+                entry[0] += 1
+                entry[1] += sign
+    keys = sorted(_key(r, e) for r, e in acc)
+    return tuple((k, graph_from_key(k), *acc[k.n, k.enc]) for k in keys)
 
 
 def _check_pair_limit(h: Graph, deletions: bool) -> None:

@@ -113,6 +113,23 @@ def test_min_encoding_matches_naive_oracle():
         assert kernels.min_encoding(*_masks(g)) == (naive_min_encoding(g), naive_aut(g)), g
 
 
+def test_leaf_memo_keys_packed_20_vertex_leaves_like_the_search():
+    # The subgraph walks admit leaves of 20 vertices, whose packed rows use
+    # every bit of their stride: here vertex 19 has neighbours, so their
+    # rows set bit 19.  Keyed cold, then from the memo.
+    rng = random.Random(46)
+    shuffled = random_graph(rng, 20, n_min=20)
+    shuffled = Graph(20, shuffled.loops, shuffled.edges | {(0, 19)})
+    canonical._leaf_class.cache_clear()
+    for g in (biclique(19, 1), Graph(20, [0, 19], cycle_graph(20).edges), shuffled):
+        n, loops, adj = _masks(g)
+        assert n == 20 and any((row >> 19) & 1 for row in adj)
+        bits = sum(row << v * canonical._STRIDE for v, row in enumerate(adj))
+        for _ in range(2):
+            assert canonical._leaf_class(n, loops, bits) == kernels.min_encoding(n, loops, adj), g
+    assert canonical._leaf_class.cache_info().hits == 3
+
+
 def _union(graphs):
     n, loops, edges = 0, [], []
     for g in graphs:

@@ -15,7 +15,7 @@ import pytest
 from homcount import cli, counting, families, interpolation, inversion, kernels
 from homcount.canonical import enumerate_graphs
 from homcount.errors import InternalCheckError
-from homcount.graphs import Graph, biclique, cycle_graph, to_text
+from homcount.graphs import Graph, biclique, cycle_graph, path_graph, to_text
 
 from .conftest import random_graph
 
@@ -35,6 +35,9 @@ VERIFY_N4_PINNED_SHA256 = {
     "plain": "631b54de0a575296bf16738a0b03d480f1f95014b1bab9d706f903a1a294e29b",
 }
 RECOVER_PINNED_SHA256 = "574e6f842414c933790cb845b5ed15fba36a7196edac0efa2de4cb8ae82f86bb"
+# SHA-256 of test_inverse_column_output_is_pinned's stdout, taken before the
+# subgraph walks keyed packed leaves in place of a Graph per leaf.
+INVERSE_COLUMN_PINNED_SHA256 = "d0710264d713660778719acc552c4cdb4f37a70c233cf2132c66c45be4eea65c"
 
 GOLDEN_CASES = [
     ("01_count_hom_poly.json",
@@ -547,6 +550,23 @@ def test_images_output_is_pinned_on_random_looped_graphs(tmp_path, capsys):
             assert cli.main(["images", "--h", str(path), "--format", fmt]) == 0
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == IMAGES_PINNED_SHA256
+
+
+def test_inverse_column_output_is_pinned(tmp_path, capsys):
+    # K3,4 (137 classes), C7, P6 and 10 random looped graphs on 5-7
+    # vertices in one process, JSON then plain: later targets read labelled
+    # leaves that earlier walks keyed.
+    rng = random.Random(139)
+    inputs = [biclique(3, 4), cycle_graph(7), path_graph(6)]
+    inputs += [random_graph(rng, 7, n_min=5) for _ in range(10)]
+    digest = hashlib.sha256()
+    for i, h in enumerate(inputs):
+        path = tmp_path / f"h{i}.graph"
+        path.write_text(to_text(h))
+        for fmt in ("json", "plain"):
+            assert cli.main(["inverse-column", "--h", str(path), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == INVERSE_COLUMN_PINNED_SHA256
 
 
 def _refuse_hom_polytime(g, h):

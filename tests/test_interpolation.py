@@ -11,7 +11,7 @@ import pytest
 
 import homcount
 from homcount import canonical, interpolation, inversion, kernels
-from homcount.canonical import canonical_form, canonical_key, enumerate_graphs
+from homcount.canonical import LEAF_CACHE_SIZE, canonical_form, canonical_key, enumerate_graphs
 from homcount.cli import _run_verify
 from homcount.counting import hom_count, hom_table, vesurj_count, vsurj_count
 from homcount.errors import (
@@ -34,7 +34,6 @@ from homcount.graphs import (
 )
 from homcount.interpolation import (
     IMAGES_CACHE_SIZE,
-    QUOTIENT_CACHE_SIZE,
     QUOTIENT_MAX_VERTICES,
     CountingOracle,
     ExternalCommandOracle,
@@ -47,6 +46,7 @@ from homcount.interpolation import (
     recover_hom,
     reduction_demo,
 )
+from homcount.inversion import DSUB_PAIR_LIMIT
 
 from .conftest import random_graph, relabel
 from .oracles import (
@@ -180,7 +180,7 @@ def test_image_encodings_match_naive_quotients_with_a_warm_memo():
     graphs = [rep for _, rep in enumerate_graphs(4)]
     graphs += [random_graph(rng, 6, n_min=5) for _ in range(25)]
     interpolation._image_encodings.cache_clear()
-    interpolation._quotient_class.cache_clear()
+    canonical._leaf_class.cache_clear()
     for g in graphs:
         want = {}
         for partition in naive_set_partitions(g.n):
@@ -193,20 +193,23 @@ def test_image_encodings_match_naive_quotients_with_a_warm_memo():
         got = interpolation.image_encodings(g)
         assert {(k, e): [c, a] for k, e, c, a in got} == want, g
         assert sum(c for _, _, c, _ in got) == _bell(g.n)
-    assert interpolation._quotient_class.cache_info().hits > 0
+    assert canonical._leaf_class.cache_info().hits > 0
 
 
 def test_quotient_memo_is_bounded_and_shared_across_classes(monkeypatch):
-    memo = interpolation._quotient_class
-    assert memo.cache_info().maxsize == QUOTIENT_CACHE_SIZE
-    # Packed block rows are _STRIDE bits wide, so the largest quotient fits.
-    assert interpolation._STRIDE >= QUOTIENT_MAX_VERTICES
+    memo = canonical._leaf_class
+    assert memo.cache_info().maxsize == LEAF_CACHE_SIZE
+    # Packed rows are _STRIDE bits wide, so the largest quotient fits, and
+    # so does the largest subgraph-walk leaf: the walks refuse a target once
+    # its 2^n vertex subsets pass DSUB_PAIR_LIMIT.
+    assert canonical._STRIDE >= QUOTIENT_MAX_VERTICES
+    assert canonical._STRIDE >= DSUB_PAIR_LIMIT.bit_length() - 1
     interpolation._image_encodings.cache_clear()
     memo.cache_clear()
     rng = random.Random(137)
-    while memo.cache_info().misses <= QUOTIENT_CACHE_SIZE:
+    while memo.cache_info().misses <= LEAF_CACHE_SIZE:
         interpolation.image_encodings(random_graph(rng, 8, n_min=8))
-        assert memo.cache_info().currsize <= QUOTIENT_CACHE_SIZE
+        assert memo.cache_info().currsize <= LEAF_CACHE_SIZE
     # The loop at 0 is implied whenever 0 shares a block with its neighbour
     # 1, so the second class has many labelled quotients of the first.
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)]
@@ -216,13 +219,26 @@ def test_quotient_memo_is_bounded_and_shared_across_classes(monkeypatch):
     calls = []
     encode = kernels.min_encoding
 
-    def counting(*args):
-        calls.append(args[0])
-        return encode(*args)
+    def counting(n, loops, adj):
+        calls.append((n, loops, tuple(adj)))
+        return encode(n, loops, adj)
 
     monkeypatch.setattr(kernels, "min_encoding", counting)
     interpolation._image_encodings(6, naive_min_encoding(second))
     assert 0 < len(calls) < len(labelled)
+    # A walk's leaf and a quotient with the same labelling share one entry:
+    # the identity partition of K3,3's representative is the induced walk's
+    # leaf on all of its vertices, which the walk then finds in the memo.
+    key = canonical_key(biclique(3, 3))
+    loops, adj = canonical._masks(key.n, key.enc)
+    whole = (key.n, loops, tuple(adj))
+    memo.cache_clear()
+    calls.clear()
+    interpolation._image_encodings.__wrapped__(key.n, key.enc)
+    assert whole in calls
+    calls.clear()
+    inversion._walk.__wrapped__(key, False)
+    assert calls and whole not in calls
 
 
 def test_verify_keys_images_once_per_class():
@@ -330,8 +346,8 @@ def test_keyed_classes_are_size_checked_before_any_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("walked the images of a class before the size guard")
 
-    # _image_encodings packs quotient rows _STRIDE bits apart: a 9-vertex
-    # class would overflow them, so it must be refused before any walk.
+    # A 9-vertex class is past QUOTIENT_MAX_VERTICES (its Bell(9) = 21,147
+    # partitions), so it must be refused before any walk.
     monkeypatch.setattr(interpolation, "_image_encodings", refuse)
     with pytest.raises(SizeLimitError):
         lovasz_matrix([canonical_form(c9)])

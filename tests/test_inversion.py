@@ -250,6 +250,23 @@ def test_inverse_column_after_downset_builds_no_graph_per_pair(monkeypatch):
     assert column.coeff(canonical_key(h)) == 1
 
 
+def test_cold_walk_builds_one_graph_per_class(monkeypatch):
+    # Leaves are packed masks; only each class's representative is a Graph.
+    targets = [(canonical_key(cycle_graph(4)), 13), (canonical_key(biclique(3, 4)), 137)]
+    built = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    for key, classes in targets:
+        inversion._walk.cache_clear()
+        built.clear()
+        assert len(inversion._walk(key, True)) == len(built) == classes
+
+
 def test_walk_cache_is_bounded():
     cache = inversion._walk
     assert cache.cache_info().maxsize == WALK_CACHE_SIZE
@@ -309,6 +326,28 @@ def test_pair_total_is_the_direct_sum_on_random_graphs():
         assert inversion._deletion_pair_total(h, 1 << 60) == total
         for limit in (total - 1, total, total // 2):
             assert (inversion._deletion_pair_total(h, limit) > limit) == (total > limit)
+
+
+def test_walk_totals_match_independent_counts():
+    # Each labeled leaf is one copy: the induced walk has one per vertex
+    # subset, the deletion walk one per deletion pair.  Each signed sum is
+    # the inverse column applied to hom(empty graph, F) = 1, so it is vsurj
+    # or vesurj of the empty graph into h: 1 if h has no vertices, else 0.
+    # Random looped graphs on at most 8 vertices are kept when their
+    # deletion walk has at most 2^15 leaves, so that the test takes seconds.
+    rng = random.Random(43)
+    graphs = [biclique(3, 4), Graph(0)]
+    while len(graphs) < 42:
+        h = random_graph(rng, 8)
+        if _direct_pair_total(h) <= 1 << 15:
+            graphs.append(h)
+    assert max(h.n for h in graphs) == 8
+    for h in graphs:
+        key = canonical_key(h)
+        for deletions, total in ((False, 1 << h.n), (True, _direct_pair_total(h))):
+            walk = inversion._walk(key, deletions)
+            assert sum(copies for _, _, copies, _ in walk) == total, (h, deletions)
+            assert sum(signed for _, _, _, signed in walk) == (h.n == 0), (h, deletions)
 
 
 def test_pair_limit_refuses_unions_of_small_components_at_once():
