@@ -114,10 +114,6 @@ def _key(n: int, enc: int) -> GraphKey:
     return GraphKey(n + enc.bit_count(), n, enc)
 
 
-def _form(n: int, enc: int) -> tuple[GraphKey, Graph]:
-    return _key(n, enc), _decode(n, enc)
-
-
 def _min_encoding(g: Graph) -> tuple[int, int]:
     """min_encoding's pair for g: its least encoding over all vertex orders,
     which its key holds, and its number of automorphisms."""
@@ -139,7 +135,8 @@ def canonical_form(g: Graph) -> tuple[GraphKey, Graph]:
     vertices, the subgraph walks' limit."""
     if g.n > 255:
         raise SizeLimitError("canonical keys support at most 255 vertices")
-    return _form(g.n, _min_encoding(g)[0])
+    enc = _min_encoding(g)[0]
+    return _key(g.n, enc), _decode(g.n, enc)
 
 
 def canonical_key(g: Graph) -> GraphKey:
@@ -170,7 +167,7 @@ def enumerate_graphs(n_max: int) -> tuple[tuple[GraphKey, Graph], ...]:
     # some set of neighbours, and relabeling its first n - 1 vertices
     # leaves its class alone, so growing each class on n - 1 reaches all.
     level = {0}
-    classes = [_form(0, 0)]
+    keys = [_key(0, 0)]
     for n in range(1, n_max + 1):
         grown = set()
         for enc in level:
@@ -180,5 +177,5 @@ def enumerate_graphs(n_max: int) -> tuple[tuple[GraphKey, Graph], ...]:
                     joined = [a | ((nbrs >> v) & 1) << (n - 1) for v, a in enumerate(adj)]
                     grown.add(kernels.min_encoding(n, looped, joined + [nbrs])[0])
         level = grown
-        classes += [_form(n, enc) for enc in level]
-    return tuple(sorted(classes))
+        keys += [_key(n, enc) for enc in level]
+    return tuple((key, graph_from_key(key)) for key in sorted(keys))

@@ -14,7 +14,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .canonical import _key, _text, canonical_key, enumerate_graphs
+from .canonical import _text, canonical_key, enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     BudgetExceededError,
@@ -125,7 +125,7 @@ def _cmd_inverse_column(args) -> int:
 
 def _cmd_images(args) -> int:
     h = _read_graph(args.h)
-    images = [(_key(k, e).hex(), _text(k, e)) for k, e, _, _ in image_encodings(h)]
+    images = [(key.hex(), _text(key.n, key.enc)) for key, _, _ in image_encodings(h)]
     if args.format == "json":
         _emit_json([{"graph": text, "key": key} for key, text in images])
     else:
@@ -158,11 +158,11 @@ def _run_verify(n_max: int) -> dict:
         if in_c and not in_f:
             fam.append({"h": to_text(h), "check": "C inside F"})
         if in_f:
-            for sub, _, _, _ in _walk(key, False):
+            for sub, _, _ in _walk(key, False):
                 if not classified[sub][1]:
                     fam.append({"h": to_text(h), "check": "F induced-closed"})
         if in_c:
-            for sub, _, _, _ in _walk(key, True):
+            for sub, _, _ in _walk(key, True):
                 if not classified[sub][2]:
                     fam.append({"h": to_text(h), "check": "C deletion-closed"})
         # The hard edge is read off h's shapes; deleting it must take h out of F.
@@ -324,7 +324,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (GraphParseError, OSError) as exc:
+    # Only reading a graph decodes bytes; stdin may be strict UTF-8.
+    except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"homcount: graph input error: {exc}\n")
         return EXIT_PARSE
     except (InternalCheckError, AssertionError) as exc:

@@ -228,6 +228,10 @@ def parse_graph(text: str) -> Graph:
             n = to_int(lineno, parts[1])
             if n < 0:
                 fail(lineno, "vertex count must be nonnegative")
+            # Refused before anything is sized by n: 2^20 isolated vertices
+            # already take seconds and hundreds of MB to classify.
+            if n > 1 << 20:
+                fail(lineno, f"vertex count {n} is over the limit of {1 << 20}")
             continue
         if parts[0] == "vertices":
             fail(lineno, "duplicate 'vertices' line")
@@ -262,7 +266,11 @@ def parse_graph(text: str) -> Graph:
 
 def load_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"not UTF-8 text: {exc}") from None
+    return parse_graph(text)
 
 
 # Small named families, used by tests, docs, and benchmarks.

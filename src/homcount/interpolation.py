@@ -38,16 +38,15 @@ keys, in one pass (_system) that also reads N and the automorphism
 counts off the same walk: each member's images are walked once and keyed
 once, and no member is searched.  closed_set keys each input graph once;
 lovasz_matrix, build_system and verify pass the keys they hold.
-image_encodings keeps each class's images, as least encodings with their
-partition and automorphism counts, in a cache bounded by
-IMAGES_CACHE_SIZE, so verify walks the set partitions of each class
-once.  The walk packs each partial quotient into a few ints and keys
-every distinct labelled quotient through canonical._leaf_class, the memo
-the subgraph walks share: the same labelled quotient recurs across
-classes, and is searched once while it stays in the memo.
-homomorphic_images decodes the images into (key, Graph) pairs; the
-images command prints each image's key and text straight from its
-encoding, with no Graph.
+image_encodings keeps each class's images, as keys with their partition
+and automorphism counts, in a cache bounded by IMAGES_CACHE_SIZE, so
+verify walks the set partitions of each class once.  The walk packs each
+partial quotient into a few ints and keys every distinct labelled
+quotient through canonical._leaf_class, the memo the subgraph walks
+share: the same labelled quotient recurs across classes, and is searched
+once while it stays in the memo.  The walk builds no Graph.
+homomorphic_images decodes each image's key into a representative; the
+images command and _system read the keys alone.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from .canonical import (_ROW, _STRIDE, GraphKey, _form, _key, _leaf_class, _masks,
-                        _min_encoding, canonical_key, graph_from_key)
+from .canonical import (_ROW, _STRIDE, GraphKey, _key, _leaf_class, _masks, _min_encoding,
+                        canonical_key, graph_from_key)
 from .counting import hom_count, hom_table, vesurj_count, vsurj_count
 from .errors import (
     InternalCheckError,
@@ -74,9 +73,9 @@ from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
 QUOTIENT_MAX_VERTICES = 8
-# Classes whose homomorphic images are kept, as least encodings with
-# their partition and automorphism counts (plain ints, about 140 bytes per
-# image: 41 KB for an 8-vertex class with 290).
+# Classes whose homomorphic images are kept, as keys with their partition
+# and automorphism counts (about 160 bytes per image, by sys.getsizeof: 47 KB
+# for an 8-vertex class with 290).
 IMAGES_CACHE_SIZE = 128
 SYSTEM_MAX_SIZE = 1024
 # Systems kept by reduction_demo's cache, one per (mode, target class).
@@ -94,18 +93,16 @@ def homomorphic_images(h: Graph) -> list[tuple[GraphKey, Graph]]:
     cache; a repeated class costs one min_encoding plus one Graph per
     image.  Each call returns a new list.
     """
-    return [_form(k, e) for k, e, _, _ in image_encodings(h)]
+    return [(key, graph_from_key(key)) for key, _, _ in image_encodings(h)]
 
 
-def image_encodings(h: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """_image_encodings of h's class: (block count, least encoding,
-    partitions, automorphisms) of each class of its homomorphic images, in
-    matrix order.  The classes are kept per class of h, keyed by h's least
-    encoding, in a cache of IMAGES_CACHE_SIZE classes, so a repeated class
-    costs one min_encoding.  The CLI prints images from these encodings
-    without building a Graph for any of them."""
-    key = _class_of(h)
-    return _image_encodings(key.n, key.enc)
+def image_encodings(h: Graph) -> tuple[tuple[GraphKey, int, int], ...]:
+    """_image_encodings of h's class: (key, partitions, automorphisms) of
+    each class of its homomorphic images, in matrix order.  The classes are
+    kept per class of h, in a cache of IMAGES_CACHE_SIZE classes, so a
+    repeated class costs one min_encoding.  The CLI prints images from
+    these keys without building a Graph for any of them."""
+    return _image_encodings(_class_of(h))
 
 
 def _class_of(h: Graph) -> GraphKey:
@@ -123,11 +120,10 @@ def _check_quotient_size(n: int) -> None:
 
 
 @lru_cache(maxsize=IMAGES_CACHE_SIZE)
-def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(block count, least encoding, partitions, automorphisms) of each class
-    of quotients of the graph with least encoding enc on n vertices, in
-    matrix order: partitions counts the set partitions whose quotient is in
-    the class, and automorphisms is the class's own count.
+def _image_encodings(key: GraphKey) -> tuple[tuple[GraphKey, int, int], ...]:
+    """(key, partitions, automorphisms) of each class of quotients of the
+    class key, in matrix order: partitions counts the set partitions whose
+    quotient is in the class, and automorphisms is the class's own count.
 
     Set partitions are grown one vertex at a time, depth first on an
     explicit stack, with blocks indexed by their first member.  Each node
@@ -142,11 +138,12 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
     (block count, loop mask, adjacency bits), which is counted rather than
     pushed; each distinct one is keyed by canonical._leaf_class, whose
     memo is shared by all walks, so a labelled quotient that recurs across
-    classes is searched once.
+    classes is searched once; each class found is keyed once.
     """
+    n = key.n
     if n == 0:
-        return ((0, 0, 1, 1),)
-    h_loops, adj = _masks(n, enc)
+        return ((key, 1, 1),)
+    h_loops, adj = _masks(n, key.enc)
     lower = [[u * _STRIDE for u in range(v) if (adj[v] >> u) & 1] for v in range(n)]
     last = n - 1
     quotients: dict[tuple[int, int, int], int] = {}
@@ -182,8 +179,7 @@ def _image_encodings(n: int, enc: int) -> tuple[tuple[int, int, int, int], ...]:
             classes[k, e][0] += count
         else:
             classes[k, e] = [count, aut]
-    return tuple(sorted(((k, e, c, a) for (k, e), (c, a) in classes.items()),
-                        key=lambda image: _key(image[0], image[1])))
+    return tuple(sorted((_key(k, e), c, a) for (k, e), (c, a) in classes.items()))
 
 
 def closed_set(graphs) -> list[tuple[GraphKey, Graph]]:
@@ -278,8 +274,8 @@ def _system(keys) -> LovaszSystem:
     and the automorphism counts read off the same images walk.  Every key
     is checked against QUOTIENT_MAX_VERTICES before any is walked, and the
     union of the inputs' images is refused as soon as it passes
-    SYSTEM_MAX_SIZE.  Each member's images are walked once and keyed once,
-    so no member is searched, and each member is decoded once.
+    SYSTEM_MAX_SIZE.  Each member's images are walked once, as keys, so no
+    member is searched, and each member is decoded once.
 
     Every homomorphism is a quotient by its fibers followed by an injective
     map, so M = N U with N[i][k] the number of set partitions of member i
@@ -294,17 +290,13 @@ def _system(keys) -> LovaszSystem:
     keys = list(keys)
     for key in keys:
         _check_quotient_size(key.n)
-
-    def keyed(key):
-        return [(_key(k, e), p, a) for k, e, p, a in _image_encodings(key.n, key.enc)]
-
     images, union = {}, set()
     for key in keys:
-        images[key] = keyed(key)
+        images[key] = _image_encodings(key)
         union.update(image for image, _, _ in images[key])
         if len(union) > SYSTEM_MAX_SIZE:
             raise SizeLimitError(f"systems are limited to {SYSTEM_MAX_SIZE} members")
-    images.update((key, keyed(key)) for key in union.difference(images))
+    images.update((key, _image_encodings(key)) for key in union.difference(images))
     order = sorted(union)
     position = {key: i for i, key in enumerate(order)}
     lower, autos = [], []

@@ -15,7 +15,7 @@ induced subgraphs, into vertex-surjective counts.  One walk over the labeled
 subgraphs of h's class, cached per class and kind (induced or deletion),
 records per subgraph class its copies, the entry of ind or dsub, and their
 signed sum, the entry of the inverse column.  Its leaves are packed masks
-keyed through canonical's leaf memo, and a Graph is built per class only.
+keyed through canonical's leaf memo; it returns keys and builds no Graph.
 
 verify_expansions replays the two expansions that make this work, and their
 inverses, as identities between matrices over the classes up to a size:
@@ -169,16 +169,16 @@ def _deletion_pair_total(h: Graph, limit: int) -> int:
 
 
 @lru_cache(maxsize=WALK_CACHE_SIZE)
-def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, Graph, int, int], ...]:
+def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, int, int], ...]:
     """Classes of the induced subgraphs of the class key, or with deletions
-    of its deletion subgraphs, in matrix order, as (key, representative,
-    labeled copies, signed sum).  A copy's sign is -1 to the number of
-    vertices and edges it deletes; the deletion walk sums only copies that
-    delete no vertex on a non-loop edge, since the inclusion-exclusion over
-    what a compaction covers cancels the others in pairs.  Each vertex
-    subset is relabelled once into canonical's packed rows, its edge sets
-    are visited in Gray-code order, one edge's two bits flipped per leaf,
-    and every leaf is keyed through canonical._leaf_class."""
+    of its deletion subgraphs, in matrix order, as (key, labeled copies,
+    signed sum).  A copy's sign is -1 to the number of vertices and edges
+    it deletes; the deletion walk sums only copies that delete no vertex on
+    a non-loop edge, since the inclusion-exclusion over what a compaction
+    covers cancels the others in pairs.  Each vertex subset is relabelled
+    once into canonical's packed rows, its edge sets are visited in
+    Gray-code order, one edge's two bits flipped per leaf, and every leaf
+    is keyed through canonical._leaf_class."""
     n = key.n
     loops, adj = _masks(n, key.enc)
     on_edge = sum(1 << v for v in range(n) if adj[v])
@@ -198,8 +198,7 @@ def _walk(key: GraphKey, deletions: bool) -> tuple[tuple[GraphKey, Graph, int, i
                 entry = acc.setdefault((r, _leaf_class(r, looped, bits)[0]), [0, 0])
                 entry[0] += 1
                 entry[1] += sign
-    keys = sorted(_key(r, e) for r, e in acc)
-    return tuple((k, graph_from_key(k), *acc[k.n, k.enc]) for k in keys)
+    return tuple(sorted((_key(r, e), *counts) for (r, e), counts in acc.items()))
 
 
 def _check_pair_limit(h: Graph, deletions: bool) -> None:
@@ -221,7 +220,8 @@ def _check_pair_limit(h: Graph, deletions: bool) -> None:
 def dsub_downset(h: Graph) -> tuple[tuple[GraphKey, Graph, int], ...]:
     """All classes f with dsub(f, h) > 0, with those counts, in matrix order."""
     _check_pair_limit(h, True)
-    return tuple((key, rep, copies) for key, rep, copies, _ in _walk(canonical_key(h), True))
+    return tuple((key, graph_from_key(key), copies)
+                 for key, copies, _ in _walk(canonical_key(h), True))
 
 
 def dsub_count(f: Graph, h: Graph) -> int:
@@ -231,14 +231,20 @@ def dsub_count(f: Graph, h: Graph) -> int:
         return 0
     _check_pair_limit(h, True)
     kf = canonical_key(f)
-    return next((copies for key, _, copies, _ in _walk(canonical_key(h), True) if key == kf), 0)
+    return next((copies for key, copies, _ in _walk(canonical_key(h), True) if key == kf), 0)
+
+
+def _inverse_column(h: Graph, deletions: bool) -> CoeffVector:
+    """The signed sums of h's walk, with or without deletions, by class."""
+    _check_pair_limit(h, deletions)
+    walk = _walk(canonical_key(h), deletions)
+    return CoeffVector({k: (graph_from_key(k), c) for k, _, c in walk})
 
 
 def dsub_inverse_column(h: Graph) -> CoeffVector:
     """Column of the inverse of the dsub matrix at h: the signed deletion
     subgraphs of h, aggregated by isomorphism class."""
-    _check_pair_limit(h, True)
-    return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), True)})
+    return _inverse_column(h, True)
 
 
 def ind_inverse_column(h: Graph) -> CoeffVector:
@@ -247,8 +253,7 @@ def ind_inverse_column(h: Graph) -> CoeffVector:
     isomorphism class.  Every copy of a class deletes as many vertices, so
     each entry's absolute value is ind(f, h).  h is refused, before it is
     canonicalized, when its 2^n vertex subsets pass DSUB_PAIR_LIMIT."""
-    _check_pair_limit(h, False)
-    return CoeffVector({k: (rep, c) for k, rep, _, c in _walk(canonical_key(h), False)})
+    return _inverse_column(h, False)
 
 
 def vsurj_via_inversion(g: Graph, h: Graph) -> int:
@@ -307,10 +312,10 @@ def _expansions(n_max: int):
     signed, ind, down, inv = [], [], [], []
     for key, _ in classes:
         induced, deletion = _walk(key, False), _walk(key, True)
-        signed.append([(index[k], c) for k, _, _, c in induced])
-        ind.append([(index[k], copies) for k, _, copies, _ in induced])
-        down.append([(index[k], copies) for k, _, copies, _ in deletion])
-        inv.append([(index[k], c) for k, _, _, c in deletion if c])
+        signed.append([(index[k], c) for k, _, c in induced])
+        ind.append([(index[k], copies) for k, copies, _ in induced])
+        down.append([(index[k], copies) for k, copies, _ in deletion])
+        inv.append([(index[k], c) for k, _, c in deletion if c])
 
     # Each table column packed into one integer, entry i in slot i of
     # `width` bytes.  At every source, |left| + |right| <= top * (weight + 1)

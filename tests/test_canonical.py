@@ -304,7 +304,7 @@ def test_bit_table_readers_match_a_bit_by_bit_decode():
     rng = random.Random(97)
     for _ in range(30):
         g = random_graph(rng, 8, n_min=6)
-        encodings += [(k, e) for k, e, _, _ in image_encodings(g)]
+        encodings += [(key.n, key.enc) for key, _, _ in image_encodings(g)]
     assert len(encodings) > 663 + 30
     for n, enc in encodings:
         want = _decode_bit_by_bit(n, enc)

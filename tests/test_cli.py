@@ -201,6 +201,30 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert "graph input error" in err
 
 
+def test_non_utf8_graph_exits_3_from_a_file_and_from_stdin(monkeypatch, tmp_path, capsys):
+    data = b"vertices 2\nedge 0 1 # \xff\n"
+    bad = tmp_path / "latin1.graph"
+    bad.write_bytes(data)
+    assert cli.main(["classify", "--h", str(bad)]) == 3
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert cli.main(["classify", "--h", "-"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("homcount: graph input error: ") for line in err)
+    assert all("can't decode byte 0xff" in line for line in err)
+
+
+def test_huge_vertex_count_exits_3_before_any_allocation(tmp_path, capsys):
+    # 25 bytes asking for 10^14 vertices; classify would size a list by it.
+    huge = tmp_path / "huge.graph"
+    huge.write_text("vertices 100000000000000\n")
+    assert huge.stat().st_size == 25
+    start = time.perf_counter()
+    assert cli.main(["classify", "--h", str(huge)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "vertex count 100000000000000 is over the limit" in capsys.readouterr().err
+
+
 def test_precondition_errors_exit_4(capsys, tmp_path):
     assert cli.main(["count", "--kind", "hom", "--g", f"{G}/c5.graph",
                      "--h", f"{G}/k3.graph", "--force-bruteforce",

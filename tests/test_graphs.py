@@ -165,6 +165,13 @@ def test_parse_rejects_malformed(text):
         parse_graph(text)
 
 
+def test_parse_refuses_vertex_counts_over_two_to_the_20():
+    assert parse_graph(f"vertices {1 << 20}\n").n == 1 << 20
+    for n in ((1 << 20) + 1, 10**14):
+        with pytest.raises(GraphParseError, match=f"line 2: vertex count {n} is over"):
+            parse_graph(f"# header\nvertices {n}\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(GraphParseError, match="line 3"):
         parse_graph("vertices 2\nedge 0 1\nedge 5 6\n")

@@ -191,8 +191,9 @@ def test_image_encodings_match_naive_quotients_with_a_warm_memo():
             else:
                 want[image] = [1, naive_aut(q)]
         got = interpolation.image_encodings(g)
-        assert {(k, e): [c, a] for k, e, c, a in got} == want, g
-        assert sum(c for _, _, c, _ in got) == _bell(g.n)
+        assert {(key.n, key.enc): [c, a] for key, c, a in got} == want, g
+        assert all(key == canonical._key(key.n, key.enc) for key, _, _ in got), g
+        assert sum(c for _, c, _ in got) == _bell(g.n)
     assert canonical._leaf_class.cache_info().hits > 0
 
 
@@ -224,7 +225,7 @@ def test_quotient_memo_is_bounded_and_shared_across_classes(monkeypatch):
         return encode(n, loops, adj)
 
     monkeypatch.setattr(kernels, "min_encoding", counting)
-    interpolation._image_encodings(6, naive_min_encoding(second))
+    interpolation._image_encodings(canonical._key(6, naive_min_encoding(second)))
     assert 0 < len(calls) < len(labelled)
     # A walk's leaf and a quotient with the same labelling share one entry:
     # the identity partition of K3,3's representative is the induced walk's
@@ -234,7 +235,7 @@ def test_quotient_memo_is_bounded_and_shared_across_classes(monkeypatch):
     whole = (key.n, loops, tuple(adj))
     memo.cache_clear()
     calls.clear()
-    interpolation._image_encodings.__wrapped__(key.n, key.enc)
+    interpolation._image_encodings.__wrapped__(key)
     assert whole in calls
     calls.clear()
     inversion._walk.__wrapped__(key, False)
@@ -285,9 +286,9 @@ def test_build_system_computes_images_once_per_member(monkeypatch, named):
     calls = []
     images = interpolation._image_encodings
 
-    def counting(n, enc):
-        calls.append((n, enc))
-        return images(n, enc)
+    def counting(key):
+        calls.append(key)
+        return images(key)
 
     monkeypatch.setattr(interpolation, "_image_encodings", counting)
     for alpha in (alpha_for_vsurj(named["k3"]), alpha_for_vesurj(named["k22"]),
@@ -442,12 +443,13 @@ def test_k33_vesurj_system_walks_each_member_once():
 
 
 def test_build_system_keys_each_image_once(monkeypatch):
-    # 62 members, fewer than the images cache keeps: once the first build
-    # has walked them, a second turns each cached image into a key once.
+    # 62 members, fewer than the images cache keeps: a cold build keys each
+    # member's images once, as it walks them, and a second build reads the
+    # cached keys and keys nothing.
     alpha = alpha_for_vesurj(biclique(2, 3))
     members = build_system(alpha).members
     assert len(members) == 62 < IMAGES_CACHE_SIZE
-    entries = sum(len(interpolation._image_encodings(key.n, key.enc)) for key, _ in members)
+    entries = sum(len(interpolation._image_encodings(key)) for key, _ in members)
     calls = []
     key_of = interpolation._key
 
@@ -456,8 +458,12 @@ def test_build_system_keys_each_image_once(monkeypatch):
         return key_of(n, enc)
 
     monkeypatch.setattr(interpolation, "_key", counting)
+    interpolation._image_encodings.cache_clear()
     assert build_system(alpha).members == members
     assert len(calls) == entries
+    calls.clear()
+    assert build_system(alpha).members == members
+    assert calls == []
 
 
 def test_closed_set_refuses_c7_while_it_grows(monkeypatch):
@@ -494,9 +500,9 @@ def test_factors_match_naive_partitions_and_automorphisms():
         h_class = (h.n, naive_min_encoding(h))
         partitions[h_class] = {c: len(qs) for c, qs in classes.items()}
         autos[h_class] = naive_aut(h)
-        kept = interpolation._image_encodings(*h_class)
-        assert {(k, e): c for k, e, c, _ in kept} == partitions[h_class], h
-        assert {(k, e): a for k, e, _, a in kept} == {
+        kept = interpolation._image_encodings(canonical._key(*h_class))
+        assert {(key.n, key.enc): c for key, c, _ in kept} == partitions[h_class], h
+        assert {(key.n, key.enc): a for key, _, a in kept} == {
             c: naive_aut(qs[0]) for c, qs in classes.items()}, h
     for _, h in enumerate_graphs(4):
         system = lovasz_matrix(homomorphic_images(h))
@@ -672,9 +678,9 @@ def test_lovasz_matrix_rejects_non_closed_input(monkeypatch, named):
     walk = interpolation._image_encodings
     for extra, message in ((k3, "image closure failed to close"),
                            (k2, "not unit lower triangular")):
-        def broken(n, enc, extra=extra):
-            images = walk(n, enc)
-            return images + ((extra.n, extra.enc, 1, 1),) if (n, enc) == l1[1:] else images
+        def broken(key, extra=extra):
+            images = walk(key)
+            return images + ((extra, 1, 1),) if key == l1 else images
 
         monkeypatch.setattr(interpolation, "_image_encodings", broken)
         for build in (lambda: lovasz_matrix([named["k2"]]), lambda: interpolation._system([k2])):

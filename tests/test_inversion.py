@@ -1,12 +1,16 @@
+import gc
 import random
+import sys
 import time
+import weakref
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from homcount import counting, inversion, kernels
+from homcount import canonical, counting, interpolation, inversion, kernels
 from homcount.canonical import canonical_key, enumerate_graphs
+from homcount.cli import _run_verify
 from homcount.errors import SizeLimitError
 from homcount.interpolation import alpha_for_vsurj
 from homcount.graphs import (
@@ -251,8 +255,11 @@ def test_inverse_column_after_downset_builds_no_graph_per_pair(monkeypatch):
 
 
 def test_cold_walk_builds_one_graph_per_class(monkeypatch):
-    # Leaves are packed masks; only each class's representative is a Graph.
-    targets = [(canonical_key(cycle_graph(4)), 13), (canonical_key(biclique(3, 4)), 137)]
+    # Leaves are packed masks and every walk returns keys: cold subgraph
+    # and images walks build no Graph.  An inverse column decodes one
+    # representative per class of its walk.
+    targets = [(cycle_graph(4), 13), (biclique(3, 4), 137)]
+    keys = [canonical_key(h) for h, _ in targets]
     built = []
     post_init = Graph.__post_init__
 
@@ -261,10 +268,44 @@ def test_cold_walk_builds_one_graph_per_class(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counted)
-    for key, classes in targets:
+    for (h, classes), key in zip(targets, keys):
         inversion._walk.cache_clear()
+        interpolation._image_encodings.cache_clear()
+        assert len(inversion._walk(key, True)) == classes
+        inversion._walk(key, False)
+        interpolation._image_encodings(key)
+        assert built == []
+        inversion._walk.cache_clear()
+        dsub_inverse_column(h)
+        assert len(built) == classes
         built.clear()
-        assert len(inversion._walk(key, True)) == len(built) == classes
+
+
+def test_cold_verify_builds_no_graph_in_any_walk(monkeypatch):
+    # verify reads every walk by key, so none of its walks builds a Graph,
+    # and few of the Graphs it builds elsewhere outlive it.
+    walks = {inversion._walk.__wrapped__.__code__,
+             interpolation._image_encodings.__wrapped__.__code__}
+    in_walk, built = [], []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in walks:
+            frame = frame.f_back
+        if frame is not None:
+            in_walk.append(self)
+        built.append(weakref.ref(self))
+        post_init(self)
+
+    for cache in (inversion._walk, interpolation._image_encodings, canonical._leaf_class,
+                  canonical.canonical_form, canonical.enumerate_graphs):
+        cache.cache_clear()
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    assert _run_verify(4)["ok"]
+    assert in_walk == []
+    gc.collect()
+    assert sum(ref() is not None for ref in built) <= 200
 
 
 def test_walk_cache_is_bounded():
@@ -346,8 +387,8 @@ def test_walk_totals_match_independent_counts():
         key = canonical_key(h)
         for deletions, total in ((False, 1 << h.n), (True, _direct_pair_total(h))):
             walk = inversion._walk(key, deletions)
-            assert sum(copies for _, _, copies, _ in walk) == total, (h, deletions)
-            assert sum(signed for _, _, _, signed in walk) == (h.n == 0), (h, deletions)
+            assert sum(copies for _, copies, _ in walk) == total, (h, deletions)
+            assert sum(signed for _, _, signed in walk) == (h.n == 0), (h, deletions)
 
 
 def test_pair_limit_refuses_unions_of_small_components_at_once():
