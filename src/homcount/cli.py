@@ -48,9 +48,18 @@ def _one_line(text: str) -> str:
 
 
 def _read_graph(spec: str) -> Graph:
-    if spec == "-":
+    if spec != "-":
+        return load_graph(spec)
+    # Strict UTF-8 from the bytes, as a file is read: the stream's own
+    # settings let a non-UTF-8 byte through under a POSIX locale.
+    stdin = getattr(sys.stdin, "buffer", None)
+    if stdin is None:
         return parse_graph(sys.stdin.read())
-    return load_graph(spec)
+    try:
+        text = stdin.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"not UTF-8 text: {exc}") from None
+    return parse_graph(text)
 
 
 def _check_budget(kind: str, g: Graph | None, h: Graph, budget: int) -> int | None:
@@ -324,7 +333,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    # Only reading a graph decodes bytes; stdin may be strict UTF-8.
+    # Only reading a graph decodes bytes; a stdin with no byte stream
+    # under it decodes by its own settings.
     except (GraphParseError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"homcount: graph input error: {exc}\n")
         return EXIT_PARSE

@@ -238,7 +238,7 @@ def _inverse_column(h: Graph, deletions: bool) -> CoeffVector:
     """The signed sums of h's walk, with or without deletions, by class."""
     _check_pair_limit(h, deletions)
     walk = _walk(canonical_key(h), deletions)
-    return CoeffVector({k: (graph_from_key(k), c) for k, _, c in walk})
+    return CoeffVector({k: (graph_from_key(k), c) for k, _, c in walk if c})
 
 
 def dsub_inverse_column(h: Graph) -> CoeffVector:

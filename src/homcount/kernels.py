@@ -36,6 +36,37 @@ step apart.  The surjective loop reads its coverage thresholds once per
 step: a state one vertex short of the vertex threshold draws its images
 from the uncovered vertices alone, so no candidate is tested for it.
 
+In the surjective modes a source with two or more components is counted
+from its components and gets no schedule of its own.  _split keys each
+component as (vertex count, loops, edges) on its vertices renumbered in
+increasing order, so _plan orders it as it does inside the source, and a
+component is planned once however many sources share it.  Into a target
+with as many vertices, _chain runs the components' steps in turn through
+the surjective loop, whose pruning then keeps only injective partial maps.
+Into a smaller target, count_maps folds coverage profiles.  A component's
+profile maps (covered target vertices | covered non-loop edges << n) to
+its number of maps: the surjective loop's states after the component,
+started from the empty state.  The loop drops only what the other
+components' vertices and edges could not complete, counted up to n - 1
+vertices and |E(h)| edges, past which nothing is dropped: most sources
+share the unpruned profile, and a source whose other components are small
+prunes about as the loop over the whole source would (C10+K1 into K5 under
+vesurj took 0.13 s unpruned, 2 ms pruned, on a 2-vCPU Xeon).  Profiles are
+cached per (component, target, mode, those two counts); a single vertex
+needs no loop and no cache entry, since its profile is its candidate mask.
+The fold ORs one profile entry per component into a map from coverage to
+maps, drops the entries that fail the loop's need and need_edges
+thresholds at each component boundary, and reads the entry that covers all
+of h.  state_bound still bounds the work: a profile's states after a
+position of its component fall under that position's term, since the
+frontier is the same and no other component's coverage is in them, and a
+folded entry is one coverage at a boundary, where the frontier is empty,
+so the entries there fall under the boundary's term min(n^(w+1), c).  For
+the same reason ROADMAP item 5's tree joins stay out of the surjective
+modes: frontiers are already empty at component boundaries, where the fold
+is that join, and a join inside a component would OR-convolve coverage
+masks.
+
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
 to each placed vertex (after McKay and Piperno): only the candidates whose
@@ -49,7 +80,7 @@ sets skipped on its path.
 from functools import lru_cache
 from operator import itemgetter
 
-from .graphs import _components, adjacency_masks, loops_mask
+from .graphs import Graph, _components, adjacency_masks, loops_mask
 
 MODE_HOM = 0
 MODE_VSURJ = 1
@@ -229,7 +260,15 @@ def count_maps(g, h, mode):
         # A vertex-surjective map between equal vertex counts is a bijection,
         # which sends edges to distinct edges and loops to distinct loops.
         return 0
-    return _count_surjective(g, h, mode == MODE_VESURJ)
+    edges_too = mode == MODE_VESURJ
+    schedule, parts = _split(g)
+    if parts is None:
+        return _count_surjective(schedule, h, edges_too)
+    if h.n == g.n:
+        # Only injective partial maps survive the loop's pruning here, where
+        # a profile would keep every map of a component.
+        return _count_surjective(_chain(parts), h, edges_too)
+    return _fold(g, parts, h, edges_too)
 
 
 def _count_homs(g, h):
@@ -271,26 +310,23 @@ def _count_homs(g, h):
     return total
 
 
-def _count_surjective(g, h, edges_too):
-    steps, last, _, parts = _schedule(g)
-    if last is None:
-        return 1
-    nbr, pairs, h_loops, h_parts = _tables(h)
-    if parts < h_parts:
-        # Each component of g lands inside one component of h.
-        return 0
+def _surjective_states(steps, h, tables, edges_too, others, other_edges):
+    """The surjective loop's states after steps, from the empty map:
+    (frontier images, covered vertices, covered edges) -> partial maps.
+    A state that can no longer cover h, with the help of others more
+    vertices and other_edges more non-loop edges, is dropped."""
+    nbr, pairs, h_loops, _ = tables
     n = h.n
     h_edges = len(h.edges)
     full = (1 << n) - 1
-    # (frontier images, covered vertices, covered edges) -> partial maps
     states = {((), 0, 0): 1}
     for looped, slots, pick, push, left, edges_left in steps:
         base = h_loops if looped else full
         # What must be covered after this step for the rest to cover h.
         # Every state covers at least need - 1 vertices, the last step's
         # need, so in a state that covers no more the image must be new.
-        need = n - left
-        need_edges = h_edges - edges_left
+        need = n - left - others
+        need_edges = h_edges - edges_left - other_edges
         nxt = {}
         get = nxt.get
         for (imgs, cov, ecov), mult in states.items():
@@ -315,9 +351,22 @@ def _count_surjective(g, h, edges_too):
                 key = (stem + (c,) if push else stem, cv, ev)
                 nxt[key] = get(key, 0) + mult
         states = nxt
+    return states
+
+
+def _count_surjective(schedule, h, edges_too):
+    steps, last, _, parts = schedule
+    if last is None:
+        return 1
+    tables = nbr, pairs, h_loops, h_parts = _tables(h)
+    if parts < h_parts:
+        # Each component of g lands inside one component of h.
+        return 0
+    states = _surjective_states(steps, h, tables, edges_too, 0, 0)
+    full = (1 << h.n) - 1
     looped, slots = last
     base = h_loops if looped else full
-    every_edge = (1 << h_edges) - 1
+    every_edge = (1 << len(h.edges)) - 1
     total = 0
     for (imgs, cov, ecov), mult in states.items():
         m = base
@@ -339,6 +388,135 @@ def _count_surjective(g, h, edges_too):
             if ev == every_edge:
                 total += mult
     return total
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _split(g):
+    """(_schedule(g), None) when g has fewer than two components, else
+    (None, its components by least vertex), each as a key (vertex count,
+    loops, edges) on its vertices renumbered in increasing order, so _plan
+    orders it as it orders it inside g: bit v of loops is v's loop, bit
+    v(v-1)/2 + u of edges is edge uv."""
+    adj = adjacency_masks(g)
+    rest = (1 << g.n) - 1
+    masks = []
+    while rest:
+        mask = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            fresh = adj[low.bit_length() - 1] & ~mask
+            mask |= fresh
+            todo |= fresh
+        masks.append(mask)
+        rest ^= mask
+    if len(masks) < 2:
+        return _schedule(g), None
+    g_loops = loops_mask(g)
+    parts = []
+    for mask in masks:
+        k = loops = edges = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if (g_loops >> v) & 1:
+                loops |= 1 << k
+            below = adj[v] & (low - 1)
+            while below:
+                u = below & -below
+                below ^= u
+                edges |= 1 << (k * (k - 1) // 2 + (mask & (u - 1)).bit_count())
+            k += 1
+        parts.append((k, loops, edges))
+    return None, tuple(parts)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _closed_steps(part):
+    """Every step of the component that the _split key part describes, its
+    last one closing the frontier, since no later vertex is adjacent."""
+    k, loops, edges = part
+    steps, last, _, _ = _schedule(Graph(
+        k, [v for v in range(k) if (loops >> v) & 1],
+        [(u, v) for v in range(k) for u in range(v) if (edges >> (v * (v - 1) // 2 + u)) & 1]))
+    return steps + (last + (itemgetter(slice(0)), False, 0, 0),)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _chain(parts):
+    """Schedule, without widths, of a source whose components are parts
+    (_split keys): their closed steps in turn, each counting what is left
+    to place in the later components too."""
+    rest = sum([k for k, _, _ in parts])
+    rest_edges = sum([edges.bit_count() for _, _, edges in parts])
+    steps = []
+    for part in parts:
+        rest -= part[0]
+        rest_edges -= part[2].bit_count()
+        steps += [step[:4] + (step[4] + rest, step[5] + rest_edges) for step in _closed_steps(part)]
+    return tuple(steps[:-1]), steps[-1][:2], None, len(parts)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _profile(part, h, edges_too, others, other_edges):
+    """Coverage profile of the component part (a _split key) into h: flat
+    (covered vertices | covered non-loop edges << n, maps) pairs over its
+    maps, from the surjective loop, which drops only the maps whose coverage
+    others more vertices and other_edges more edges cannot complete."""
+    n = h.n
+    states = _surjective_states(_closed_steps(part), h, _tables(h), edges_too, others, other_edges)
+    return tuple([x for (_, cov, ecov), maps in states.items() for x in (cov | ecov << n, maps)])
+
+
+def _fold(g, parts, h, edges_too):
+    """Surjective count from g, whose components are parts (_split keys),
+    into h with fewer vertices: the ORs of one profile entry per component,
+    weighted by the product of their maps, pruned at each boundary as the
+    loop prunes, and summed where they cover all of h."""
+    _, _, h_loops, h_parts = _tables(h)
+    if len(parts) < h_parts or (g.loops and not h_loops):
+        # Each component lands inside one component of h, a loop on a loop.
+        return 0
+    n = h.n
+    full = (1 << n) - 1
+    h_edges = len(h.edges) if edges_too else 0
+    every = full | ((1 << h_edges) - 1) << n
+    rest = g.n
+    rest_edges = len(g.edges)
+    # covered vertices | covered edges << n -> maps of the components so far
+    acc = {0: 1}
+    for part in parts:
+        k, loops, edges = part
+        if k > 1:
+            # The other components' vertices and edges bound what this one
+            # may leave uncovered.  Past n - 1 vertices, or all of h's
+            # edges, that bound prunes nothing, so it is counted no further
+            # and larger sources share the profile.
+            profile = _profile(part, h, edges_too, min(g.n - k, n - 1),
+                               min(len(g.edges) - edges.bit_count(), h_edges))
+            pairs = list(zip(profile[::2], profile[1::2]))
+        else:
+            # A single vertex covers one candidate image and no edge.
+            base = h_loops if loops else full
+            pairs = [(1 << c, 1) for c in range(n) if (base >> c) & 1]
+        rest -= k
+        if not rest:
+            return sum([x * y for a, x in acc.items() for b, y in pairs if a | b == every])
+        rest_edges -= edges.bit_count()
+        need = n - rest
+        need_edges = h_edges - rest_edges
+        nxt = {}
+        get = nxt.get
+        for a, x in acc.items():
+            for b, y in pairs:
+                c = a | b
+                if (c & full).bit_count() >= need and (c >> n).bit_count() >= need_edges:
+                    nxt[c] = get(c, 0) + x * y
+        if not nxt:
+            return 0
+        acc = nxt
 
 
 def min_encoding(n, loops, adj):

@@ -257,9 +257,9 @@ def test_inverse_column_after_downset_builds_no_graph_per_pair(monkeypatch):
 def test_cold_walk_builds_one_graph_per_class(monkeypatch):
     # Leaves are packed masks and every walk returns keys: cold subgraph
     # and images walks build no Graph.  An inverse column decodes one
-    # representative per class of its walk.
-    targets = [(cycle_graph(4), 13), (biclique(3, 4), 137)]
-    keys = [canonical_key(h) for h, _ in targets]
+    # representative per class of its walk with a nonzero signed sum.
+    targets = [(cycle_graph(4), 13, 6), (biclique(3, 4), 137, 76)]
+    keys = [canonical_key(h) for h, _, _ in targets]
     built = []
     post_init = Graph.__post_init__
 
@@ -268,7 +268,7 @@ def test_cold_walk_builds_one_graph_per_class(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counted)
-    for (h, classes), key in zip(targets, keys):
+    for (h, classes, nonzero), key in zip(targets, keys):
         inversion._walk.cache_clear()
         interpolation._image_encodings.cache_clear()
         assert len(inversion._walk(key, True)) == classes
@@ -276,8 +276,8 @@ def test_cold_walk_builds_one_graph_per_class(monkeypatch):
         interpolation._image_encodings(key)
         assert built == []
         inversion._walk.cache_clear()
-        dsub_inverse_column(h)
-        assert len(built) == classes
+        assert len(dsub_inverse_column(h).support()) == nonzero
+        assert len(built) == nonzero
         built.clear()
 
 
