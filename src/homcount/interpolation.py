@@ -30,7 +30,8 @@ solves.  lovasz_matrix and the verify command, which reads M off its
 expansions' class table, check every column.  The system depends only
 on the counter and the target's class, so reduction_demo builds it once
 per class and keeps each target's row: a recovery is then one query set
-plus one dot product per target.
+plus one dot product per target.  The report's alpha and closed_set
+entries are rendered once per system too, and kept with it.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class, so they are closed over classes given by their
@@ -202,7 +203,8 @@ class LovaszSystem:
     (column, partition count) pairs; autos holds U's diagonal, the
     automorphism counts, and det = det M their product; _index maps each
     member's key to its position.  U's columns and the rows of the inverse
-    matrix are kept as they are first needed.
+    matrix are kept as they are first needed, and so are the report
+    entries reduction_demo renders for alpha and the members.
     """
 
     members: list[tuple[GraphKey, Graph]]
@@ -213,6 +215,7 @@ class LovaszSystem:
     alpha: CoeffVector | None = None
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
     _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _report: tuple | None = field(default=None, repr=False, compare=False)
 
     def index_of(self, key: GraphKey) -> int:
         if key not in self._index:
@@ -479,10 +482,13 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     oracle is asked once per member of the closed set per call, whatever
     the number of targets.  The coefficients and the factored system
     depend only on the mode and h's isomorphism class, so they are built
-    once per process and kept (up to SYSTEM_CACHE_SIZE of them); h, g and
-    the hard edge are taken from the inputs on every call.  h is a member of
-    its own closed set, so a target too large for quotient enumeration is
-    refused before any coefficient is built.
+    once per process and kept (up to SYSTEM_CACHE_SIZE of them), and so
+    are the report's alpha and closed_set entries, rendered the first time
+    the system is reported; each call returns new lists and dicts of them.
+    h, g, the hard edge and the targets are taken from the inputs and
+    rendered on every call.  h is a member of its own closed set, so a
+    target too large for quotient enumeration is refused before any
+    coefficient is built.
     """
     if mode not in ("vsurj", "vesurj"):
         raise ValueError("mode must be 'vsurj' or 'vesurj'")
@@ -517,14 +523,16 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
             }
         )
 
+    if system._report is None:
+        system._report = (system.alpha.to_json_entries(),
+                          [{"key": key.hex(), "graph": to_text(rep)} for key, rep in system.members])
+    alpha_entries, member_entries = system._report
     return {
         "mode": mode,
         "g": to_text(g),
         "h": to_text(h),
-        "alpha": system.alpha.to_json_entries(),
-        "closed_set": [
-            {"key": key.hex(), "graph": to_text(rep)} for key, rep in system.members
-        ],
+        "alpha": [dict(entry) for entry in alpha_entries],
+        "closed_set": [dict(entry) for entry in member_entries],
         "det": str(system.det),
         "oracle_queries": queries,
         "hard_edge": list(hard) if hard else None,

@@ -65,7 +65,9 @@ so the entries there fall under the boundary's term min(n^(w+1), c).  For
 the same reason ROADMAP item 5's tree joins stay out of the surjective
 modes: frontiers are already empty at component boundaries, where the fold
 is that join, and a join inside a component would OR-convolve coverage
-masks.
+masks.  state_bound reads such a source's frontier sizes off its
+components' schedules, laid end to end, so the CLI's budget check plans no
+union either.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
@@ -241,11 +243,21 @@ def state_bound(g, h, mode):
     min(n^(w+1), n^f * c) for n = |V(h)| and f the frontier's size, where
     c = 1 for hom, 2^n for vsurj and 2^(n + |E(h)|) for vesurj.  That is
     n^f * min(n^(w + 1 - f), c), and n^bits > c for bits = c.bit_length()
-    and n >= 2 (n^k = n for n <= 1, k >= 1), so no larger power is built."""
+    and n >= 2 (n^k = n for n <= 1, k >= 1), so no larger power is built.
+    In the surjective modes a source with two or more components is read
+    from its components' schedules, which count_maps plans anyway: _plan
+    orders g component by component, as each alone, and the frontier is
+    empty between them, so their widths laid end to end are g's."""
     n = h.n
     c = (1, 1 << n, 1 << (n + len(h.edges)))[mode]
     bits = c.bit_length()
-    return sum(n ** f * min(n ** min(w + 1 - f, bits), c) for w, f in enumerate(_schedule(g)[2]))
+    if mode == MODE_HOM:
+        widths = _schedule(g)[2]
+    else:
+        schedule, parts = _split(g)
+        widths = schedule[2] if parts is None else [
+            f for part in parts for f in _schedule(_part_graph(part))[2]]
+    return sum(n ** f * min(n ** min(w + 1 - f, bits), c) for w, f in enumerate(widths))
 
 
 def count_maps(g, h, mode):
@@ -433,14 +445,19 @@ def _split(g):
     return None, tuple(parts)
 
 
+def _part_graph(part):
+    """The component that the _split key part describes, as a Graph."""
+    k, loops, edges = part
+    return Graph(
+        k, [v for v in range(k) if (loops >> v) & 1],
+        [(u, v) for v in range(k) for u in range(v) if (edges >> (v * (v - 1) // 2 + u)) & 1])
+
+
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _closed_steps(part):
     """Every step of the component that the _split key part describes, its
     last one closing the frontier, since no later vertex is adjacent."""
-    k, loops, edges = part
-    steps, last, _, _ = _schedule(Graph(
-        k, [v for v in range(k) if (loops >> v) & 1],
-        [(u, v) for v in range(k) for u in range(v) if (edges >> (v * (v - 1) // 2 + u)) & 1]))
+    steps, last, _, _ = _schedule(_part_graph(part))
     return steps + (last + (itemgetter(slice(0)), False, 0, 0),)
 
 

@@ -753,3 +753,109 @@ def test_each_request_walks_the_targets_components_once(monkeypatch, tmp_path, c
     walked.clear()
     assert cli._run_verify(3)["sections"]["families"]["violations"] == []
     assert len(walked) == expected
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _random_text(rng):
+    alphabet = 'ab"\\/\n\t\x00\x1f\x7fé€😀 \ud800 '
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+
+def _random_json(rng, depth):
+    kind = rng.randrange(10 if depth else 6)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2**70, -(3**50)]) + rng.randint(-99, 99)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([[], {}, (), [[]], {"": {}}, [(), {}]])
+    if kind in (4, 5):
+        return rng.choice(["", "key", "x" * 40])
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind in (6, 7):
+        return items if kind == 6 else tuple(items)
+    return {_random_text(rng): item for item in items}
+
+
+def test_json_text_matches_json_dumps_on_random_objects():
+    rng = random.Random(34)
+    for _ in range(3000):
+        obj = _random_json(rng, rng.randint(0, 4))
+        assert cli._json_text(obj) == _dumps(obj), obj
+
+
+def test_json_text_matches_json_dumps_on_edge_values():
+    strings = ["", "plain", 'say "hi"', "back\\slash", "a/b", "ünïcødé ∑ 漢字",
+               "emoji 😀", "\x00\x01\x08\t\n\x0b\x0c\r\x1b\x1f\x7f", "  ",
+               "lone \ud800 surrogate", "\udfff"]
+    cases = strings + [{s: s for s in strings}, [strings], True, False, None,
+                       0, -1, -(10**20), 2**64, (), [], {}, [[]], [{}], {"a": []},
+                       {"a": {}, "b": [[], {}, ()]}, (1, (2, (3, ()))),
+                       [True, False, None, (None,)], {"z": 1, "a": 2, "m": {"y": [], "b": None}}]
+    for obj in cases:
+        assert cli._json_text(obj) == _dumps(obj), obj
+
+
+def test_json_text_prints_5000_digit_ints_with_the_digit_limit_lifted():
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        for big in (10**4999 + 12345, -(7**5916), {"count": 3**10480}):
+            assert cli._json_text(big) == _dumps(big)
+        assert len(cli._json_text(10**4999)) == 5000
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+
+
+def test_json_text_refuses_other_types():
+    for bad in (1.5, {1, 2}, [0, 0.0], {"a": frozenset()}, {"a": {"b": 2.0}}, object(), b"x"):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+def test_every_command_emits_what_json_dumps_would(monkeypatch, tmp_path, capsys):
+    emitted = []
+    emit = cli._emit_json
+
+    def recording(obj):
+        emitted.append(obj)
+        emit(obj)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    k23 = _graph_file(tmp_path, "k23", 5, [(i, 2 + j) for i in range(2) for j in range(3)])
+    for argv in (
+        ["count", "--kind", "vesurj", "--g", f"{G}/c5.graph", "--h", k23],
+        ["count", "--kind", "aut", "--h", k23],
+        ["classify", "--h", k23],
+        ["inverse-column", "--h", k23],
+        ["images", "--h", k23],
+        ["verify", "--n-max", "3"],
+        ["recover", "--h", k23, "--g", f"{G}/p3.graph", "--mode", "vesurj"],
+    ):
+        emitted.clear()
+        assert cli.main(argv) == 0
+        assert len(emitted) == 1
+        assert capsys.readouterr().out == _dumps(emitted[0]) + "\n", argv
+
+
+def test_surjective_budget_plans_only_the_components(tmp_path, capsys):
+    # 2xP3 into K3: the budget check and the fold read P3's schedule, and
+    # plan the 6-vertex union nowhere.
+    g = _graph_file(tmp_path, "p3p3", 6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for cache in (kernels._schedule, kernels._split, kernels._closed_steps, kernels._chain,
+                  kernels._profile):
+        cache.cache_clear()
+    assert cli.main(["count", "--kind", "vsurj", "--g", g, "--h", f"{G}/k3.graph",
+                     "--force-bruteforce", "--format", "plain"]) == 0
+    # 12 x 12 homomorphisms, less the 3 x 2 x 2 that miss a colour.
+    assert capsys.readouterr() == ("132\n", "path: bruteforce\n")
+    assert kernels._schedule.cache_info().misses == 1
+    kernels._schedule(path_graph(3))
+    assert kernels._schedule.cache_info().misses == 1

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import math
@@ -29,6 +30,7 @@ from homcount.graphs import (
     cycle_graph,
     delete_nonloop_edge,
     disjoint_union,
+    parse_graph,
     path_graph,
     to_text,
 )
@@ -932,3 +934,36 @@ def test_system_cache_is_bounded(monkeypatch, named):
             assert cached.cache_info().currsize <= bound
     assert cached.cache_info().currsize == bound
     assert cached.cache_info().misses == 2 * len(targets)
+
+
+def test_reduction_demo_reports_equal_from_cold_and_warm_systems(named):
+    # K2,2 under vesurj also reports its hard-edge deletion as a target.
+    for h, mode, g in ((named["k22"], "vesurj", named["p3"]), (named["k3"], "vsurj", named["c5"]),
+                       (named["r2"], "vesurj", named["p4"])):
+        interpolation._reduction_system.cache_clear()
+        cold = reduction_demo(h, mode, g)
+        warm = reduction_demo(h, mode, g)
+        assert warm == cold
+        # g and the targets are read per call: another source shares the
+        # system and its rendered entries, but not its report.
+        other = reduction_demo(h, mode, named["k2"])
+        assert other["alpha"] == cold["alpha"] and other["closed_set"] == cold["closed_set"]
+        assert other["g"] == to_text(named["k2"]) != cold["g"]
+        assert all(t["ground_truth"] == str(hom_count(named["k2"], parse_graph(t["graph"])))
+                   for t in other["targets"])
+
+
+def test_reduction_demo_reports_do_not_share_their_entries(named):
+    h, g = named["k22"], named["p3"]
+    interpolation._reduction_system.cache_clear()
+    first = reduction_demo(h, "vesurj", g)
+    want = copy.deepcopy(first)
+    second = reduction_demo(h, "vesurj", g)
+    assert second == want
+    for entries in (second["alpha"], second["closed_set"]):
+        entries[0]["graph"] = "mutated"
+        entries[-1].clear()
+        entries.append({"key": "extra"})
+    first["alpha"].clear()
+    first["closed_set"].clear()
+    assert reduction_demo(h, "vesurj", g) == want

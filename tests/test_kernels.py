@@ -190,22 +190,25 @@ def test_state_bound_sums_frontier_bounds():
     assert kernels.state_bound(cycle_graph(30), complete_graph(4), kernels.MODE_HOM) < 2000
 
 
+def _assert_state_bound_formula(g):
+    # min(n^(w+1), n^f * c) summed over the positions of g's own schedule,
+    # as state_bound's docstring defines it, for targets of 0, 1, 2 and
+    # more vertices.
+    widths = kernels._schedule(g)[2]
+    for h in (Graph(0), Graph(1), Graph(1, loops={0}), complete_graph(2),
+              Graph(2, loops={0}, edges={(0, 1)}), complete_graph(3), cycle_graph(5),
+              Graph(7, loops={1}, edges=cycle_graph(7).edges)):
+        n = h.n
+        for mode, c in ((kernels.MODE_HOM, 1), (kernels.MODE_VSURJ, 1 << n),
+                        (kernels.MODE_VESURJ, 1 << (n + len(h.edges)))):
+            want = sum(min(n ** (w + 1), n ** f * c) for w, f in enumerate(widths))
+            assert kernels.state_bound(g, h, mode) == want, (g, h, mode)
+
+
 def test_state_bound_equals_the_direct_formula():
-    # min(n^(w+1), n^f * c) summed over g's positions, as state_bound's
-    # docstring defines it, for targets of 0, 1, 2 and more vertices.
-    sources = (Graph(0), Graph(4), path_graph(3), cycle_graph(5), path_graph(40),
-               _binary_tree(63), _grid(6), complete_graph(5))
-    targets = (Graph(0), Graph(1), Graph(1, loops={0}), complete_graph(2),
-               Graph(2, loops={0}, edges={(0, 1)}), complete_graph(3), cycle_graph(5),
-               Graph(7, loops={1}, edges=cycle_graph(7).edges))
-    for g in sources:
-        widths = kernels._schedule(g)[2]
-        for h in targets:
-            n = h.n
-            for mode, c in ((kernels.MODE_HOM, 1), (kernels.MODE_VSURJ, 1 << n),
-                            (kernels.MODE_VESURJ, 1 << (n + len(h.edges)))):
-                want = sum(min(n ** (w + 1), n ** f * c) for w, f in enumerate(widths))
-                assert kernels.state_bound(g, h, mode) == want, (g, h, mode)
+    for g in (Graph(0), Graph(4), path_graph(3), cycle_graph(5), path_graph(40),
+              _binary_tree(63), _grid(6), complete_graph(5)):
+        _assert_state_bound_formula(g)
 
 
 def test_state_bound_is_cheap_on_long_sources():
@@ -440,3 +443,18 @@ def test_recovery_queries_plan_no_disconnected_union(monkeypatch):
         assert oracle.calls == len(system.members) > 10
         assert planned and all(len(naive_components(f)) == 1 for f in planned)
         assert len(set(planned)) == len(planned)
+
+
+# The surjective modes read a disconnected source's bound off its
+# components' schedules; it must equal the bound over the union's own.
+def test_state_bound_of_disconnected_classes_equals_the_union_formula():
+    sources = [g for _, g in enumerate_graphs(5) if len(naive_components(g)) > 1]
+    assert len(sources) > 200
+    for g in sources:
+        _assert_state_bound_formula(g)
+
+
+def test_state_bound_of_random_looped_unions_equals_the_union_formula():
+    rng = random.Random(3434)
+    for _ in range(300):
+        _assert_state_bound_formula(_random_union(rng, rng.randint(2, 5), 14))
