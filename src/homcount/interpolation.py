@@ -375,8 +375,9 @@ class CountingOracle:
 
 class ExternalCommandOracle:
     """Oracle that runs a command per query: the graph goes to its standard
-    input in text format, the reply is one line holding a decimal count.  A
-    query that runs longer than ORACLE_TIMEOUT_S seconds is killed."""
+    input in text format, the reply is one line holding a decimal count: an
+    optional minus sign and ASCII digits, nothing else.  A query that runs
+    longer than ORACLE_TIMEOUT_S seconds is killed."""
 
     def __init__(self, argv: list[str]):
         self.argv = list(argv)
@@ -387,22 +388,24 @@ class ExternalCommandOracle:
         try:
             proc = subprocess.run(
                 self.argv,
-                input=to_text(g),
+                input=to_text(g).encode(),
                 capture_output=True,
-                text=True,
                 timeout=ORACLE_TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
             raise RuntimeError(f"oracle command timed out after {ORACLE_TIMEOUT_S:g} s")
         if proc.returncode != 0:
             raise RuntimeError(
-                f"oracle command failed with status {proc.returncode}: {proc.stderr.strip()}"
+                f"oracle command failed with status {proc.returncode}: "
+                f"{proc.stderr.decode(errors='replace').strip()}"
             )
+        # The reply stays bytes: their isdigit() passes ASCII digits alone,
+        # where int() of a str would also read "1_2" or Arabic-Indic digits.
         reply = proc.stdout.strip()
-        try:
-            return int(reply)
-        except ValueError:
-            raise RuntimeError(f"oracle reply is not a decimal integer: {reply!r}")
+        if not (reply[1:] if reply.startswith(b"-") else reply).isdigit():
+            raise RuntimeError(
+                f"oracle reply is not a decimal integer: {reply.decode(errors='replace')!r}")
+        return int(reply)
 
 
 def build_system(alpha: CoeffVector) -> LovaszSystem:

@@ -40,34 +40,39 @@ In the surjective modes a source with two or more components is counted
 from its components and gets no schedule of its own.  _split keys each
 component as (vertex count, loops, edges) on its vertices renumbered in
 increasing order, so _plan orders it as it does inside the source, and a
-component is planned once however many sources share it.  Into a target
-with as many vertices, _chain runs the components' steps in turn through
-the surjective loop, whose pruning then keeps only injective partial maps.
-Into a smaller target, count_maps folds coverage profiles.  A component's
-profile maps (covered target vertices | covered non-loop edges << n) to
-its number of maps: the surjective loop's states after the component,
-started from the empty state.  The loop drops only what the other
-components' vertices and edges could not complete, counted up to n - 1
-vertices and |E(h)| edges, past which nothing is dropped: most sources
-share the unpruned profile, and a source whose other components are small
-prunes about as the loop over the whole source would (C10+K1 into K5 under
-vesurj took 0.13 s unpruned, 2 ms pruned, on a 2-vCPU Xeon).  Profiles are
-cached per (component, target, mode, those two counts); a single vertex
-needs no loop and no cache entry, since its profile is its candidate mask.
-The fold ORs one profile entry per component into a map from coverage to
-maps, drops the entries that fail the loop's need and need_edges
-thresholds at each component boundary, and reads the entry that covers all
-of h.  state_bound still bounds the work: a profile's states after a
-position of its component fall under that position's term, since the
-frontier is the same and no other component's coverage is in them, and a
-folded entry is one coverage at a boundary, where the frontier is empty,
-so the entries there fall under the boundary's term min(n^(w+1), c).  For
-the same reason ROADMAP item 5's tree joins stay out of the surjective
-modes: frontiers are already empty at component boundaries, where the fold
-is that join, and a join inside a component would OR-convolve coverage
-masks.  state_bound reads such a source's frontier sizes off its
-components' schedules, laid end to end, so the CLI's budget check plans no
-union either.
+component is planned once however many sources share it.  count_maps
+folds the components' coverage profiles.  A component's profile maps
+(covered target vertices | covered non-loop edges << n) to its number of
+maps: the surjective loop's states after the component, started from the
+empty state.  The loop drops only what the other components' vertices
+and edges could not complete, counted up to n - 1 vertices and |E(h)|
+edges, past which nothing is dropped: most sources share the unpruned
+profile, and a source whose other components are small prunes about as
+the loop over the whole source would (C10+K1 into K5 under vesurj took
+0.13 s unpruned, 2 ms pruned, on a 2-vCPU Xeon).  Into a target with as
+many vertices, a k-vertex component's others hold n - k vertices, under
+the cap, so the loop needs its k images distinct: its profile keeps only
+injective maps, as a bijection onto h must be on each component.
+Profiles are cached per (component, target, mode, those two counts); a
+single vertex needs no loop and no cache entry, since its profile is its
+candidate mask.  The fold ORs one profile entry per
+component into a map from coverage to maps, drops the entries that fail
+the loop's need and need_edges thresholds at each component boundary,
+and reads the entry that covers all of h.  state_bound bounds the states
+built: a profile's states after a position of its component fall under
+that position's term, since the frontier is the same and no other
+component's coverage is in them, and a folded entry is one coverage at a
+boundary, where the frontier is empty, so the entries there fall under
+the boundary's term min(n^(w+1), c).  It does not bound the work of
+pairing them: each boundary ORs every folded entry with every entry of
+the next profile.  C8+C8 into K15 under vsurj has a bound of 6.04e7, yet
+takes 11.4 s on a 2-vCPU Xeon: 5.7 s builds C8's 12,870-entry profile,
+and the rest pairs 165M entries.  ROADMAP item 5's tree joins stay out
+of the surjective modes: frontiers are already empty at component
+boundaries, where the fold is that join, and a join inside a component
+would OR-convolve coverage masks.  state_bound reads such a source's
+frontier sizes off its components' schedules, laid end to end, so the
+CLI's budget check plans no union either.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
@@ -149,16 +154,15 @@ def _plan(g):
     order or, when its largest frontier is strictly smaller, DFS preorder,
     so each vertex after the first of its component has a placed neighbour
     to prune against; and for each position the earlier positions adjacent
-    to it; and its number of components."""
+    to it."""
     adj = adjacency_masks(g)
     order = []
-    seen = parts = 0
+    seen = 0
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
         comp, mask = _bfs_order(adj, start)
         seen |= mask
-        parts += 1
         width = _width(adj, comp)
         # No order keeps fewer vertices on its frontier than the least degree
         # (just before the last vertex is placed, all its neighbours are
@@ -178,22 +182,22 @@ def _plan(g):
         prev[max(i, j)].append(min(i, j))
     for ups in prev:
         ups.sort()
-    return order, prev, parts
+    return order, prev
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _schedule(g):
     """count_maps' steps for source g along _plan's order: (steps, last,
-    widths, parts).  steps holds (looped, slots, pick, push, left, edges_left) for
+    widths).  steps holds (looped, slots, pick, push, left, edges_left) for
     every position but the last.  slots index the frontier before the step
     at the placed neighbours.  pick takes the entries that stay out of that
     frontier: None when all of them stay, else an itemgetter that returns a
     tuple.  push says whether the new vertex joins the frontier (at its
     end); left counts the vertices and edges_left the non-loop edges still
     to place after the step.  last is (looped, slots) for the last
-    position, None for the empty graph; widths holds the frontier's size
-    after each position, and parts counts g's components."""
-    order, prev, parts = _plan(g)
+    position, None for the empty graph; and widths holds the frontier's
+    size after each position."""
+    order, prev = _plan(g)
     last = list(range(g.n))
     for w, ups in enumerate(prev):
         for u in ups:
@@ -218,7 +222,7 @@ def _schedule(g):
         steps.append((v in g.loops, slots, pick, push, g.n - 1 - w, edges_left))
         widths.append(len(frontier))
     final = steps.pop()[:2] if steps else None
-    return tuple(steps), final, tuple(widths), parts
+    return tuple(steps), final, tuple(widths)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -276,15 +280,11 @@ def count_maps(g, h, mode):
     schedule, parts = _split(g)
     if parts is None:
         return _count_surjective(schedule, h, edges_too)
-    if h.n == g.n:
-        # Only injective partial maps survive the loop's pruning here, where
-        # a profile would keep every map of a component.
-        return _count_surjective(_chain(parts), h, edges_too)
     return _fold(g, parts, h, edges_too)
 
 
 def _count_homs(g, h):
-    steps, last, _, _ = _schedule(g)
+    steps, last, _ = _schedule(g)
     if last is None:
         return 1
     nbr, _, h_loops, _ = _tables(h)
@@ -367,12 +367,14 @@ def _surjective_states(steps, h, tables, edges_too, others, other_edges):
 
 
 def _count_surjective(schedule, h, edges_too):
-    steps, last, _, parts = schedule
+    """Surjective count from a connected or empty source, with schedule
+    _schedule(g), into h."""
+    steps, last, _ = schedule
     if last is None:
         return 1
     tables = nbr, pairs, h_loops, h_parts = _tables(h)
-    if parts < h_parts:
-        # Each component of g lands inside one component of h.
+    if h_parts > 1:
+        # The connected source lands inside one component of h.
         return 0
     states = _surjective_states(steps, h, tables, edges_too, 0, 0)
     full = (1 << h.n) - 1
@@ -457,23 +459,8 @@ def _part_graph(part):
 def _closed_steps(part):
     """Every step of the component that the _split key part describes, its
     last one closing the frontier, since no later vertex is adjacent."""
-    steps, last, _, _ = _schedule(_part_graph(part))
+    steps, last, _ = _schedule(_part_graph(part))
     return steps + (last + (itemgetter(slice(0)), False, 0, 0),)
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _chain(parts):
-    """Schedule, without widths, of a source whose components are parts
-    (_split keys): their closed steps in turn, each counting what is left
-    to place in the later components too."""
-    rest = sum([k for k, _, _ in parts])
-    rest_edges = sum([edges.bit_count() for _, _, edges in parts])
-    steps = []
-    for part in parts:
-        rest -= part[0]
-        rest_edges -= part[2].bit_count()
-        steps += [step[:4] + (step[4] + rest, step[5] + rest_edges) for step in _closed_steps(part)]
-    return tuple(steps[:-1]), steps[-1][:2], None, len(parts)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -489,9 +476,9 @@ def _profile(part, h, edges_too, others, other_edges):
 
 def _fold(g, parts, h, edges_too):
     """Surjective count from g, whose components are parts (_split keys),
-    into h with fewer vertices: the ORs of one profile entry per component,
-    weighted by the product of their maps, pruned at each boundary as the
-    loop prunes, and summed where they cover all of h."""
+    into h with at most as many vertices: the ORs of one profile entry per
+    component, weighted by the product of their maps, pruned at each
+    boundary as the loop prunes, and summed where they cover all of h."""
     _, _, h_loops, h_parts = _tables(h)
     if len(parts) < h_parts or (g.loops and not h_loops):
         # Each component lands inside one component of h, a loop on a loop.

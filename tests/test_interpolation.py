@@ -845,6 +845,28 @@ def test_external_command_oracle_rejects_garbage():
         failing.eval(Graph(1))
 
 
+def test_external_command_oracle_reads_only_decimal_replies(named, monkeypatch):
+    # int() reads the first two replies as 12: one has a digit separator,
+    # the other Arabic-Indic digits.  The third is not UTF-8.
+    for reply in (b"1_2\n", "\u0661\u0662\n".encode(), b"\xff12\n"):
+        write = f"import sys; sys.stdout.buffer.write({reply!r})"
+        oracle = ExternalCommandOracle([sys.executable, "-c", write])
+        with pytest.raises(RuntimeError, match="not a decimal integer"):
+            oracle.eval(Graph(1))
+    # A negative reply is read as such, and recovery refuses it.
+    paths = [str(Path(homcount.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+    negated = ExternalCommandOracle([sys.executable, "-c", (
+        "import sys\n"
+        "from homcount.counting import vsurj_count\n"
+        "from homcount.graphs import complete_graph, parse_graph\n"
+        "print(-vsurj_count(parse_graph(sys.stdin.read()), complete_graph(2)))\n")])
+    assert negated.eval(named["p3"]) == -2
+    system = build_system(alpha_for_vsurj(named["k2"]))
+    with pytest.raises(OracleMismatchError):
+        recover_hom(system, negated, named["p3"], canonical_key(named["k2"]))
+
+
 def test_external_command_oracle_times_out(monkeypatch):
     monkeypatch.setattr(interpolation, "ORACLE_TIMEOUT_S", 0.2)
     sleeper = ExternalCommandOracle([sys.executable, "-c", "import time; time.sleep(60)"])
