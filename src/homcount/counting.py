@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import kernels
 from .canonical import _min_encoding, canonical_form
-from .graphs import Graph, component_vertex_sets, induced_subgraph
+from .graphs import Graph, _components, component_vertex_sets, induced_subgraph
 
 
 def hom_count(g: Graph, h: Graph) -> int:
@@ -57,9 +57,10 @@ def hom_table(members, columns=None) -> list[list[int]]:
     components into those of the columns' members (a connected member is
     its own): hom(F1 + F2, H) = hom(F1, H) * hom(F2, H) for any F1, F2,
     and hom(F, H1 + H2) = hom(F, H1) + hom(F, H2) for connected F (Lovasz,
-    Large Networks and Graph Limits, 2012).  The empty graph has no
-    components, so its row is all ones and its column is zero except at
-    itself.
+    Large Networks and Graph Limits, 2012).  hom(c, d) is 0, uncounted,
+    when d maps to K2 and c does not: c -> d -> K2 would 2-color c.  The
+    empty graph has no components, so its row is all ones and its column
+    is zero except at itself.
     """
     # Component classes, and each member's components as indices into them.
     index = {}
@@ -77,9 +78,13 @@ def hom_table(members, columns=None) -> list[list[int]]:
         parts.append([index[k] for k, _ in forms])
     targets = parts if columns is None else [parts[j] for j in columns]
     into = {d for h_parts in targets for d in h_parts}
+    # A connected class maps to K2 when it has no loop and no odd cycle.
+    colorable = [not loops and sides is not None
+                  for _, loops, _, sides in (_components(r)[0] for r in reps)]
     # sums[c][j] = hom(c, column j's member), a sum over its components.
     sums = [[sum(hom_c[d] for d in h_parts) for h_parts in targets]
-            for hom_c in ({d: hom_count(c, reps[d]) for d in into} for c in reps)]
+            for hom_c in ({d: hom_count(c, reps[d]) if ok or not colorable[d] else 0 for d in into}
+                          for c, ok in zip(reps, colorable))]
     table = []
     for f_parts in parts:
         row = [1] * len(targets)

@@ -1,29 +1,30 @@
-"""Exact integer solve through a unit lower triangular factor, with the
-unknowns as a row vector.
+"""Exact integer forward substitution through a unit lower triangular factor.
 
 A Lovász system's matrix factors as M = N U, with N unit lower triangular
-and U upper triangular (see interpolation.LovaszSystem), so a row of
-M^-1 = U^-1 N^-1 costs y U = b over U's trailing columns, then z N = y
-here, which only multiplies and subtracts over N's sparse rows.  No float
-and no fraction appears.
+and U upper triangular (see interpolation.LovaszSystem).  A recovery solves
+N c = b here, which only multiplies and subtracts over N's sparse rows,
+then peels U's columns at the coefficients' support off c.  No float and
+no fraction appears.
 """
 
 from __future__ import annotations
 
 
 def _as_int(x) -> int:
-    value = int(x)
-    if value != x or isinstance(x, float):
-        raise ValueError(f"exact arithmetic needs integer entries, got {x!r}")
-    return value
+    """x as an int; ValueError unless x is an integer that is not a float."""
+    try:
+        if int(x) == x and not isinstance(x, float):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"exact arithmetic needs integer entries, got {x!r}")
 
 
-def row_solve_unit_lower(lower: list[list[tuple[int, int]]], rhs) -> list[int]:
-    """The row vector x with x N = rhs, for N unit lower triangular, given
-    by its entries below the diagonal: lower[i] lists (k, N[i][k]), k < i."""
+def solve_unit_lower(lower: list[list[tuple[int, int]]], rhs) -> list[int]:
+    """The x with N x = rhs, for N unit lower triangular, given by its
+    entries below the diagonal: lower[i] lists (k, N[i][k]), k < i."""
     x = [_as_int(b) for b in rhs]
-    for i in range(len(x) - 1, -1, -1):
-        if x[i]:
-            for k, c in lower[i]:
-                x[k] -= c * x[i]
+    for i, below in enumerate(lower):
+        for k, c in below:
+            x[i] -= c * x[k]
     return x

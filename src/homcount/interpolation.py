@@ -20,18 +20,18 @@ member by the class of their quotient, and U counts injective maps, with
 the members' automorphism counts on its diagonal.  Solving the system
 exactly and dividing the entry at a target by alpha(target) recovers
 hom(G, target) from oracle access to f alone.  N is read off the walk
-that finds the members' images.  U is upper triangular, so a target's
-row of the inverse matrix reads only U's columns from the target on (h
-itself comes last), each N^-1 times the same column of M, filled from
-hom counts between the classes of the members' connected components
-(counting.hom_table) and checked to come out triangular with the
-automorphism count on its diagonal; the row then costs two triangular
-solves.  lovasz_matrix and the verify command, which reads M off its
-expansions' class table, check every column.  The system depends only
-on the counter and the target's class, so reduction_demo builds it once
-per class and keeps each target's row: a recovery is then one query set
-plus one dot product per target.  The report's alpha and closed_set
-entries are rendered once per system too, and kept with it.
+that finds the members' images.  The unknowns vanish off alpha's support
+P, so the answers hold |S| - |P| spare equations that check the oracle:
+_recover solves N c = b, peels U's columns at P off c, last first, and
+raises on a count that is not a nonnegative integer or on a remainder.
+Those columns are filled from hom counts between the classes of the
+members' connected components (counting.hom_table), and checked to come
+out triangular with the automorphism count on their diagonal, before the
+first query; lovasz_matrix and the verify command, which reads M off its
+expansions' class table, check every column.  The system depends only on
+the counter and the target's class, so reduction_demo builds it once per
+class and keeps it, with its support columns and its report's alpha and
+closed_set entries.
 
 Closed sets are unions of homomorphic images, which likewise depend only
 on the input's class, so they are closed over classes given by their
@@ -54,10 +54,8 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import mul
 
 from .canonical import (_ROW, _STRIDE, GraphKey, _key, _leaf_class, _masks, _min_encoding,
                         canonical_key, graph_from_key)
@@ -68,7 +66,7 @@ from .errors import (
     SingularSystemError,
     SizeLimitError,
 )
-from .exactsolve import _as_int, row_solve_unit_lower
+from .exactsolve import _as_int, solve_unit_lower
 from .families import _classify
 from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
@@ -202,9 +200,9 @@ class LovaszSystem:
     lower holds N's entries below its unit diagonal, row by row, as
     (column, partition count) pairs; autos holds U's diagonal, the
     automorphism counts, and det = det M their product; _index maps each
-    member's key to its position.  U's columns and the rows of the inverse
-    matrix are kept as they are first needed, and so are the report
-    entries reduction_demo renders for alpha and the members.
+    member's key to its position.  U's columns are kept as they are first
+    needed, and so are the report entries reduction_demo renders for alpha
+    and the members.
     """
 
     members: list[tuple[GraphKey, Graph]]
@@ -214,7 +212,7 @@ class LovaszSystem:
     _index: dict = field(repr=False)
     alpha: CoeffVector | None = None
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
-    _inverse_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    _support: list | None = field(default=None, repr=False, compare=False)
     _report: tuple | None = field(default=None, repr=False, compare=False)
 
     def index_of(self, key: GraphKey) -> int:
@@ -249,27 +247,16 @@ class LovaszSystem:
                 f"{diagonal[c]} injective maps to itself, not its {autos[c]} automorphisms")
         self._columns.update((j, col[:j + 1]) for j, col in filled)
 
-    def _inverse_row(self, t: int) -> list[int]:
-        """det times row t of M^-1 = U^-1 N^-1: y U = det e_t, then z N = y,
-        over the integers (det = det U, so det U^-1 is integral).  y is
-        zero before t and reads only U's columns from t on, filling those
-        not yet kept through one hom_table call."""
-        row = self._inverse_rows.get(t)
-        if row is None:
-            n = len(self.members)
-            missing = [j for j in range(t, n) if j not in self._columns]
+    def _support_columns(self) -> list[tuple[int, int, tuple]]:
+        """(position, alpha's entry, U's column) over alpha's support, last
+        first; the first call fills and checks the columns not yet kept."""
+        if self._support is None:
+            support = [(self.index_of(key), coeff) for key, _, coeff in self.alpha.items()]
+            missing = [j for j, _ in support if j not in self._columns]
             if missing:
                 self._fill(missing, hom_table(self.members, missing))
-            y = [0] * n
-            for j in range(t, n):
-                col = self._columns[j]
-                r = (self.det if j == t else 0) - sum(map(mul, y[t:j], col[t:j]))
-                y[j], rest = divmod(r, col[j])
-                if rest:
-                    raise InternalCheckError("det U^-1 is not integral")
-            row = row_solve_unit_lower(self.lower, y)
-            self._inverse_rows[t] = row
-        return row
+            self._support = [(j, coeff, self._columns[j]) for j, coeff in reversed(support)]
+        return self._support
 
 
 def _system(keys) -> LovaszSystem:
@@ -425,45 +412,51 @@ def build_system(alpha: CoeffVector) -> LovaszSystem:
 def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     """hom(g, target) for each target key, from one oracle query per member.
 
-    Queries f(g + F) once for every member F, whatever the number of
-    targets.  Entry t of the solution of the system is the dot product of
-    the inverse matrix's row at t with the answers; dividing it by
-    alpha(t) gives hom(g, t).  A non-integer or negative outcome means the
-    oracle does not match the declared coefficients.
+    The answers are b = M x, where x = alpha * hom(g, .) vanishes off
+    alpha's support P.  With M = N U, c = N^-1 b by forward substitution;
+    U is upper triangular, so peeling its columns at P from the last
+    leaves U[j][j] x_j at c_j, then takes x_j times column j off c.  Each
+    x_j must be exact and a nonnegative multiple of alpha(j), and nothing
+    may be left of c, or the oracle does not match alpha.
     """
     if system.alpha is None:
         raise ValueError("system carries no coefficients")
     targets = []
     for key in keys:
-        a_t = system.alpha[key]
-        if a_t == 0:
+        if system.alpha[key] == 0:
             raise ValueError("target lies outside the coefficient support")
-        targets.append((system.index_of(key), a_t))
-    # The first row solved fills every column of U that the later ones
-    # read, so the trailing columns cost one hom_table call.
-    rows = {t: system._inverse_row(t) for t, _ in sorted(targets)}
-    rhs = [_as_int(oracle.eval(disjoint_union(g, rep))) for _, rep in system.members]
-    values = []
-    for t, a_t in targets:
-        value = Fraction(sum(r * b for r, b in zip(rows[t], rhs)), system.det * a_t)
-        if value.denominator != 1 or value < 0:
-            raise OracleMismatchError(
-                "recovered value is not a nonnegative integer; "
-                "oracle and coefficients disagree"
-            )
-        values.append(int(value))
-    return values
+        targets.append(system.index_of(key))
+    support = system._support_columns()
+    answers = []
+    for i, (key, rep) in enumerate(system.members):
+        answer = oracle.eval(disjoint_union(g, rep))
+        try:
+            answers.append(_as_int(answer))
+        except ValueError:
+            raise OracleMismatchError(f"oracle answered {answer!r}, not an integer, "
+                                      f"for member {i} ({key.hex()})") from None
+    c = solve_unit_lower(system.lower, answers)
+    homs = {}
+    for j, coeff, column in support:
+        x, rest = divmod(c[j], column[j])
+        homs[j], off = divmod(x, coeff)
+        if rest or off or homs[j] < 0:
+            raise OracleMismatchError(f"recovered value at member {j} is not a nonnegative "
+                                      "integer; oracle and coefficients disagree")
+        if x:
+            c[:j + 1] = [a - x * u for a, u in zip(c, column)]
+    if any(c):
+        raise OracleMismatchError("oracle answers lie outside the span of the coefficients' "
+                                  "columns; oracle and coefficients disagree")
+    return [homs[t] for t in targets]
 
 
 def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int:
     """Recover hom(g, target) using exactly one oracle query per member.
 
-    Queries f(g + F) for every member F and takes the dot product of the
-    answers with the inverse matrix's row at the target, solved on first
-    use through N and U's columns from the target on, which are filled
-    and checked then, and kept, so no recovery eliminates.  The entry is
-    divided by alpha(target).  A non-integer or negative outcome means the
-    oracle does not match the declared coefficients.
+    Solves the answers over alpha's support (see _recover), through N and
+    U's columns there, which are filled and checked before the first query
+    and kept; answers that do not match alpha raise OracleMismatchError.
     """
     return _recover(system, oracle, g, [target])[0]
 

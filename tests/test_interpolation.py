@@ -48,7 +48,7 @@ from homcount.interpolation import (
     recover_hom,
     reduction_demo,
 )
-from homcount.inversion import DSUB_PAIR_LIMIT
+from homcount.inversion import DSUB_PAIR_LIMIT, CoeffVector
 
 from .conftest import random_graph, relabel
 from .oracles import (
@@ -516,32 +516,77 @@ def test_factors_match_naive_partitions_and_automorphisms():
             assert system.autos[i] == system._columns[i][i] == autos[member], (h, i)
 
 
-def test_inverse_rows_match_fraction_elimination(named):
+class _ListOracle:
+    """Gives the listed answers, one per query, in member order."""
+
+    def __init__(self, answers):
+        self.answers, self.calls = answers, 0
+
+    def eval(self, g):
+        self.calls += 1
+        return self.answers[self.calls - 1]
+
+
+def _fraction_recovery(matrix, answers, alpha, index_of):
+    """What recovery must return for the answers, by Fraction elimination:
+    x = M^-1 b divided by alpha on its support, or None when x is nonzero
+    off the support or not a nonnegative multiple of alpha on it."""
+    x = [v for (v,) in naive_solve(matrix, [[b] for b in answers])]
+    homs = {index_of(key): x[index_of(key)] / coeff for key, _, coeff in alpha.items()}
+    if any(v for j, v in enumerate(x) if j not in homs):
+        return None
+    if any(v.denominator != 1 or v < 0 for v in homs.values()):
+        return None
+    return [int(homs[index_of(key)]) for key in alpha.support()]
+
+
+def test_support_solve_matches_fraction_elimination(named):
+    # Honest answers b = M x, with x = alpha * counts on alpha's support,
+    # give back the counts; two shifts of them, one answer off by one and
+    # one support entry of x up by one, are judged as Fraction elimination
+    # judges them.  The image sets carry no coefficients, so each gets a
+    # random alpha.
+    rng = random.Random(36)
     for system in _image_and_recover_mix_systems(named):
-        n = len(system.members)
-        inverse = naive_solve(hom_table(system.members),
-                              [[int(i == j) for j in range(n)] for i in range(n)])
-        for t in range(n):
-            assert system._inverse_row(t) == [system.det * x for x in inverse[t]], t
+        if system.alpha is None:
+            picked = rng.sample(system.members, rng.randint(1, len(system.members)))
+            system.alpha = CoeffVector({key: (rep, rng.choice((-3, -1, 1, 2))) for key, rep in picked})
+        keys = system.alpha.support()
+        matrix = hom_table(system.members)
+        counts = [rng.randint(0, 9) for _ in keys]
+        x = {system.index_of(key): system.alpha[key] * c for key, c in zip(keys, counts)}
+        honest = [sum(row[j] * v for j, v in x.items()) for row in matrix]
+        assert interpolation._recover(system, _ListOracle(honest), Graph(0), keys) == counts
+        off_by_one = list(honest)
+        off_by_one[rng.randrange(len(honest))] += 1
+        k = rng.choice(list(x))
+        shifted = [b + row[k] for b, row in zip(honest, matrix)]
+        for answers in (off_by_one, shifted):
+            want = _fraction_recovery(matrix, answers, system.alpha, system.index_of)
+            if want is None:
+                with pytest.raises(OracleMismatchError):
+                    interpolation._recover(system, _ListOracle(answers), Graph(0), keys)
+            else:
+                assert interpolation._recover(system, _ListOracle(answers), Graph(0), keys) == want
 
 
-def test_inverse_rows_at_targets_match_fraction_inverse_of_direct_counts():
+def test_support_solve_matches_fraction_solve_of_direct_counts():
     # The matrix comes from one kernel count per pair, not from hom_table,
-    # and the rows from build_system's systems, whose columns of U are
-    # filled only from each target's position on.
+    # and the systems from build_system, whose columns of U are filled only
+    # at alpha's support.
     homs = {}
     for _, h in enumerate_graphs(4):
-        for alpha in (alpha_for_vsurj(h), alpha_for_vesurj(h)):
+        for mode, alpha in (("vsurj", alpha_for_vsurj(h)), ("vesurj", alpha_for_vesurj(h))):
             system = build_system(alpha)
             matrix = [[homs[f, k] if (f, k) in homs else
                        homs.setdefault((f, k), hom_count(f_rep, k_rep))
                        for k, k_rep in system.members] for f, f_rep in system.members]
-            targets = [system.index_of(key) for key in alpha.support()]
-            # Row t of the inverse solves x M = e_t, a column of M^T x = I.
-            inverse = naive_solve([list(col) for col in zip(*matrix)],
-                                  [[int(i == t) for t in targets] for i in range(len(matrix))])
-            for c, t in enumerate(targets):
-                assert system._inverse_row(t) == [system.det * x[c] for x in inverse], (h, t)
+            for g in (path_graph(3), complete_graph(3)):
+                oracle = CountingOracle(mode, h)
+                answers = [oracle.eval(disjoint_union(g, rep)) for _, rep in system.members]
+                want = _fraction_recovery(matrix, answers, alpha, system.index_of)
+                assert want == [hom_count(g, rep) for _, rep, _ in alpha.items()], (h, mode, g)
+                assert interpolation._recover(system, oracle, g, alpha.support()) == want
 
 
 def test_build_system_counts_no_maps(monkeypatch, named):
@@ -555,32 +600,35 @@ def test_build_system_counts_no_maps(monkeypatch, named):
         assert build_system(alpha).members
 
 
-def test_recovery_fills_the_columns_from_the_target_on(monkeypatch):
+def test_recovery_fills_the_support_columns_in_one_call(monkeypatch):
     h = biclique(2, 3)
     alpha = alpha_for_vesurj(h)
     system = build_system(alpha)
+    oracle = CountingOracle("vesurj", h)
     filled = []
 
     def counting(members, columns=None):
-        filled.append(list(columns))
+        filled.append((list(columns), oracle.calls))
         return hom_table(members, columns)
 
     monkeypatch.setattr(interpolation, "hom_table", counting)
+    support = [system.index_of(key) for key in alpha.support()]
     t = system.index_of(canonical_key(h))
-    assert t == len(system.members) - 1
-    assert recover_hom(system, CountingOracle("vesurj", h), path_graph(3),
-                       canonical_key(h)) == hom_count(path_graph(3), h)
-    assert filled == [[t]] and sorted(system._columns) == [t]
-    # The hard-edge deletion sits just before h and fills one more column.
+    assert t == len(system.members) - 1 == support[-1]
+    assert recover_hom(system, oracle, path_graph(3), canonical_key(h)) == hom_count(path_graph(3), h)
+    # Filled before the first query, and exactly at the support.
+    assert filled == [(support, 0)] and sorted(system._columns) == support
+    # The hard-edge deletion sits just before h, in the support: its
+    # recovery fills nothing more.
     sub = canonical_key(delete_nonloop_edge(h, find_hard_edge(h)))
-    assert system.index_of(sub) == t - 1
+    assert system.index_of(sub) == t - 1 == support[-2]
     recover_hom(system, CountingOracle("vesurj", h), path_graph(3), sub)
-    assert filled == [[t], [t - 1]]
+    assert len(filled) == 1
 
 
 def test_cold_vesurj_recovery_fills_both_targets_columns_in_one_call(monkeypatch):
-    # h sits last and its hard-edge deletion just before it: asking for the
-    # deletion's row first fills both columns through one hom_table call.
+    # h sits last and its hard-edge deletion just before it: both are in
+    # alpha's support, whose columns one hom_table call fills.
     h = biclique(2, 3)
     interpolation._reduction_system.cache_clear()
     filled = []
@@ -595,7 +643,9 @@ def test_cold_vesurj_recovery_fills_both_targets_columns_in_one_call(monkeypatch
     assert [target["key"] for target in report["targets"]] == [
         report["closed_set"][t]["key"], report["closed_set"][t - 1]["key"]]
     assert all(target["match"] for target in report["targets"])
-    assert filled == [[t - 1, t]]
+    system = interpolation._reduction_system("vesurj", canonical_key(h))
+    support = [system.index_of(key) for key in system.alpha.support()]
+    assert filled == [support] and support[-2:] == [t - 1, t]
 
 
 def test_shifted_trailing_entry_is_caught_before_any_query(monkeypatch, named):
@@ -613,11 +663,16 @@ def test_shifted_trailing_entry_is_caught_before_any_query(monkeypatch, named):
 
 def test_inexact_division_through_u_is_an_internal_error(named):
     system = lovasz_matrix(closed_set([named["k1"], named["l1"], named["k2"]]))
-    assert system.det == 2
-    # A kept diagonal of 3 where det is 2 leaves det U^-1 fractional.
+    k2 = canonical_key(named["k2"])
+    assert system.det == 2 and system.index_of(k2) == 2
+    # With alpha = e_K2 the answers hom(P3 + F, K2) are honest, but a kept
+    # diagonal of 3 where U has 2 leaves hom(P3, K2) = 2 as 4 / 3.
+    system.alpha = CoeffVector({k2: (named["k2"], 1)})
     system._columns[2] = (*system._columns[2][:2], 3)
-    with pytest.raises(InternalCheckError, match="not integral"):
-        system._inverse_row(2)
+    oracle = _ListOracle([hom_count(disjoint_union(named["p3"], rep), named["k2"])
+                          for _, rep in system.members])
+    with pytest.raises(InternalCheckError, match="not a nonnegative integer"):
+        recover_hom(system, oracle, named["p3"], k2)
 
 
 def _shifted_hom_table(shift):
@@ -748,7 +803,7 @@ def test_recover_hom_from_vesurj_oracle_hits_edge_deleted_target(named):
 
 def test_factored_recovery_matches_full_solve(monkeypatch, named):
     filled, solves = [], []
-    solve = interpolation.row_solve_unit_lower
+    solve = interpolation.solve_unit_lower
 
     def counting(members, columns=None):
         filled.extend(columns)
@@ -759,7 +814,7 @@ def test_factored_recovery_matches_full_solve(monkeypatch, named):
         return solve(lower, rhs)
 
     monkeypatch.setattr(interpolation, "hom_table", counting)
-    monkeypatch.setattr(interpolation, "row_solve_unit_lower", counting_solve)
+    monkeypatch.setattr(interpolation, "solve_unit_lower", counting_solve)
     for mode, h in (("vsurj", named["k3"]), ("vsurj", named["star3"]),
                     ("vesurj", named["k22"]), ("vesurj", named["r2"])):
         alpha = alpha_for_vsurj(h) if mode == "vsurj" else alpha_for_vesurj(h)
@@ -778,11 +833,10 @@ def test_factored_recovery_matches_full_solve(monkeypatch, named):
                 assert got == hom_count(g, rep)
         for key in alpha.support():
             recover_hom(system, CountingOracle(mode, h), named["p4"], key)
-        # One row solve per target, and each column of U from the first
-        # target's on filled once, both kept for every later recovery.
-        assert solves == [len(system.members)] * len(alpha)
-        first = min(system.index_of(key) for key in alpha.support())
-        assert sorted(filled) == list(range(first, len(system.members)))
+        # One forward solve per recovery, and U's columns at the support
+        # filled once, kept for every later recovery.
+        assert solves == [len(system.members)] * (3 * len(alpha))
+        assert sorted(filled) == sorted(system.index_of(key) for key in alpha.support())
 
 
 def test_recover_rejects_target_outside_support(named):
@@ -806,6 +860,53 @@ def test_recover_flags_inconsistent_oracle(named):
 
     with pytest.raises(OracleMismatchError):
         recover_hom(system, LyingOracle(), named["p3"], canonical_key(named["k2"]))
+
+
+@pytest.mark.parametrize("answer", [float("inf"), None, float("nan"), 2.5, "3"])
+def test_malformed_oracle_answer_names_its_member(named, answer):
+    system = build_system(alpha_for_vsurj(named["k2"]))
+    answers = [vsurj_count(disjoint_union(named["p3"], rep), named["k2"])
+               for _, rep in system.members]
+    answers[1] = answer
+    with pytest.raises(OracleMismatchError, match=rf"for member 1 \({system.members[1][0].hex()}\)"):
+        recover_hom(system, _ListOracle(answers), named["p3"], canonical_key(named["k2"]))
+
+
+def test_faulty_oracles_raise_or_recover_the_count():
+    # Each run raises or returns hom(g, h).  The pinned counts are the runs
+    # the support's spare equations catch; the inverse-row solve they
+    # replaced returned a wrong count in 25 of them (22 minus-edge, 3
+    # plus-one) and raised in 4.  hom itself is an honest oracle for
+    # alpha = e_h, whose support lies in alpha's, so it is never caught,
+    # and the target's count comes out right.
+    counters = {"vsurj": vsurj_count, "vesurj": vesurj_count}
+    p3 = path_graph(3)
+    targets = [complete_graph(3), p3, cycle_graph(4),
+               Graph(4, loops=frozenset({0}), edges=biclique(2, 2).edges),
+               biclique(2, 3), cycle_graph(5)]
+    sources = [p3, cycle_graph(4), Graph(3, loops=frozenset({1}), edges=p3.edges)]
+    raised = dict.fromkeys(("honest", "minus_edge", "other_mode", "plus_one", "hom"), 0)
+    for h in targets:
+        h_minus = Graph(h.n, loops=h.loops, edges=h.edges - {min(h.edges)})
+        for mode, counter in counters.items():
+            other = counters["vesurj" if mode == "vsurj" else "vsurj"]
+            answer = {"honest": lambda g, first: counter(g, h),
+                      "minus_edge": lambda g, first: counter(g, h_minus),
+                      "other_mode": lambda g, first: other(g, h),
+                      "plus_one": lambda g, first: counter(g, h) + first,
+                      "hom": lambda g, first: hom_count(g, h)}
+            system = interpolation._reduction_system(mode, canonical_key(h))
+            for g in sources:
+                for name, faulty in answer.items():
+                    oracle = _ListOracle([faulty(disjoint_union(g, rep), i == 0)
+                                          for i, (_, rep) in enumerate(system.members)])
+                    try:
+                        got = recover_hom(system, oracle, g, canonical_key(h))
+                    except OracleMismatchError:
+                        raised[name] += 1
+                    else:
+                        assert got == hom_count(g, h), (h, mode, g, name)
+    assert raised == {"honest": 0, "minus_edge": 26, "other_mode": 14, "plus_one": 30, "hom": 0}
 
 
 def test_external_command_oracle_runs_cli(named, tmp_path, monkeypatch):
