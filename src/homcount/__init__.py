@@ -1,10 +1,10 @@
 """Exact counting of graph homomorphisms, vertex-surjective homomorphisms,
 and compactions between small graphs with loops.
 
-The package keeps every count exact: brute-force kernels enumerate
-assignments with integer arithmetic, inversion layers work over the
-integers or rationals, and the closed-form counters for the tractable
-target families are plain integer formulas.
+The package keeps every count exact: the kernels run a dynamic program
+over the source's vertices with integer arithmetic, the inversion and
+recovery layers work over the integers, and the closed-form counters for
+the tractable target families are plain integer formulas.
 """
 
 from .canonical import (

@@ -417,7 +417,10 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     U is upper triangular, so peeling its columns at P from the last
     leaves U[j][j] x_j at c_j, then takes x_j times column j off c.  Each
     x_j must be exact and a nonnegative multiple of alpha(j), and nothing
-    may be left of c, or the oracle does not match alpha.
+    may be left of c, or the oracle does not match alpha.  An oracle that
+    is honest for another coefficient vector whose support lies inside
+    alpha's passes every check: in vesurj mode hom(., h) is one, and the
+    hard-edge target then comes out 0 for C4 and K2,3 from P3 and C4.
     """
     if system.alpha is None:
         raise ValueError("system carries no coefficients")
@@ -456,7 +459,9 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
 
     Solves the answers over alpha's support (see _recover), through N and
     U's columns there, which are filled and checked before the first query
-    and kept; answers that do not match alpha raise OracleMismatchError.
+    and kept; answers that do not match alpha raise OracleMismatchError,
+    except those of an oracle honest for a coefficient vector whose support
+    lies inside alpha's, which pass every check (see _recover).
     """
     return _recover(system, oracle, g, [target])[0]
 

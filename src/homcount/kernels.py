@@ -37,42 +37,44 @@ step: a state one vertex short of the vertex threshold draws its images
 from the uncovered vertices alone, so no candidate is tested for it.
 
 In the surjective modes a source with two or more components is counted
-from its components and gets no schedule of its own.  _split keys each
-component as (vertex count, loops, edges) on its vertices renumbered in
-increasing order, so _plan orders it as it does inside the source, and a
-component is planned once however many sources share it.  count_maps
-folds the components' coverage profiles.  A component's profile maps
-(covered target vertices | covered non-loop edges << n) to its number of
-maps: the surjective loop's states after the component, started from the
-empty state.  The loop drops only what the other components' vertices
-and edges could not complete, counted up to n - 1 vertices and |E(h)|
-edges, past which nothing is dropped: most sources share the unpruned
-profile, and a source whose other components are small prunes about as
-the loop over the whole source would (C10+K1 into K5 under vesurj took
-0.13 s unpruned, 2 ms pruned, on a 2-vCPU Xeon).  Into a target with as
-many vertices, a k-vertex component's others hold n - k vertices, under
-the cap, so the loop needs its k images distinct: its profile keeps only
+from its components and gets no schedule of its own.  _split finds each
+component with _bfs_order and keys it as (vertex count, loops, edges) on
+its vertices renumbered in increasing order, so _plan orders it as it
+does inside the source; edges lists each edge's endpoints, so a key
+grows with the component's edges.  _component builds a key's Graph and
+schedule once, however many sources share it.  count_maps folds the
+components' coverage profiles.  A component's profile maps (covered
+target vertices | covered non-loop edges << n) to its number of maps:
+the surjective loop's states after the component, started from the empty
+state.  The loop drops only what the other components' vertices and
+edges could not complete, counted up to n - 1 vertices and |E(h)| edges,
+past which nothing is dropped: most sources share the unpruned profile,
+and a source whose other components are small prunes about as the loop
+over the whole source would (C10+K1 into K5 under vesurj took 0.13 s
+unpruned, 2 ms pruned, on a 2-vCPU Xeon).  Into a target with as many
+vertices, a k-vertex component's others hold n - k vertices, under the
+cap, so the loop needs its k images distinct: its profile keeps only
 injective maps, as a bijection onto h must be on each component.
 Profiles are cached per (component, target, mode, those two counts); a
 single vertex needs no loop and no cache entry, since its profile is its
-candidate mask.  The fold ORs one profile entry per
-component into a map from coverage to maps, drops the entries that fail
-the loop's need and need_edges thresholds at each component boundary,
-and reads the entry that covers all of h.  state_bound bounds the states
-built: a profile's states after a position of its component fall under
-that position's term, since the frontier is the same and no other
-component's coverage is in them, and a folded entry is one coverage at a
-boundary, where the frontier is empty, so the entries there fall under
-the boundary's term min(n^(w+1), c).  It does not bound the work of
-pairing them: each boundary ORs every folded entry with every entry of
-the next profile.  C8+C8 into K15 under vsurj has a bound of 6.04e7, yet
-takes 11.4 s on a 2-vCPU Xeon: 5.7 s builds C8's 12,870-entry profile,
-and the rest pairs 165M entries.  ROADMAP item 5's tree joins stay out
-of the surjective modes: frontiers are already empty at component
-boundaries, where the fold is that join, and a join inside a component
-would OR-convolve coverage masks.  state_bound reads such a source's
-frontier sizes off its components' schedules, laid end to end, so the
-CLI's budget check plans no union either.
+candidate mask.  The fold ORs one profile entry per component into a map
+from coverage to maps, drops the entries that fail the loop's need and
+need_edges thresholds at each component boundary, and reads the entry
+that covers all of h.  state_bound bounds the states built: a profile's
+states after a position of its component fall under that position's
+term, since the frontier is the same and no other component's coverage
+is in them, and a folded entry is one coverage at a boundary, where the
+frontier is empty, so the entries there fall under the boundary's term
+min(n^(w+1), c).  It does not bound the work of pairing them: each
+boundary ORs every folded entry with every entry of the next profile.
+C8+C8 into K15 under vsurj has a bound of 6.04e7, yet takes 11.4 s on a
+2-vCPU Xeon: 5.7 s builds C8's 12,870-entry profile, and the rest pairs
+165M entries.  ROADMAP item 5's tree joins stay out of the surjective
+modes: frontiers are already empty at component boundaries, where the
+fold is that join, and a join inside a component would OR-convolve
+coverage masks.  state_bound reads such a source's frontier sizes off
+its components' widths, laid end to end, so the CLI's budget check plans
+no union either.
 
 min_encoding computes the canonical key's encoding by a row-by-row search
 over an ordered partition of the unplaced vertices, refined by adjacency
@@ -260,7 +262,7 @@ def state_bound(g, h, mode):
     else:
         schedule, parts = _split(g)
         widths = schedule[2] if parts is None else [
-            f for part in parts for f in _schedule(_part_graph(part))[2]]
+            f for part in parts for f in _component(part)[1]]
     return sum(n ** f * min(n ** min(w + 1 - f, bits), c) for w, f in enumerate(widths))
 
 
@@ -409,19 +411,13 @@ def _split(g):
     """(_schedule(g), None) when g has fewer than two components, else
     (None, its components by least vertex), each as a key (vertex count,
     loops, edges) on its vertices renumbered in increasing order, so _plan
-    orders it as it orders it inside g: bit v of loops is v's loop, bit
-    v(v-1)/2 + u of edges is edge uv."""
+    orders it as it orders it inside g: bit v of loops is v's loop, and
+    edges is flat (u0, v0, u1, v1, ...), u < v, ordered by v, then u."""
     adj = adjacency_masks(g)
     rest = (1 << g.n) - 1
     masks = []
     while rest:
-        mask = todo = rest & -rest
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            fresh = adj[low.bit_length() - 1] & ~mask
-            mask |= fresh
-            todo |= fresh
+        mask = _bfs_order(adj, (rest & -rest).bit_length() - 1)[1]
         masks.append(mask)
         rest ^= mask
     if len(masks) < 2:
@@ -429,7 +425,8 @@ def _split(g):
     g_loops = loops_mask(g)
     parts = []
     for mask in masks:
-        k = loops = edges = 0
+        k = loops = 0
+        edges = []
         m = mask
         while m:
             low = m & -m
@@ -441,26 +438,21 @@ def _split(g):
             while below:
                 u = below & -below
                 below ^= u
-                edges |= 1 << (k * (k - 1) // 2 + (mask & (u - 1)).bit_count())
+                edges += ((mask & (u - 1)).bit_count(), k)
             k += 1
-        parts.append((k, loops, edges))
+        parts.append((k, loops, tuple(edges)))
     return None, tuple(parts)
 
 
-def _part_graph(part):
-    """The component that the _split key part describes, as a Graph."""
-    k, loops, edges = part
-    return Graph(
-        k, [v for v in range(k) if (loops >> v) & 1],
-        [(u, v) for v in range(k) for u in range(v) if (edges >> (v * (v - 1) // 2 + u)) & 1])
-
-
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _closed_steps(part):
-    """Every step of the component that the _split key part describes, its
-    last one closing the frontier, since no later vertex is adjacent."""
-    steps, last, _ = _schedule(_part_graph(part))
-    return steps + (last + (itemgetter(slice(0)), False, 0, 0),)
+def _component(part):
+    """(steps, widths) of the component that the _split key part describes:
+    every step, the last one closing the frontier, since no later vertex is
+    adjacent, and the frontier's size after each position."""
+    k, loops, edges = part
+    steps, last, widths = _schedule(Graph(
+        k, [v for v in range(k) if (loops >> v) & 1], zip(edges[::2], edges[1::2])))
+    return steps + (last + (itemgetter(slice(0)), False, 0, 0),), widths
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -470,7 +462,7 @@ def _profile(part, h, edges_too, others, other_edges):
     maps, from the surjective loop, which drops only the maps whose coverage
     others more vertices and other_edges more edges cannot complete."""
     n = h.n
-    states = _surjective_states(_closed_steps(part), h, _tables(h), edges_too, others, other_edges)
+    states = _surjective_states(_component(part)[0], h, _tables(h), edges_too, others, other_edges)
     return tuple([x for (_, cov, ecov), maps in states.items() for x in (cov | ecov << n, maps)])
 
 
@@ -499,7 +491,7 @@ def _fold(g, parts, h, edges_too):
             # edges, that bound prunes nothing, so it is counted no further
             # and larger sources share the profile.
             profile = _profile(part, h, edges_too, min(g.n - k, n - 1),
-                               min(len(g.edges) - edges.bit_count(), h_edges))
+                               min(len(g.edges) - len(edges) // 2, h_edges))
             pairs = list(zip(profile[::2], profile[1::2]))
         else:
             # A single vertex covers one candidate image and no edge.
@@ -508,7 +500,7 @@ def _fold(g, parts, h, edges_too):
         rest -= k
         if not rest:
             return sum([x * y for a, x in acc.items() for b, y in pairs if a | b == every])
-        rest_edges -= edges.bit_count()
+        rest_edges -= len(edges) // 2
         need = n - rest
         need_edges = h_edges - rest_edges
         nxt = {}

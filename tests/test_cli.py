@@ -849,7 +849,7 @@ def test_surjective_budget_plans_only_the_components(tmp_path, capsys):
     # 2xP3 into K3: the budget check and the fold read P3's schedule, and
     # plan the 6-vertex union nowhere.
     g = _graph_file(tmp_path, "p3p3", 6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    for cache in (kernels._schedule, kernels._split, kernels._closed_steps, kernels._profile):
+    for cache in (kernels._schedule, kernels._split, kernels._component, kernels._profile):
         cache.cache_clear()
     assert cli.main(["count", "--kind", "vsurj", "--g", g, "--h", f"{G}/k3.graph",
                      "--force-bruteforce", "--format", "plain"]) == 0
@@ -858,3 +858,18 @@ def test_surjective_budget_plans_only_the_components(tmp_path, capsys):
     assert kernels._schedule.cache_info().misses == 1
     kernels._schedule(path_graph(3))
     assert kernels._schedule.cache_info().misses == 1
+
+
+def test_surjective_count_from_a_long_component_is_fast(tmp_path, capsys):
+    # P1000+K1 into K3, bounded and counted from P1000's edge-list key; a
+    # key of one bit per vertex pair made this take 8.2 s on a 2-vCPU Xeon.
+    edges = [(v, v + 1) for v in range(999)]
+    g = _graph_file(tmp_path, "p1000k1", 1001, edges)
+    for cache in (kernels._schedule, kernels._split, kernels._component, kernels._profile):
+        cache.cache_clear()
+    start = time.perf_counter()
+    assert cli.main(["count", "--kind", "vsurj", "--g", g, "--h", f"{G}/k3.graph",
+                     "--format", "plain"]) == 0
+    assert time.perf_counter() - start < 2
+    want = inversion.vsurj_via_inversion(Graph(1001, (), edges), cycle_graph(3))
+    assert capsys.readouterr().out == f"{want}\n"

@@ -330,7 +330,7 @@ def test_edgeless_target_tables_stay_linear():
 
 # The source-side caches: per source, per component and per (component,
 # target, mode).
-_SOURCE_CACHES = (kernels._schedule, kernels._split, kernels._closed_steps, kernels._profile)
+_SOURCE_CACHES = (kernels._schedule, kernels._split, kernels._component, kernels._profile)
 
 
 def test_kernel_caches_are_bounded():
@@ -503,3 +503,43 @@ def test_state_bound_of_random_looped_unions_equals_the_union_formula():
     rng = random.Random(3434)
     for _ in range(300):
         _assert_state_bound_formula(_random_union(rng, rng.randint(2, 5), 14))
+
+
+def test_long_component_is_bounded_and_counted_in_milliseconds():
+    # A component's key lists its edges, so P1500's key, Graph and plan
+    # take time linear in its size; a key of one bit per vertex pair made
+    # each state_bound here take about 16 s on a 2-vCPU Xeon.
+    g, k3 = disjoint_union(path_graph(1500), Graph(1)), complete_graph(3)
+    for mode, via in ((kernels.MODE_VSURJ, vsurj_via_inversion),
+                      (kernels.MODE_VESURJ, vesurj_via_inversion)):
+        _clear_source_caches()
+        start = time.perf_counter()
+        kernels.state_bound(g, k3, mode)
+        assert time.perf_counter() - start < 0.5
+        _clear_source_caches()
+        start = time.perf_counter()
+        count = kernels.count_maps(g, k3, mode)
+        assert time.perf_counter() - start < 0.5
+        assert count == via(g, k3), mode
+
+
+def test_state_bound_builds_no_graph_for_cached_components(monkeypatch):
+    # An equal source, built afresh, reads its components' widths from the
+    # cache: neither the union nor any component is built again.
+    def union():
+        return disjoint_union(disjoint_union(cycle_graph(5), path_graph(4)), Graph(1, [0]))
+
+    built = []
+    post_init = Graph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    k3 = complete_graph(3)
+    _clear_source_caches()
+    bound = kernels.state_bound(union(), k3, kernels.MODE_VESURJ)
+    g = union()
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    assert kernels.state_bound(g, k3, kernels.MODE_VESURJ) == bound
+    assert built == []
