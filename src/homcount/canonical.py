@@ -98,9 +98,12 @@ def _masks(n: int, enc: int) -> tuple[int, list[int]]:
 
 
 def _decode(n: int, enc: int) -> Graph:
+    """The graph an encoding describes; _bit_table's pairs are in range
+    with u < v, so it is built unchecked.  Its sets are filled in the order
+    Graph(...) fills them, so they iterate alike."""
     found = _set_bits(n, enc)
-    return Graph(n, [u for u, v, _ in found if u == v],
-                 [(u, v) for u, v, _ in found if u != v])
+    return Graph._trusted(n, frozenset([u for u, v, _ in found if u == v]),
+                          frozenset({(u, v) for u, v, _ in found if u != v}))
 
 
 def _text(n: int, enc: int) -> str:

@@ -8,7 +8,12 @@ json.dumps(obj, sort_keys=True, indent=2).  With indent set, json.dumps
 falls back to its pure-Python encoder, so _json_text lays out the
 indentation itself and hands each string and key to the C
 encode_basestring_ascii: recover and images reports take 51-58 % of
-json.dumps' time (2-vCPU Xeon, Python 3.11).  Exit codes: 0 success,
+json.dumps' time (2-vCPU Xeon, Python 3.11).  A recover report's alpha and
+closed_set lists are the same for every report on one system, so their
+text is rendered once per system (_report_fragments, keyed and bounded as
+interpolation._reduction_system) and spliced into each report whose lists
+equal the ones it was rendered from; _json_text writes such a _Rendered
+fragment as it stands.  Exit codes: 0 success,
 2 usage, 3 unreadable or malformed graph input, 4 violated precondition
 or guardrail, 5 internal assertion failure.
 """
@@ -20,7 +25,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .canonical import _text, canonical_key, enumerate_graphs
+from .canonical import GraphKey, _text, canonical_key, enumerate_graphs
 from .counting import aut_count, hom_count, vesurj_count, vsurj_count
 from .errors import (
     BudgetExceededError,
@@ -30,8 +35,8 @@ from .errors import (
 )
 from .families import _classify, _closed_form_count, classification_json, classify_F
 from .graphs import Graph, delete_nonloop_edge, load_graph, parse_graph, to_text
-from .interpolation import (_check_quotient_size, _reduction_system, _system, image_encodings,
-                            reduction_demo)
+from .interpolation import (SYSTEM_CACHE_SIZE, _check_quotient_size, _reduction_system, _system,
+                            image_encodings, reduction_demo)
 from .inversion import _expansions, _walk, dsub_inverse_column
 from .kernels import MODE_HOM, MODE_VESURJ, MODE_VSURJ, state_bound
 
@@ -49,11 +54,24 @@ def _emit_json(obj) -> None:
     sys.stdout.write(_json_text(obj) + "\n")
 
 
-def _json_text(obj) -> str:
+class _Rendered:
+    """value's JSON text, rendered once with its lines after the first
+    opening with newline, for _json_chunks to write in value's place."""
+
+    __slots__ = ("value", "newline", "text")
+
+    def __init__(self, value, newline: str):
+        self.value, self.newline = value, newline
+        self.text = _json_text(value, newline)
+
+
+def _json_text(obj, newline: str = "\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2), for dicts with str keys,
-    lists, tuples, str, int, bool and None; any other type raises TypeError."""
+    lists, tuples, str, int, bool, None and _Rendered fragments; any other
+    type raises TypeError.  With newline set, obj's text as it reads nested
+    at that indentation."""
     chunks = []
-    _json_chunks(obj, "\n", chunks.append)
+    _json_chunks(obj, newline, chunks.append)
     return "".join(chunks)
 
 
@@ -94,6 +112,11 @@ def _json_chunks(obj, newline: str, out) -> None:
             _json_chunks(obj[key], inner, out)
             sep = "," + inner
         out(newline + "}")
+    elif isinstance(obj, _Rendered):
+        if obj.newline == newline:
+            out(obj.text)
+        else:
+            _json_chunks(obj.value, newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -271,13 +294,14 @@ def _cmd_recover(args) -> int:
     # maps from g + F into h, F in h's closed set, placing g's vertices first.
     work = _check_budget(args.mode, g, h, DEFAULT_BUDGET)
     _check_quotient_size(h.n)
-    queries = len(_reduction_system(args.mode, canonical_key(h)).members)
+    key = canonical_key(h)
+    queries = len(_reduction_system(args.mode, key).members)
     if queries * work > DEFAULT_BUDGET:
         raise BudgetExceededError(f"{queries} oracle queries would build at least {queries * work} "
                                   f"dynamic-program states, over the budget of {DEFAULT_BUDGET}")
     report = reduction_demo(h, args.mode, g)
     if args.format == "json":
-        _emit_json(report)
+        _emit_json(_spliced(report, *_report_fragments(args.mode, key)))
     else:
         for t in report["targets"]:
             sys.stdout.write(
@@ -285,6 +309,27 @@ def _cmd_recover(args) -> int:
                 f"truth {t['ground_truth']} match {str(t['match']).lower()}\n"
             )
     return EXIT_OK if all(t["match"] for t in report["targets"]) else EXIT_INTERNAL
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _report_fragments(mode: str, key: GraphKey) -> tuple[_Rendered, _Rendered]:
+    """The alpha and closed_set report entries of the system for mode and
+    the class key, rendered as they nest in a recover report.  They are read
+    from the entries reduction_demo keeps on the system, so it must have
+    reported the system first."""
+    alpha, members = _reduction_system(mode, key)._report
+    return _Rendered(alpha, "\n  "), _Rendered(members, "\n  ")
+
+
+def _spliced(report: dict, alpha: _Rendered, members: _Rendered) -> dict:
+    """report with its alpha and closed_set lists replaced by the fragments
+    rendered from equal lists; a list that differs stays as it is."""
+    out = dict(report)
+    if report["alpha"] == alpha.value:
+        out["alpha"] = alpha
+    if report["closed_set"] == members.value:
+        out["closed_set"] = members
+    return out
 
 
 def _nonnegative_int(text: str) -> int:

@@ -6,6 +6,13 @@ The total size |V| + |E| (loops and non-loop edges both count toward |E|)
 is the primary sort key wherever graphs index triangular matrices.
 
 Graphs are immutable and hashable.  Every operation returns a new graph.
+A graph is validated once, where it enters the program: Graph(...) checks
+and normalizes whatever it is given.  Three constructions skip the check,
+through Graph._trusted, because their input was checked already:
+disjoint_union (two Graphs), parse_graph (after its own line-by-line
+checks) and canonical._decode (the package's own encodings).  A
+recovery joins its source to every member of a closed set, one union per
+oracle query, and those unions made most of the checks.
 Connected components come from one breadth-first walk, _components, over
 adjacency lists; component_vertex_sets, the family shapes and the kernels'
 target tables all read it.  A walk over bit masks is quadratic in vertex
@@ -26,7 +33,8 @@ class Graph:
     ``loops`` is a frozenset of vertex indices, ``edges`` a frozenset of
     pairs (u, v) with u < v.  The constructor accepts any iterables and
     normalizes pair order; it rejects out-of-range indices and pairs with
-    equal endpoints.
+    equal endpoints.  _trusted builds a graph from fields already in that
+    form, with no check; see the module docstring for where it is used.
     """
 
     n: int
@@ -53,6 +61,16 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "edges", frozenset(pairs))
+
+    @classmethod
+    def _trusted(cls, n: int, loops: frozenset, edges: frozenset) -> Graph:
+        """The graph with these fields, unchecked: n an int, loops a
+        frozenset of ints in 0..n-1, edges a frozenset of int pairs (u, v)
+        with 0 <= u < v < n.  Callers look it up on Graph when they call it,
+        so a wrapper set on the class sees every graph it builds."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, loops=loops, edges=edges)
+        return g
 
     @property
     def size(self) -> int:
@@ -123,9 +141,9 @@ def quotient(h: Graph, partition) -> Graph:
 
 def disjoint_union(g: Graph, f: Graph) -> Graph:
     """Disjoint union; f's vertices are shifted up by g.n."""
-    loops = set(g.loops) | {v + g.n for v in f.loops}
-    edges = set(g.edges) | {(u + g.n, v + g.n) for u, v in f.edges}
-    return Graph(g.n + f.n, loops, edges)
+    k = g.n
+    return Graph._trusted(k + f.n, g.loops | {v + k for v in f.loops},
+                          g.edges | {(u + k, v + k) for u, v in f.edges})
 
 
 def delete_nonloop_edge(h: Graph, e) -> Graph:
@@ -261,7 +279,8 @@ def parse_graph(text: str) -> Graph:
             fail(lineno, f"unknown directive {parts[0]!r}")
     if n is None:
         raise GraphParseError("missing 'vertices <n>' line")
-    return Graph(n, loops, edges)
+    # The lines above checked every index, pair and duplicate.
+    return Graph._trusted(n, frozenset(loops), frozenset(edges))
 
 
 def load_graph(path) -> Graph:

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .exactsolve import _as_int, solve_unit_lower
 from .families import _classify
-from .graphs import Graph, delete_nonloop_edge, disjoint_union, to_text
+from .graphs import Graph, _components, delete_nonloop_edge, disjoint_union, to_text
 from .inversion import CoeffVector, dsub_inverse_column, ind_inverse_column
 
 QUOTIENT_MAX_VERTICES = 8
@@ -419,8 +419,11 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     x_j must be exact and a nonnegative multiple of alpha(j), and nothing
     may be left of c, or the oracle does not match alpha.  An oracle that
     is honest for another coefficient vector whose support lies inside
-    alpha's passes every check: in vesurj mode hom(., h) is one, and the
-    hard-edge target then comes out 0 for C4 and K2,3 from P3 and C4.
+    alpha's passes those checks, so a target's count is also held to what
+    g's shape proves (_maps_into): a 0 where g must map raises.  In vesurj
+    mode hom(., h) is such an oracle; the hard-edge target comes out 0 for
+    C4 and K2,3 from P3 and C4, and is refused.  A wrong count that is not
+    0, or a 0 that g's shape does not rule out, still passes.
     """
     if system.alpha is None:
         raise ValueError("system carries no coefficients")
@@ -451,7 +454,24 @@ def _recover(system: LovaszSystem, oracle, g: Graph, keys) -> list[int]:
     if any(c):
         raise OracleMismatchError("oracle answers lie outside the span of the coefficients' "
                                   "columns; oracle and coefficients disagree")
+    for t, key in zip(targets, keys):
+        if homs[t] == 0 and _maps_into(g, system.members[t][1]):
+            raise OracleMismatchError(f"recovered no homomorphism into target {key.hex()}, "
+                                      "which g maps into; oracle and coefficients disagree")
     return [homs[t] for t in targets]
+
+
+def _maps_into(g: Graph, t: Graph) -> bool:
+    """Whether g's shape alone proves hom(g, t) >= 1: t has a looped
+    vertex; or g has no loop and no odd cycle, and t a non-loop edge; or
+    g has neither edge nor loop, and t a vertex."""
+    if t.loops:
+        return True
+    if g.loops:
+        return False
+    if not g.edges:
+        return t.n > 0
+    return bool(t.edges) and all(parts is not None for *_, parts in _components(g))
 
 
 def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int:
@@ -460,8 +480,9 @@ def recover_hom(system: LovaszSystem, oracle, g: Graph, target: GraphKey) -> int
     Solves the answers over alpha's support (see _recover), through N and
     U's columns there, which are filled and checked before the first query
     and kept; answers that do not match alpha raise OracleMismatchError,
-    except those of an oracle honest for a coefficient vector whose support
-    lies inside alpha's, which pass every check (see _recover).
+    and so does a recovered 0 where g's shape proves a homomorphism.  An
+    oracle honest for a coefficient vector whose support lies inside
+    alpha's passes the other checks (see _recover).
     """
     return _recover(system, oracle, g, [target])[0]
 
@@ -487,9 +508,11 @@ def reduction_demo(h: Graph, mode: str, g: Graph, oracle=None) -> dict:
     are the report's alpha and closed_set entries, rendered the first time
     the system is reported; each call returns new lists and dicts of them.
     h, g, the hard edge and the targets are taken from the inputs and
-    rendered on every call.  h is a member of its own closed set, so a
-    target too large for quotient enumeration is refused before any
-    coefficient is built.
+    rendered on every call.  The recover command renders the alpha and
+    closed_set entries' JSON text once per system too (see cli), so per
+    report it writes only the rest as JSON.  h is a member of its own
+    closed set, so a target too large for quotient enumeration is refused
+    before any coefficient is built.
     """
     if mode not in ("vsurj", "vesurj"):
         raise ValueError("mode must be 'vsurj' or 'vesurj'")

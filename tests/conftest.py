@@ -21,6 +21,30 @@ from homcount.graphs import (
 )
 
 
+def record_graphs(monkeypatch, item=lambda g: g, through=("checked", "trusted")) -> list:
+    """Append item(g) to the returned list for every Graph g built from now
+    on through the given ways: "checked" is Graph(...), which validates in
+    __post_init__, and "trusted" is Graph._trusted, which does not.  Each
+    item is taken after the graph is complete."""
+    built = []
+    post_init, trusted = Graph.__post_init__, Graph._trusted.__func__
+
+    def checked(self):
+        post_init(self)
+        built.append(item(self))
+
+    def unchecked(cls, n, loops, edges):
+        g = trusted(cls, n, loops, edges)
+        built.append(item(g))
+        return g
+
+    if "checked" in through:
+        monkeypatch.setattr(Graph, "__post_init__", checked)
+    if "trusted" in through:
+        monkeypatch.setattr(Graph, "_trusted", classmethod(unchecked))
+    return built
+
+
 def random_graph(rng: random.Random, n_max: int, loops_allowed: bool = True,
                  n_min: int = 0) -> Graph:
     n = rng.randint(n_min, n_max)

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from homcount import cli, counting, families, interpolation, inversion, kernels
+from homcount import canonical, cli, counting, families, graphs, interpolation, inversion, kernels
 from homcount.canonical import enumerate_graphs
 from homcount.errors import InternalCheckError
 from homcount.graphs import Graph, biclique, cycle_graph, path_graph, to_text
 
-from .conftest import random_graph
+from .conftest import random_graph, record_graphs
 
 DATA = Path(__file__).parent / "data"
 G = DATA / "graphs"
@@ -547,14 +547,7 @@ def test_images_builds_no_graph_but_its_input(monkeypatch, tmp_path, capsys):
     cube = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
     path = _graph_file(tmp_path, "cube", 8, cube)
     interpolation._image_encodings.cache_clear()
-    built = []
-    post_init = Graph.__post_init__
-
-    def counting(self):
-        built.append(self.n)
-        post_init(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    built = record_graphs(monkeypatch, lambda g: g.n)
     for fmt in ("json", "plain"):
         built.clear()
         assert cli.main(["images", "--h", path, "--format", fmt]) == 0
@@ -814,6 +807,16 @@ def test_json_text_prints_5000_digit_ints_with_the_digit_limit_lifted():
             sys.set_int_max_str_digits(digits)
 
 
+def test_rendered_fragment_reads_as_its_value_at_any_depth():
+    # A fragment is written as rendered at its own indentation and is
+    # rendered again from its value at any other.
+    value = [{"graph": "vertices 1\n", "key": "0100"}, {"coeff": "-2", "n": [1, []]}, []]
+    for newline in ("\n", "\n  ", "\n    "):
+        fragment = cli._Rendered(value, newline)
+        for nest in (lambda x: x, lambda x: {"a": x}, lambda x: {"a": [x, {"b": x}]}):
+            assert cli._json_text(nest(fragment)) == _dumps(nest(value))
+
+
 def test_json_text_refuses_other_types():
     for bad in (1.5, {1, 2}, [0, 0.0], {"a": frozenset()}, {"a": {"b": 2.0}}, object(), b"x"):
         with pytest.raises(TypeError):
@@ -821,14 +824,22 @@ def test_json_text_refuses_other_types():
 
 
 def test_every_command_emits_what_json_dumps_would(monkeypatch, tmp_path, capsys):
-    emitted = []
-    emit = cli._emit_json
+    # recover emits its report with the system's alpha and closed_set text
+    # spliced in, rendered once, so its stdout is held to the report that
+    # reduction_demo returned.
+    emitted, reports = [], []
+    emit, demo = cli._emit_json, cli.reduction_demo
 
     def recording(obj):
         emitted.append(obj)
         emit(obj)
 
+    def reporting(*args):
+        reports.append(demo(*args))
+        return reports[-1]
+
     monkeypatch.setattr(cli, "_emit_json", recording)
+    monkeypatch.setattr(cli, "reduction_demo", reporting)
     k23 = _graph_file(tmp_path, "k23", 5, [(i, 2 + j) for i in range(2) for j in range(3)])
     for argv in (
         ["count", "--kind", "vesurj", "--g", f"{G}/c5.graph", "--h", k23],
@@ -837,12 +848,60 @@ def test_every_command_emits_what_json_dumps_would(monkeypatch, tmp_path, capsys
         ["inverse-column", "--h", k23],
         ["images", "--h", k23],
         ["verify", "--n-max", "3"],
-        ["recover", "--h", k23, "--g", f"{G}/p3.graph", "--mode", "vesurj"],
     ):
         emitted.clear()
         assert cli.main(argv) == 0
         assert len(emitted) == 1
         assert capsys.readouterr().out == _dumps(emitted[0]) + "\n", argv
+    # Two sources on one system, in both modes, then both again after the
+    # system cache is cleared: the kept text now comes from another system
+    # object with equal entries.
+    for clear in (False, True):
+        if clear:
+            interpolation._reduction_system.cache_clear()
+        for mode in ("vesurj", "vsurj"):
+            for g in ("p3", "c5"):
+                reports.clear()
+                argv = ["recover", "--h", k23, "--g", f"{G}/{g}.graph", "--mode", mode]
+                assert cli.main(argv) == 0
+                assert len(reports) == 1
+                assert isinstance(emitted[-1]["closed_set"], cli._Rendered), argv
+                assert capsys.readouterr().out == _dumps(reports[0]) + "\n", argv
+    # A report whose lists differ from the kept ones is written as it is.
+    def altered(*args):
+        report = demo(*args)
+        report["alpha"][0]["coeff"] = "7"
+        report["closed_set"].pop()
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "reduction_demo", altered)
+    reports.clear()
+    assert cli.main(["recover", "--h", k23, "--g", f"{G}/p3.graph", "--mode", "vsurj"]) == 0
+    assert capsys.readouterr().out == _dumps(reports[0]) + "\n"
+
+
+def test_recover_checks_no_graph_it_parses_joins_or_decodes(monkeypatch, tmp_path, capsys):
+    # The two files are checked line by line, the system's members come
+    # from the package's own encodings and each query joins two checked
+    # graphs: none of these goes through Graph.__post_init__ again.
+    sites = {graphs.parse_graph.__code__, graphs.disjoint_union.__code__,
+             canonical._decode.__code__}
+
+    def site(g):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in sites:
+            frame = frame.f_back
+        return frame and frame.f_code.co_name
+
+    k23 = _graph_file(tmp_path, "k23", 5, [(i, 2 + j) for i in range(2) for j in range(3)])
+    interpolation._reduction_system.cache_clear()
+    checked = record_graphs(monkeypatch, site, through=("checked",))
+    trusted = record_graphs(monkeypatch, site, through=("trusted",))
+    assert cli.main(["recover", "--h", k23, "--g", f"{G}/p3.graph", "--mode", "vesurj"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_queries"] == trusted.count("disjoint_union")
+    assert [name for name in checked if name] == []
+    assert set(trusted) == {"parse_graph", "disjoint_union", "_decode"}
 
 
 def test_surjective_budget_plans_only_the_components(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from homcount import kernels
-from homcount.canonical import enumerate_graphs
+from homcount.canonical import canonical_key, enumerate_graphs, graph_from_key
 from homcount.errors import GraphParseError
 from homcount.graphs import (
     Graph,
@@ -180,3 +180,47 @@ def test_parse_error_carries_line_number():
 def test_to_text_is_sorted_and_deterministic():
     g = Graph(3, loops=frozenset({2, 0}), edges=frozenset({(1, 2), (0, 1)}))
     assert to_text(g) == "vertices 3\nloop 0\nloop 2\nedge 0 1\nedge 1 2\n"
+
+
+def _looped_graph_with_isolated_vertices(rng: random.Random) -> Graph:
+    """A random looped graph on 0-12 vertices whose edges avoid a random
+    set of vertices, so most have isolated vertices."""
+    n = rng.randint(0, 12)
+    active = [v for v in range(n) if rng.random() < 0.7]
+    loops = [v for v in range(n) if rng.random() < 0.3]
+    edges = [(v, u) for i, u in enumerate(active) for v in active[i + 1:] if rng.random() < 0.4]
+    return Graph(n, loops, edges)
+
+
+def _assert_checked_equal(got: Graph, n, loops, edges):
+    want = Graph(n, loops, edges)
+    assert got == want and hash(got) == hash(want)
+    assert type(got.n) is int
+    assert type(got.loops) is frozenset and type(got.edges) is frozenset
+    assert all(type(v) is int and 0 <= v < n for v in got.loops)
+    assert all(type(u) is int and type(v) is int and 0 <= u < v < n for u, v in got.edges)
+
+
+def test_unchecked_constructions_equal_checked_graphs():
+    # parse_graph, disjoint_union and graph_from_key build their graphs
+    # without the constructor's checks; each must equal, and hash as, the
+    # checked Graph(...) of the same data.
+    rng = random.Random(38)
+    graphs = [_looped_graph_with_isolated_vertices(rng) for _ in range(80)]
+    assert any(g.n == 0 for g in graphs) and any(g.n == 12 for g in graphs)
+    assert sum(len(_components(g)) > 1 for g in graphs) > 40
+    for g in graphs:
+        _assert_checked_equal(parse_graph(to_text(g)), g.n, sorted(g.loops), sorted(g.edges))
+        # Each edge written with its endpoints in a random order.
+        lines = [f"vertices {g.n}"] + [f"loop {v}" for v in g.loops]
+        lines += ["edge %d %d" % ((u, v) if rng.random() < 0.5 else (v, u)) for u, v in g.edges]
+        _assert_checked_equal(parse_graph("\n".join(lines)), g.n, g.loops, g.edges)
+        key = canonical_key(g)
+        rep = graph_from_key(key)
+        _assert_checked_equal(rep, key.n, list(rep.loops), [(v, u) for u, v in rep.edges])
+        assert canonical_key(rep) == key and rep.size == g.size
+    for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+        k = a.n
+        _assert_checked_equal(disjoint_union(a, b), k + b.n,
+                              [*a.loops, *(v + k for v in b.loops)],
+                              [*a.edges, *((v + k, u + k) for u, v in b.edges)])

@@ -50,10 +50,11 @@ from homcount.interpolation import (
 )
 from homcount.inversion import DSUB_PAIR_LIMIT, CoeffVector
 
-from .conftest import random_graph, relabel
+from .conftest import random_graph, record_graphs, relabel
 from .oracles import (
     naive_aut,
     naive_classes,
+    naive_hom,
     naive_isomorphic,
     naive_min_encoding,
     naive_quotient,
@@ -104,14 +105,7 @@ def _looped_cube():
 
 def test_images_build_one_graph_per_class(monkeypatch):
     h = _looped_cube()
-    built = []
-    post_init = Graph.__post_init__
-
-    def counting(self):
-        built.append(self.n)
-        post_init(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    built = record_graphs(monkeypatch, lambda g: g.n)
     members = homomorphic_images(h)
     assert len(built) == len(members)
 
@@ -545,7 +539,10 @@ def test_support_solve_matches_fraction_elimination(named):
     # give back the counts; two shifts of them, one answer off by one and
     # one support entry of x up by one, are judged as Fraction elimination
     # judges them.  The image sets carry no coefficients, so each gets a
-    # random alpha.
+    # random alpha.  The source is Graph(0), which maps into every target
+    # with a vertex, so the counts are drawn from 1 up (randint(1, 10)
+    # reads the random stream as randint(0, 9) did) and a recovered 0 is
+    # refused as well.
     rng = random.Random(36)
     for system in _image_and_recover_mix_systems(named):
         if system.alpha is None:
@@ -553,7 +550,7 @@ def test_support_solve_matches_fraction_elimination(named):
             system.alpha = CoeffVector({key: (rep, rng.choice((-3, -1, 1, 2))) for key, rep in picked})
         keys = system.alpha.support()
         matrix = hom_table(system.members)
-        counts = [rng.randint(0, 9) for _ in keys]
+        counts = [rng.randint(1, 10) for _ in keys]
         x = {system.index_of(key): system.alpha[key] * c for key, c in zip(keys, counts)}
         honest = [sum(row[j] * v for j, v in x.items()) for row in matrix]
         assert interpolation._recover(system, _ListOracle(honest), Graph(0), keys) == counts
@@ -563,7 +560,7 @@ def test_support_solve_matches_fraction_elimination(named):
         shifted = [b + row[k] for b, row in zip(honest, matrix)]
         for answers in (off_by_one, shifted):
             want = _fraction_recovery(matrix, answers, system.alpha, system.index_of)
-            if want is None:
+            if want is None or 0 in want:
                 with pytest.raises(OracleMismatchError):
                     interpolation._recover(system, _ListOracle(answers), Graph(0), keys)
             else:
@@ -907,6 +904,33 @@ def test_faulty_oracles_raise_or_recover_the_count():
                     else:
                         assert got == hom_count(g, h), (h, mode, g, name)
     assert raised == {"honest": 0, "minus_edge": 26, "other_mode": 14, "plus_one": 30, "hom": 0}
+
+
+def test_recovered_zero_that_the_source_rules_out_raises():
+    # In vesurj mode an oracle answering hom(., h) is honest for alpha =
+    # e_h, whose support lies in alpha's, so the hard-edge target comes out
+    # 0 and every equation holds.  P3 and C4 have no loop and no odd cycle,
+    # and the target keeps an edge, so they map into it: the 0 is refused.
+    for h in (cycle_graph(4), biclique(2, 3)):
+        hard = canonical_key(delete_nonloop_edge(h, find_hard_edge(h)))
+        for g in (path_graph(3), cycle_graph(4)):
+            oracle = _ListOracle([hom_count(disjoint_union(g, rep), h) for _, rep in
+                                  interpolation._reduction_system("vesurj", canonical_key(h)).members])
+            with pytest.raises(OracleMismatchError, match=f"target {hard.hex()}"):
+                reduction_demo(h, "vesurj", g, oracle)
+
+
+def test_shape_bound_holds_on_small_classes():
+    # Wherever _maps_into claims a homomorphism there is one, and each of
+    # its three cases is reached.
+    classes = [rep for _, rep in enumerate_graphs(3)]
+    reached = set()
+    for g in classes:
+        for t in classes:
+            if interpolation._maps_into(g, t):
+                assert naive_hom(g, t) >= 1, (g, t)
+                reached.add("loop" if t.loops else "edge" if g.edges else "empty")
+    assert reached == {"loop", "edge", "empty"}
 
 
 def test_external_command_oracle_runs_cli(named, tmp_path, monkeypatch):

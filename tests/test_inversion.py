@@ -40,7 +40,7 @@ from homcount.inversion import (
     vsurj_via_inversion,
 )
 
-from .conftest import random_graph
+from .conftest import random_graph, record_graphs
 from .oracles import (
     naive_classes,
     naive_deletion_pairs,
@@ -241,14 +241,7 @@ def test_ind_inverse_column_matches_naive_signed_subsets():
 def test_inverse_column_after_downset_builds_no_graph_per_pair(monkeypatch):
     h = Graph(4, edges=cycle_graph(4).edges)
     downset = dsub_downset(h)
-    built = []
-    post_init = Graph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    built = record_graphs(monkeypatch)
     column = dsub_inverse_column(h)
     assert len(built) <= len(downset) == 13
     assert column.coeff(canonical_key(h)) == 1
@@ -260,14 +253,7 @@ def test_cold_walk_builds_one_graph_per_class(monkeypatch):
     # representative per class of its walk with a nonzero signed sum.
     targets = [(cycle_graph(4), 13, 6), (biclique(3, 4), 137, 76)]
     keys = [canonical_key(h) for h, _, _ in targets]
-    built = []
-    post_init = Graph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    built = record_graphs(monkeypatch)
     for (h, classes, nonzero), key in zip(targets, keys):
         inversion._walk.cache_clear()
         interpolation._image_encodings.cache_clear()
@@ -286,8 +272,7 @@ def test_cold_verify_builds_no_graph_in_any_walk(monkeypatch):
     # and few of the Graphs it builds elsewhere outlive it.
     walks = {inversion._walk.__wrapped__.__code__,
              interpolation._image_encodings.__wrapped__.__code__}
-    in_walk, built = [], []
-    post_init = Graph.__post_init__
+    in_walk = []
 
     def counted(self):
         frame = sys._getframe(1)
@@ -295,13 +280,12 @@ def test_cold_verify_builds_no_graph_in_any_walk(monkeypatch):
             frame = frame.f_back
         if frame is not None:
             in_walk.append(self)
-        built.append(weakref.ref(self))
-        post_init(self)
+        return weakref.ref(self)
 
     for cache in (inversion._walk, interpolation._image_encodings, canonical._leaf_class,
                   canonical.canonical_form, canonical.enumerate_graphs):
         cache.cache_clear()
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    built = record_graphs(monkeypatch, counted)
     assert _run_verify(4)["ok"]
     assert in_walk == []
     gc.collect()

@@ -26,6 +26,7 @@ from homcount.interpolation import (
 )
 from homcount.inversion import verify_expansions, vesurj_via_inversion, vsurj_via_inversion
 
+from .conftest import record_graphs
 from .oracles import naive_components, naive_hom, naive_vesurj, naive_vsurj
 
 
@@ -529,17 +530,10 @@ def test_state_bound_builds_no_graph_for_cached_components(monkeypatch):
     def union():
         return disjoint_union(disjoint_union(cycle_graph(5), path_graph(4)), Graph(1, [0]))
 
-    built = []
-    post_init = Graph.__post_init__
-
-    def counting(self):
-        built.append(self.n)
-        post_init(self)
-
     k3 = complete_graph(3)
     _clear_source_caches()
     bound = kernels.state_bound(union(), k3, kernels.MODE_VESURJ)
     g = union()
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    built = record_graphs(monkeypatch, lambda g: g.n)
     assert kernels.state_bound(g, k3, kernels.MODE_VESURJ) == bound
     assert built == []
